@@ -13,8 +13,8 @@ from .beamform import (BeamformerConfig, ImageResult, PixelResult, SosPosterior,
 from .chain import demodulate, matched_filter, quantize, tvg
 from .core import (ArrayGeometry, FocalPoint, LfmPulse, ScanGrid, hann_weights,
                    round_trip_time, steering_vector)
-from .covariance import (HermitianMatrix, SnapshotSet, delayed_snapshot,
-                         diagonal_load, forward_backward, sample_covariance,
+from .covariance import (capon_solve, delayed_snapshot, diagonal_load,
+                         forward_backward, replace_degenerate, sample_covariance,
                          subarray_snapshots)
 from .cube import BasebandCube, RawDataCube, read_cube, write_cube
 from .metrics import (Box, DbImage, MetricsReport, envelope_db, fwhm, pmal,

@@ -17,15 +17,14 @@ thread pool, with identical per-row arithmetic either way.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .chain import TVG_TWO_WAY, TVG_VARIANTS
 from .core import ArrayGeometry, FocalPoint, ScanGrid, hann_weights, travel_times
-from .covariance import (HermitianMatrix, NORM_SNAPSHOTS, NORM_SUBARRAY_LENGTH,
-                         _sample_at_times)
+from .covariance import (_sample_at_times, capon_solve, diagonal_load, forward_backward,
+                         replace_degenerate, sample_covariance, subarray_snapshots)
 from .cube import BasebandCube
 from .quadrature import SosPrior, gauss_hermite, node_to_sos
 
@@ -46,7 +45,7 @@ class BeamformerConfig:
 
     subarray_length is the adaptive estimation window L; the snapshot count
     is n_sensors - L + 1. loading_factor defaults to 1e-3 divided by the
-    snapshot count when left unset.
+    snapshot count when left unset. DAS uses neither.
     """
 
     method: str = METHOD_BAYES
@@ -57,7 +56,6 @@ class BeamformerConfig:
     snr0_db: float = 15.0
     dr_db: float = 96.0
     loading_factor: float | None = None
-    cov_normalization: str = NORM_SNAPSHOTS
     tvg_variant: str = TVG_TWO_WAY
 
     def __post_init__(self):
@@ -69,8 +67,8 @@ class BeamformerConfig:
             raise ValueError("n_quad must be >= 1")
         if self.dr_db <= 0:
             raise ValueError("dr_db must be > 0")
-        if self.cov_normalization not in (NORM_SNAPSHOTS, NORM_SUBARRAY_LENGTH):
-            raise ValueError(f"unknown covariance normalization {self.cov_normalization!r}")
+        if self.loading_factor is not None and not 0 <= self.loading_factor < np.inf:
+            raise ValueError("loading_factor must be finite and >= 0")
         if self.tvg_variant not in TVG_VARIANTS:
             raise ValueError(f"unknown TVG variant {self.tvg_variant!r}")
 
@@ -121,26 +119,26 @@ class ImageResult:
         }
 
 
-def mvdr_weights(m: HermitianMatrix) -> np.ndarray:
-    """Distortionless minimum-variance weights, all-ones steering.
+def mvdr_weights(cov: np.ndarray) -> np.ndarray:
+    """Distortionless minimum-variance weights S^-1 1 / (1^T S^-1 1), all-ones steering.
 
-    Solves the Hermitian system directly; the unit-gain constraint
-    ones^H w = 1 holds to solver precision.
+    Works on a (..., L, L) stack; the unit-gain constraint ones^H w = 1
+    holds to solver precision.
     """
-    sol = np.linalg.solve(m.entries, np.ones(m.size))
-    denom = sol.sum().real
-    if not np.isfinite(denom) or denom <= 0:
-        raise np.linalg.LinAlgError("covariance is not positive definite")
-    return sol / denom
+    sol, denom = _capon(cov)
+    return sol / denom[..., None]
 
 
-def capon_power(m: HermitianMatrix) -> float:
+def capon_power(cov: np.ndarray):
     """Capon spectral estimate of the focal signal power: 1 / (ones^H S^-1 ones)."""
-    sol = np.linalg.solve(m.entries, np.ones(m.size))
-    denom = sol.sum().real
-    if not np.isfinite(denom) or denom <= 0:
+    return 1.0 / _capon(cov)[1]
+
+
+def _capon(cov):
+    sol, denom, good = capon_solve(np.asarray(cov))
+    if not np.all(good):
         raise np.linalg.LinAlgError("covariance is not positive definite")
-    return 1.0 / denom
+    return sol, denom
 
 
 def posterior_weights(log_u: np.ndarray, log_lik: np.ndarray):
@@ -205,16 +203,14 @@ class _Imager:
         self.cube = cube
         self.geom = geom
         self.cfg = cfg
-        self.n_sub = cfg.n_subarrays(geom.n_sensors)
-        self.eps = cfg.loading(self.n_sub)
-        self.hann = hann_weights(geom.n_sensors)
-        if cfg.cov_normalization == NORM_SNAPSHOTS:
-            self.cov_divisor = self.n_sub
+        if cfg.method == METHOD_DAS:
+            self.hann = hann_weights(geom.n_sensors)
         else:
-            self.cov_divisor = cfg.subarray_length
-        rule = gauss_hermite(cfg.n_quad)
-        self.log_u = np.log(rule.weights)
-        self.c_nodes = node_to_sos(rule.nodes, cfg.prior)
+            self.n_sub = cfg.n_subarrays(geom.n_sensors)
+            self.eps = cfg.loading(self.n_sub)
+            rule = gauss_hermite(cfg.n_quad)
+            self.log_u = np.log(rule.weights)
+            self.c_nodes = node_to_sos(rule.nodes, cfg.prior)
 
     # -- per-batch primitives ------------------------------------------------
 
@@ -232,31 +228,14 @@ class _Imager:
     def mvdr_node(self, px, py, c):
         """MVDR output and Capon power at one speed: (values, power, flags)."""
         snap, flags = self.delayed_snapshots(px, py, c)
-        L = self.cfg.subarray_length
-        snaps = sliding_window_view(snap, L, axis=-1)
-        # cov_ij = sum_l x_li conj(x_lj), batched over pixels via BLAS
-        cov = np.matmul(np.swapaxes(snaps, -1, -2), snaps.conj()) / self.cov_divisor
-        cov = 0.5 * (cov + np.swapaxes(cov, -1, -2)[..., ::-1, ::-1])  # forward-backward
-        trace = np.einsum("...ii->...", cov).real
-        bad = ~(np.isfinite(trace) & (trace > 0))
-        cov = cov + (self.eps * np.where(bad, 0.0, trace))[..., None, None] * np.eye(L)
-        if np.any(bad):
-            cov[bad] = np.eye(L)
-            flags = flags | np.where(bad, FLAG_SINGULAR, 0).astype(np.uint8)
-        try:
-            sol = np.linalg.solve(cov, np.ones(L))
-        except np.linalg.LinAlgError:
-            sol, singular = _solve_rows(cov)
-            flags = flags | np.where(singular, FLAG_SINGULAR, 0).astype(np.uint8)
-        denom = sol.sum(axis=-1).real
-        good = np.isfinite(denom) & (denom > 0)
-        flags = flags | np.where(good, 0, FLAG_SINGULAR).astype(np.uint8)
-        denom = np.where(good, denom, 1.0)
+        snaps = subarray_snapshots(snap, self.cfg.subarray_length)
+        cov = diagonal_load(forward_backward(sample_covariance(snaps)), self.eps)
+        cov, degenerate = replace_degenerate(cov)
+        sol, denom, good = capon_solve(cov)
+        flags = flags | np.where(degenerate | ~good, FLAG_SINGULAR, 0).astype(np.uint8)
         power = np.where(good, 1.0 / denom, 0.0)
-        xbar = snaps.mean(axis=-2)
-        values = np.einsum("...i,...i->...", sol.conj(), xbar) / denom
-        values = np.where(good, values, 0.0)
-        return values, power, flags
+        values = np.einsum("...i,...i->...", sol.conj(), snaps.mean(axis=-2)) / denom
+        return np.where(good, values, 0.0), power, flags
 
     def bayes(self, px, py):
         """Posterior-averaged MVDR over the quadrature nodes.
@@ -293,29 +272,20 @@ class _Imager:
         return values, flags
 
 
-def _solve_rows(cov):
-    """Row-by-row fallback solve for batches where some matrix is singular."""
-    n = cov.shape[-1]
-    flat = cov.reshape(-1, n, n)
-    sol = np.empty((flat.shape[0], n), dtype=complex)
-    singular = np.zeros(flat.shape[0], dtype=bool)
-    ones = np.ones(n)
-    for i, m in enumerate(flat):
-        try:
-            sol[i] = np.linalg.solve(m, ones)
-        except np.linalg.LinAlgError:
-            sol[i] = 0.0
-            singular[i] = True
-    return sol.reshape(cov.shape[:-1]), singular.reshape(cov.shape[:-2])
-
-
 # -- single-pixel API ---------------------------------------------------------
+
+def _adaptive_imager(cube: BasebandCube, geom: ArrayGeometry,
+                     cfg: BeamformerConfig) -> _Imager:
+    """An imager set up for MVDR and Bayes, whichever method cfg names."""
+    if cfg.method == METHOD_DAS:
+        cfg = replace(cfg, method=METHOD_MVDR)
+    return _Imager(cube, geom, cfg)
+
 
 def das_pixel(cube: BasebandCube, p: FocalPoint, c: float,
               geom: ArrayGeometry) -> complex:
     """Hann-weighted delay-and-sum response at one focal point."""
-    cfg = BeamformerConfig(method=METHOD_DAS, c_fixed=c,
-                           subarray_length=min(2, geom.n_sensors))
+    cfg = BeamformerConfig(method=METHOD_DAS, c_fixed=c)
     values, _ = _Imager(cube, geom, cfg).das(np.asarray(p.x), np.asarray(p.y))
     return complex(values)
 
@@ -323,7 +293,7 @@ def das_pixel(cube: BasebandCube, p: FocalPoint, c: float,
 def mvdr_pixel(cube: BasebandCube, p: FocalPoint, cfg: BeamformerConfig,
                geom: ArrayGeometry, c: float | None = None) -> PixelResult:
     """MVDR response at one focal point and a single speed (cfg.c_fixed by default)."""
-    imager = _Imager(cube, geom, cfg)
+    imager = _adaptive_imager(cube, geom, cfg)
     c = cfg.c_fixed if c is None else c
     values, _, flags = imager.mvdr_node(np.asarray(p.x), np.asarray(p.y), c)
     return PixelResult(value=complex(values), flags=int(flags))
@@ -332,7 +302,7 @@ def mvdr_pixel(cube: BasebandCube, p: FocalPoint, cfg: BeamformerConfig,
 def log_likelihood(p: FocalPoint, c: float, cube: BasebandCube,
                    cfg: BeamformerConfig, geom: ArrayGeometry) -> float:
     """Log sound-speed likelihood at one focal point: n_sub * gamma(p) * P_s(p, c)."""
-    imager = _Imager(cube, geom, cfg)
+    imager = _adaptive_imager(cube, geom, cfg)
     _, power, _ = imager.mvdr_node(np.asarray(p.x), np.asarray(p.y), c)
     return float(imager.n_sub * gamma_of_p(p, cfg, geom) * power)
 
@@ -346,7 +316,7 @@ def sos_posterior(p: FocalPoint, cube: BasebandCube, cfg: BeamformerConfig,
 def bayes_pixel(p: FocalPoint, cube: BasebandCube, cfg: BeamformerConfig,
                 geom: ArrayGeometry) -> PixelResult:
     """Sound-speed-marginalized MVDR response at one focal point."""
-    imager = _Imager(cube, geom, cfg)
+    imager = _adaptive_imager(cube, geom, cfg)
     values, flags, log_v, weights = imager.bayes(np.asarray(p.x), np.asarray(p.y))
     posterior = SosPosterior(nodes=imager.c_nodes.copy(), log_v=np.asarray(log_v),
                              weights=np.asarray(weights),

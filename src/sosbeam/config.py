@@ -8,12 +8,11 @@ config is rejected with a pointer, not a stack trace.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .beamform import BeamformerConfig, METHODS
+from .beamform import BeamformerConfig, METHOD_DAS, METHODS
 from .chain import TVG_VARIANTS
 from .core import ArrayGeometry, LfmPulse, ScanGrid
-from .covariance import NORM_SNAPSHOTS, NORM_SUBARRAY_LENGTH
 from .metrics import Box, FWHM_AMPLITUDE, FWHM_INTENSITY
 from .quadrature import SosPrior
 from .simulate import Environment, SimConfig, Target
@@ -59,13 +58,7 @@ class RunConfig:
             raise ConfigError(f"beamformers.{method}", "method not configured")
         cfg = self.beamformers[method]
         if n_quad is not None and n_quad != cfg.n_quad:
-            cfg = BeamformerConfig(
-                method=cfg.method, c_fixed=cfg.c_fixed,
-                subarray_length=cfg.subarray_length, prior=cfg.prior,
-                n_quad=n_quad, snr0_db=cfg.snr0_db, dr_db=cfg.dr_db,
-                loading_factor=cfg.loading_factor,
-                cov_normalization=cfg.cov_normalization,
-                tvg_variant=cfg.tvg_variant)
+            cfg = replace(cfg, n_quad=n_quad)
         return cfg
 
 
@@ -123,6 +116,8 @@ def _get(section: dict, key: str, path: str, kind, default=None):
         raise ConfigError(f"{path}.{key}", "missing required field")
     value = section[key]
     try:
+        if isinstance(value, bool):  # JSON true/false is not a number or a name
+            raise TypeError
         if kind is int:
             if isinstance(value, float) and not value.is_integer():
                 raise ValueError
@@ -204,15 +199,18 @@ def parse_config(doc: dict) -> RunConfig:
                    duration=_get(pulse_sec, "duration_s", "pulse", float))
 
     sim_sec = _section(doc, "simulation")
-    seed = _get(sim_sec, "rng_seed", "simulation", int, 0)
+    seed = _get(sim_sec, "rng_seed", "simulation", int, SimConfig.rng_seed)
     if seed < 0:
         raise ConfigError("simulation.rng_seed", "seed must be non-negative")
     simulation = _build("simulation", SimConfig,
                         sample_rate=_get(sim_sec, "sample_rate_hz", "simulation", float),
                         record_duration=_get(sim_sec, "record_duration_s", "simulation", float),
-                        noise_power_db=_get(sim_sec, "noise_power_db", "simulation", float, 80.0),
-                        signal_power_db=_get(sim_sec, "signal_power_db", "simulation", float, 190.0),
-                        ref_level_db=_get(sim_sec, "ref_level_db", "simulation", float, -49.0),
+                        noise_power_db=_get(sim_sec, "noise_power_db", "simulation", float,
+                                            SimConfig.noise_power_db),
+                        signal_power_db=_get(sim_sec, "signal_power_db", "simulation", float,
+                                             SimConfig.signal_power_db),
+                        ref_level_db=_get(sim_sec, "ref_level_db", "simulation", float,
+                                          SimConfig.ref_level_db),
                         rng_seed=seed)
     f_top = pulse.center_frequency + 0.5 * pulse.bandwidth
     if simulation.sample_rate <= 2.0 * f_top:
@@ -245,11 +243,11 @@ def parse_config(doc: dict) -> RunConfig:
         prior = _build(bpath, SosPrior,
                        mu_c=_get(bf, "mu_c_m_s", bpath, float, 1519.0),
                        sigma_c=_get(bf, "sigma_c_m_s", bpath, float, 0.3))
+        if "cov_normalization" in bf:
+            # removed option: ignoring it would silently change the results
+            raise ConfigError(f"{bpath}.cov_normalization", "no longer supported; the "
+                              "covariance is always divided by the snapshot count")
         loading = bf.get("loading_factor")
-        norm = _get(bf, "cov_normalization", bpath, str, NORM_SNAPSHOTS)
-        if norm not in (NORM_SNAPSHOTS, NORM_SUBARRAY_LENGTH):
-            raise ConfigError(f"{bpath}.cov_normalization",
-                              f"must be {NORM_SNAPSHOTS!r} or {NORM_SUBARRAY_LENGTH!r}")
         cfg = _build(bpath, BeamformerConfig,
                      method=method,
                      c_fixed=_get(bf, "c_fixed_m_s", bpath, float, 1519.0),
@@ -259,13 +257,14 @@ def parse_config(doc: dict) -> RunConfig:
                      n_quad=_get(bf, "n_quad", bpath, int, 8),
                      snr0_db=_get(bf, "snr0_db", bpath, float, 15.0),
                      dr_db=_get(bf, "dr_db", bpath, float, 96.0),
-                     loading_factor=float(loading) if loading is not None else None,
-                     cov_normalization=norm,
+                     loading_factor=(None if loading is None else
+                                     _get(bf, "loading_factor", bpath, float)),
                      tvg_variant=chain.tvg_variant)
-        try:
-            cfg.n_subarrays(geometry.n_sensors)
-        except ValueError as exc:
-            raise ConfigError(f"{bpath}.subarray_length", str(exc)) from None
+        if method != METHOD_DAS:
+            try:
+                cfg.n_subarrays(geometry.n_sensors)
+            except ValueError as exc:
+                raise ConfigError(f"{bpath}.subarray_length", str(exc)) from None
         beamformers[method] = cfg
 
     grid_sec = _section(doc, "grid")

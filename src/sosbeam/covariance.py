@@ -1,15 +1,19 @@
-"""Delayed snapshot extraction and covariance conditioning.
+"""Delayed snapshots and the MVDR covariance kernels.
 
-The estimation pipeline per focal point and sound speed: extract a
-phase-aligned snapshot across the array, split it into overlapping
-subarrays, average the outer products, then forward-backward average and
-diagonally load the result.
+The estimator at one focal point and sound speed: extract a phase-aligned
+snapshot across the array, split it into overlapping subarrays, average the
+outer products, forward-backward average and diagonally load the result,
+then solve it against the all-ones steering vector.
+
+The kernels take and return plain ndarrays with any leading batch axes: a
+snapshot stack (..., N) gives subarray windows (..., n_sub, L) and
+covariances (..., L, L). The image path calls them on a row of pixels and
+the single-pixel API on one pixel, so both run the same arithmetic.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -18,61 +22,9 @@ from .core import ArrayGeometry, FocalPoint, TWO_PI, travel_times
 from .cube import BasebandCube
 from .interp import sample_rows
 
-STAGE_RAW = "raw"
-STAGE_FB = "fb"
-STAGE_DL = "dl"
-
-NORM_SNAPSHOTS = "n_sub"           # divide by the snapshot count (conventional)
-NORM_SUBARRAY_LENGTH = "length"    # divide by the subarray length
-
 
 class SnapshotWarning(UserWarning):
     """Raised when focal delays fall outside the recorded data."""
-
-
-@dataclass(frozen=True)
-class SnapshotSet:
-    """Overlapping subarray snapshots: shape (n_snapshots, subarray_length)."""
-
-    snapshots: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.snapshots, dtype=complex)
-        if s.ndim != 2 or s.shape[0] < 1 or s.shape[1] < 1:
-            raise ValueError("snapshots must be a non-empty 2-D array")
-        object.__setattr__(self, "snapshots", s)
-
-    @property
-    def n_snapshots(self) -> int:
-        return self.snapshots.shape[0]
-
-    @property
-    def subarray_length(self) -> int:
-        return self.snapshots.shape[1]
-
-    def mean_snapshot(self) -> np.ndarray:
-        return self.snapshots.mean(axis=0)
-
-
-@dataclass(frozen=True)
-class HermitianMatrix:
-    """Hermitian covariance estimate tagged with its conditioning stage."""
-
-    entries: np.ndarray
-    stage: str = STAGE_RAW
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("covariance must be square")
-        scale = max(float(np.abs(m).max()), 1.0)
-        if float(np.abs(m - m.conj().T).max()) > 1e-12 * scale:
-            raise ValueError("matrix is not Hermitian to 1e-12 relative")
-        object.__setattr__(self, "entries", m)
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
 
 
 def delayed_snapshot(cube: BasebandCube, p: FocalPoint, c: float,
@@ -100,45 +52,86 @@ def _sample_at_times(cube: BasebandCube, t: np.ndarray):
     return np.where(valid, values, 0.0), valid
 
 
-def subarray_snapshots(x: np.ndarray, length: int) -> SnapshotSet:
-    """Split a length-N snapshot into N - length + 1 overlapping windows."""
-    x = np.asarray(x)
-    if x.ndim != 1:
-        raise ValueError("snapshot must be 1-D")
-    if not 1 <= length <= x.size:
-        raise ValueError(f"subarray length {length} out of range [1, {x.size}]")
-    return SnapshotSet(snapshots=sliding_window_view(x, length).copy())
+def subarray_snapshots(x: np.ndarray, length: int) -> np.ndarray:
+    """Overlapping windows of the trailing axis: (..., N) -> (..., N - L + 1, L).
 
-
-def sample_covariance(s: SnapshotSet, normalization: str = NORM_SNAPSHOTS) -> HermitianMatrix:
-    """Average of snapshot outer products.
-
-    normalization picks the divisor: the snapshot count (default) or the
-    subarray length.
+    Returns a read-only view of x, not a copy.
     """
-    if normalization == NORM_SNAPSHOTS:
-        divisor = s.n_snapshots
-    elif normalization == NORM_SUBARRAY_LENGTH:
-        divisor = s.subarray_length
-    else:
-        raise ValueError(f"unknown normalization {normalization!r}")
-    x = s.snapshots
-    cov = np.einsum("li,lj->ij", x, x.conj()) / divisor
-    cov = 0.5 * (cov + cov.conj().T)  # shave off rounding asymmetry
-    return HermitianMatrix(entries=cov, stage=STAGE_RAW)
+    x = np.asarray(x)
+    if x.ndim < 1:
+        raise ValueError("snapshot must have a sensor axis")
+    if not 1 <= length <= x.shape[-1]:
+        raise ValueError(f"subarray length {length} out of range [1, {x.shape[-1]}]")
+    return sliding_window_view(x, length, axis=-1)
 
 
-def forward_backward(m: HermitianMatrix) -> HermitianMatrix:
+def sample_covariance(snaps: np.ndarray) -> np.ndarray:
+    """Average outer product of the windows: (..., n_sub, L) -> (..., L, L)."""
+    # cov_ij = sum_l x_li conj(x_lj), batched over the leading axes via BLAS
+    return np.matmul(np.swapaxes(snaps, -1, -2), snaps.conj()) / snaps.shape[-2]
+
+
+def forward_backward(cov: np.ndarray) -> np.ndarray:
     """Forward-backward averaging: 0.5 * (S + J S^T J) with J the exchange matrix."""
-    s = m.entries
-    fb = 0.5 * (s + s.T[::-1, ::-1])
-    return HermitianMatrix(entries=fb, stage=STAGE_FB)
+    return 0.5 * (cov + np.swapaxes(cov, -1, -2)[..., ::-1, ::-1])
 
 
-def diagonal_load(m: HermitianMatrix, eps: float) -> HermitianMatrix:
-    """Add eps * trace(S) to the diagonal, guaranteeing invertibility for eps > 0."""
-    if eps < 0:
-        raise ValueError("loading factor must be >= 0")
-    s = m.entries
-    loaded = s + eps * np.trace(s).real * np.eye(s.shape[0])
-    return HermitianMatrix(entries=loaded, stage=STAGE_DL)
+def _trace(cov: np.ndarray) -> np.ndarray:
+    return np.einsum("...ii->...", cov).real
+
+
+def diagonal_load(cov: np.ndarray, eps: float) -> np.ndarray:
+    """Add eps * trace(S) to the diagonal, guaranteeing invertibility for eps > 0.
+
+    A zero matrix stays zero; replace_degenerate deals with it.
+    """
+    if not 0 <= eps < np.inf:
+        raise ValueError("loading factor must be finite and >= 0")
+    return cov + (eps * _trace(cov))[..., None, None] * np.eye(cov.shape[-1])
+
+
+def replace_degenerate(cov: np.ndarray):
+    """Swap matrices whose trace is not finite and positive for the identity.
+
+    Such a matrix holds no data (an all-zero snapshot, say) and would stop
+    the batched solve. Loading with eps >= 0 keeps a trace's sign and
+    finiteness, so the check finds the same matrices before or after
+    diagonal_load. Returns (cov, degenerate); cov is copied only when some
+    matrix is replaced.
+    """
+    trace = _trace(cov)
+    degenerate = ~(np.isfinite(trace) & (trace > 0))
+    if np.any(degenerate):
+        cov = cov.copy()
+        cov[degenerate] = np.eye(cov.shape[-1])
+    return cov, degenerate
+
+
+def capon_solve(cov: np.ndarray):
+    """Solve S x = 1 for every matrix of a (..., L, L) stack.
+
+    Returns (x, denom, good) with denom = 1^T x, real, the inverse Capon
+    power. A matrix the solver rejects gets x = 0. good marks the matrices
+    whose denom is finite and positive; elsewhere denom is set to 1.
+    """
+    ones = np.ones(cov.shape[-1])
+    try:
+        sol = np.linalg.solve(cov, ones)
+    except np.linalg.LinAlgError:
+        sol = _solve_rows(cov, ones)
+    denom = sol.sum(axis=-1).real
+    good = np.isfinite(denom) & (denom > 0)
+    return sol, np.where(good, denom, 1.0), good
+
+
+def _solve_rows(cov: np.ndarray, ones: np.ndarray) -> np.ndarray:
+    """Matrix-by-matrix fallback for a stack in which some matrix is singular."""
+    n = cov.shape[-1]
+    flat = cov.reshape(-1, n, n)
+    sol = np.zeros((flat.shape[0], n), dtype=complex)
+    for i, m in enumerate(flat):
+        try:
+            sol[i] = np.linalg.solve(m, ones)
+        except np.linalg.LinAlgError:
+            pass
+    return sol.reshape(cov.shape[:-1])

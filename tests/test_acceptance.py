@@ -8,15 +8,16 @@ settings come from the default config.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sosbeam.beamform import BeamformerConfig, beamform_image, log_likelihood, mvdr_weights
+from sosbeam.beamform import beamform_image, log_likelihood, mvdr_weights
 from sosbeam.chain import demodulate, matched_filter, quantize, tvg
 from sosbeam.config import default_config_dict, parse_config
 from sosbeam.core import FocalPoint, ScanGrid
-from sosbeam.covariance import HermitianMatrix, diagonal_load, forward_backward
+from sosbeam.covariance import diagonal_load, forward_backward
 from sosbeam.cube import read_cube
 from sosbeam.metrics import envelope_db, fwhm_of_image, pmal, rmse_db
 from sosbeam.quadrature import gauss_hermite
@@ -122,31 +123,12 @@ class TestCriterion4Reductions:
 
     def test_collapsed_prior_and_single_node(self, cfg, cross_baseband):
         bayes = cfg.beamformer("bayes")
-        mvdr_cfg = BeamformerConfig(
-            method="mvdr", c_fixed=bayes.prior.mu_c,
-            subarray_length=bayes.subarray_length, prior=bayes.prior,
-            snr0_db=bayes.snr0_db, dr_db=bayes.dr_db,
-            loading_factor=bayes.loading_factor,
-            cov_normalization=bayes.cov_normalization,
-            tvg_variant=bayes.tvg_variant)
+        mvdr_cfg = replace(bayes, method="mvdr", c_fixed=bayes.prior.mu_c)
         mvdr_img = beamform_image(cross_baseband, self.GRID, mvdr_cfg, cfg.geometry)
 
         from sosbeam.quadrature import SosPrior
-        collapsed = BeamformerConfig(
-            method="bayes", c_fixed=bayes.c_fixed,
-            subarray_length=bayes.subarray_length,
-            prior=SosPrior(bayes.prior.mu_c, 0.0), n_quad=bayes.n_quad,
-            snr0_db=bayes.snr0_db, dr_db=bayes.dr_db,
-            loading_factor=bayes.loading_factor,
-            cov_normalization=bayes.cov_normalization,
-            tvg_variant=bayes.tvg_variant)
-        single_node = BeamformerConfig(
-            method="bayes", c_fixed=bayes.c_fixed,
-            subarray_length=bayes.subarray_length, prior=bayes.prior, n_quad=1,
-            snr0_db=bayes.snr0_db, dr_db=bayes.dr_db,
-            loading_factor=bayes.loading_factor,
-            cov_normalization=bayes.cov_normalization,
-            tvg_variant=bayes.tvg_variant)
+        collapsed = replace(bayes, prior=SosPrior(bayes.prior.mu_c, 0.0))
+        single_node = replace(bayes, n_quad=1)
 
         errors = {}
         for name, variant in [("sigma=0", collapsed), ("n_quad=1", single_node)]:
@@ -187,25 +169,23 @@ class TestCriterion5Quadrature:
 
 class TestCriterion6Conditioning:
     def test_thousand_random_matrices(self):
+        # one (1000, 15, 15) stack through the kernels the image path runs
         rng = np.random.default_rng(20240901)
         eps = 1e-3 / 15.0
         exchange = np.eye(15)[::-1]
-        worst_persym = worst_eig = worst_constraint = 0.0
-        for _ in range(1000):
-            a = rng.standard_normal((15, 15)) + 1j * rng.standard_normal((15, 15))
-            s = (a @ a.conj().T) / 15.0  # positive semidefinite, unit-ish scale
-            m = HermitianMatrix(entries=s)
-            fb = forward_backward(m)
-            scale = float(np.abs(fb.entries).max())
-            persym = float(np.abs(exchange @ fb.entries.T @ exchange
-                                  - fb.entries).max()) / scale
-            worst_persym = max(worst_persym, persym)
-            dl = diagonal_load(fb, eps)
-            floor = eps * np.trace(fb.entries).real
-            min_eig = float(np.linalg.eigvalsh(dl.entries).min())
-            worst_eig = max(worst_eig, (floor - min_eig) / floor)
-            w = mvdr_weights(dl)
-            worst_constraint = max(worst_constraint, abs(np.sum(w) - 1.0))
+        a = rng.standard_normal((1000, 15, 15)) + 1j * rng.standard_normal((1000, 15, 15))
+        s = (a @ np.swapaxes(a, -1, -2).conj()) / 15.0  # positive semidefinite, unit-ish scale
+        fb = forward_backward(s)
+        scale = np.abs(fb).max(axis=(-2, -1))
+        persym = np.abs(exchange @ np.swapaxes(fb, -1, -2) @ exchange
+                        - fb).max(axis=(-2, -1)) / scale
+        worst_persym = float(persym.max())
+        dl = diagonal_load(fb, eps)
+        floor = eps * np.einsum("...ii->...", fb).real
+        min_eig = np.linalg.eigvalsh(dl).min(axis=-1)
+        worst_eig = float(((floor - min_eig) / floor).max())
+        w = mvdr_weights(dl)
+        worst_constraint = float(np.abs(w.sum(axis=-1) - 1.0).max())
         ok = (worst_persym <= 1e-12 and worst_eig <= 1e-12
               and worst_constraint <= 1e-10)
         report(6, "covariance conditioning", ok,
@@ -227,13 +207,7 @@ class TestCriterion7LikelihoodPeak:
         c_true = depth_averaged_sos(quiet.environment, quiet.geometry.array_depth,
                                     target.depth)
         base = quiet.beamformer("bayes")
-        widened = BeamformerConfig(
-            method="bayes", c_fixed=base.c_fixed,
-            subarray_length=base.subarray_length,
-            prior=SosPrior(base.prior.mu_c, 1.0), n_quad=base.n_quad,
-            snr0_db=base.snr0_db, dr_db=base.dr_db,
-            cov_normalization=base.cov_normalization,
-            tvg_variant=base.tvg_variant)
+        widened = replace(base, prior=SosPrior(base.prior.mu_c, 1.0))
         mu, sigma = widened.prior.mu_c, widened.prior.sigma_c
         cs = np.arange(mu - 4 * sigma, mu + 4 * sigma + 1e-9, 0.1)
         p = FocalPoint(0.0, 36.0)

@@ -7,7 +7,6 @@ from sosbeam.beamform import (BeamformerConfig, FLAG_OUT_OF_RECORD, bayes_pixel,
                               mvdr_weights, posterior_weights, sos_posterior)
 from sosbeam.chain import demodulate, matched_filter, quantize, tvg
 from sosbeam.core import ArrayGeometry, FocalPoint, LfmPulse, ScanGrid
-from sosbeam.covariance import HermitianMatrix
 from sosbeam.cube import BasebandCube
 from sosbeam.quadrature import SosPrior, gauss_hermite, node_to_sos
 from sosbeam.simulate import Environment, SimConfig, Target, synthesize_rx
@@ -41,34 +40,34 @@ def baseband():
 
 class TestMvdrWeights:
     def test_identity_gives_uniform(self):
-        w = mvdr_weights(HermitianMatrix(entries=np.eye(4, dtype=complex), stage="dl"))
+        w = mvdr_weights(np.eye(4, dtype=complex))
         np.testing.assert_allclose(w, np.full(4, 0.25))
 
     def test_diagonal_two_by_two(self):
-        m = HermitianMatrix(entries=np.diag([1.0, 4.0]).astype(complex), stage="dl")
+        m = np.diag([1.0, 4.0]).astype(complex)
         np.testing.assert_allclose(mvdr_weights(m), [0.8, 0.2])
 
     def test_distortionless_constraint_random(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
             a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-            m = HermitianMatrix(entries=a @ a.conj().T + 0.1 * np.eye(6), stage="dl")
+            m = a @ a.conj().T + 0.1 * np.eye(6)
             w = mvdr_weights(m)
             assert np.sum(w) == pytest.approx(1.0 + 0j, abs=1e-10)
 
     def test_non_pd_surfaced(self):
-        m = HermitianMatrix(entries=np.diag([1.0, -1.0]).astype(complex))
+        m = np.diag([1.0, -1.0]).astype(complex)
         with pytest.raises(np.linalg.LinAlgError):
             mvdr_weights(m)
 
 
 class TestCaponPower:
     def test_identity_15(self):
-        m = HermitianMatrix(entries=np.eye(15, dtype=complex), stage="dl")
+        m = np.eye(15, dtype=complex)
         assert capon_power(m) == pytest.approx(1.0 / 15.0, rel=1e-14)
 
     def test_scaled_identity(self):
-        m = HermitianMatrix(entries=2.5 * np.eye(8, dtype=complex), stage="dl")
+        m = 2.5 * np.eye(8, dtype=complex)
         assert capon_power(m) == pytest.approx(2.5 / 8.0, rel=1e-14)
 
     def test_matches_explicit_inverse(self):
@@ -76,10 +75,16 @@ class TestCaponPower:
         for _ in range(25):
             a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
             s = a @ a.conj().T + 0.5 * np.eye(9)
-            m = HermitianMatrix(entries=s, stage="dl")
             ones = np.ones(9)
             oracle = 1.0 / (ones @ np.linalg.inv(s) @ ones).real
-            assert capon_power(m) == pytest.approx(oracle, rel=1e-12)
+            assert capon_power(s) == pytest.approx(oracle, rel=1e-12)
+
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
+        stack = a @ np.swapaxes(a, -1, -2).conj() + 0.5 * np.eye(6)
+        np.testing.assert_allclose(capon_power(stack), [capon_power(m) for m in stack],
+                                   rtol=1e-12)
 
 
 class TestGamma:
@@ -284,6 +289,14 @@ class TestPixels:
                      for w, c in zip(post.weights, post.nodes))
         assert result.value == pytest.approx(manual, rel=1e-10)
 
+    def test_adaptive_pixels_accept_a_das_config(self, baseband):
+        p = FocalPoint(0.2, TARGET_RANGE)
+        das_cfg, mvdr_cfg = _make_cfg(method="das"), _make_cfg(method="mvdr")
+        assert (mvdr_pixel(baseband, p, das_cfg, GEOM).value
+                == mvdr_pixel(baseband, p, mvdr_cfg, GEOM).value)
+        assert (log_likelihood(p, 1519.0, baseband, das_cfg, GEOM)
+                == log_likelihood(p, 1519.0, baseband, mvdr_cfg, GEOM))
+
     def test_gamma_scaling_preserves_posterior_argmax(self, baseband):
         p = FocalPoint(0.0, TARGET_RANGE)
         post_a = sos_posterior(p, baseband, _make_cfg(dr_db=96.0), GEOM)
@@ -291,8 +304,56 @@ class TestPixels:
         assert int(np.argmax(post_a.weights)) == int(np.argmax(post_b.weights))
 
 
+class TestMvdrNode:
+    def test_is_the_covariance_kernels_composed(self, baseband):
+        # the image path's MVDR output and Capon power, rebuilt from the
+        # public covariance functions and the single-matrix wrappers
+        from sosbeam.beamform import _Imager
+        from sosbeam.covariance import (delayed_snapshot, diagonal_load, forward_backward,
+                                        sample_covariance, subarray_snapshots)
+        cfg = _make_cfg(method="mvdr")
+        imager = _Imager(baseband, GEOM, cfg)
+        p = FocalPoint(0.2, TARGET_RANGE)
+        value, power, flags = imager.mvdr_node(np.asarray(p.x), np.asarray(p.y), 1519.0)
+        snaps = subarray_snapshots(delayed_snapshot(baseband, p, 1519.0, GEOM),
+                                   cfg.subarray_length)
+        cov = diagonal_load(forward_backward(sample_covariance(snaps)), imager.eps)
+        assert flags == 0
+        assert power == pytest.approx(capon_power(cov), rel=1e-12)
+        expected = np.vdot(mvdr_weights(cov), snaps.mean(axis=0))
+        assert value == pytest.approx(expected, rel=1e-12)
+
+    def test_zero_snapshot_flagged_singular(self):
+        from sosbeam.beamform import FLAG_SINGULAR, _Imager
+        bb = BasebandCube(samples=np.zeros((12, 4096), dtype=complex), sample_rate=125e3,
+                          carrier=30e3, decimation=4, time_origin=0.0)
+        imager = _Imager(bb, GEOM, _make_cfg(method="mvdr"))
+        value, power, flags = imager.mvdr_node(np.array([0.0, 0.5]), np.array([2.0, 2.0]),
+                                               1500.0)
+        np.testing.assert_array_equal(flags, FLAG_SINGULAR)
+        np.testing.assert_array_equal(value, 0.0)
+        # the all-zero covariance is solved as the identity
+        np.testing.assert_allclose(power, 1.0 / _make_cfg().subarray_length)
+
+
 class TestBeamformImage:
     GRID = ScanGrid(-0.5, 0.5, TARGET_RANGE - 0.5, TARGET_RANGE + 0.5, 5, 4)
+
+    def test_das_ignores_subarray_length(self):
+        # the default subarray_length (16) exceeds this 8-sensor array, which
+        # only the adaptive methods care about
+        geom8 = ArrayGeometry.uniform(8, 1.0)
+        rng = np.random.default_rng(21)
+        bb = BasebandCube(samples=rng.standard_normal((8, 4096))
+                          + 1j * rng.standard_normal((8, 4096)),
+                          sample_rate=125e3, carrier=30e3, decimation=4, time_origin=0.0)
+        grid = ScanGrid(-1.0, 1.0, 4.0, 6.0, 3, 4)
+        cfg = BeamformerConfig(method="das")
+        img = beamform_image(bb, grid, cfg, geom8)
+        for iy, y in enumerate(grid.y_values()):
+            for ix, x in enumerate(grid.x_values()):
+                expected = das_pixel(bb, FocalPoint(float(x), float(y)), cfg.c_fixed, geom8)
+                assert img.values[iy, ix] == pytest.approx(expected, rel=1e-12)
 
     def test_single_pixel_grid_matches_pixel_call(self, baseband):
         grid = ScanGrid(-0.1, 0.1, TARGET_RANGE - 0.1, TARGET_RANGE + 0.1, 1, 1)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -110,6 +111,52 @@ class TestRejection:
             load_config(path)
 
     def test_n_quad_override(self, doc):
+        doc["beamformers"]["bayes"].update(loading_factor=0.002, subarray_length=12,
+                                           c_fixed_m_s=1500.0)
+        doc["chain"]["tvg_variant"] = "pi_range"
         cfg = parse_config(doc)
-        assert cfg.beamformer("bayes", n_quad=32).n_quad == 32
-        assert cfg.beamformer("bayes").n_quad == 8
+        base = cfg.beamformer("bayes")
+        override = cfg.beamformer("bayes", n_quad=32)
+        assert override.n_quad == 32
+        assert base.n_quad == 8
+        for f in fields(base):
+            if f.name != "n_quad":
+                assert getattr(override, f.name) == getattr(base, f.name), f.name
+
+    def test_das_subarray_length_not_checked(self, doc):
+        doc["beamformers"]["das"]["subarray_length"] = 31
+        assert parse_config(doc).beamformers["das"].subarray_length == 31
+
+    def test_negative_loading_factor_rejected(self, doc):
+        doc["beamformers"]["mvdr"]["loading_factor"] = -1.0
+        with pytest.raises(ConfigError, match="loading_factor"):
+            parse_config(doc)
+
+    def test_nan_loading_factor_rejected(self, doc):
+        doc["beamformers"]["mvdr"]["loading_factor"] = float("nan")
+        with pytest.raises(ConfigError, match="loading_factor"):
+            parse_config(doc)
+
+    def test_non_numeric_loading_factor_reports_field(self, doc):
+        doc["beamformers"]["mvdr"]["loading_factor"] = "abc"
+        assert self.error_path(doc) == "beamformers.mvdr.loading_factor"
+
+    def test_removed_cov_normalization_rejected(self, doc):
+        doc["beamformers"]["bayes"]["cov_normalization"] = "n_sub"
+        assert self.error_path(doc) == "beamformers.bayes.cov_normalization"
+
+    def test_bool_is_not_a_number(self, doc):
+        doc["array"]["n_sensors"] = True
+        assert self.error_path(doc) == "array.n_sensors"
+
+
+class TestFallbacks:
+    def test_simulation_fallbacks_are_simconfig_defaults(self, doc):
+        from sosbeam.simulate import SimConfig
+        for key in ("noise_power_db", "signal_power_db", "ref_level_db", "rng_seed"):
+            del doc["simulation"][key]
+        sim = parse_config(doc).simulation
+        defaults = SimConfig(sample_rate=sim.sample_rate,
+                             record_duration=sim.record_duration)
+        assert sim == defaults
+        assert sim.ref_level_db == -47.0

@@ -3,35 +3,35 @@ import pytest
 
 from sosbeam.chain import demodulate, matched_filter
 from sosbeam.core import ArrayGeometry, FocalPoint, LfmPulse
-from sosbeam.covariance import (HermitianMatrix, SnapshotWarning, delayed_snapshot,
-                                diagonal_load, forward_backward, sample_covariance,
-                                subarray_snapshots)
+from sosbeam.covariance import (SnapshotWarning, capon_solve, delayed_snapshot,
+                                diagonal_load, forward_backward, replace_degenerate,
+                                sample_covariance, subarray_snapshots)
 from sosbeam.cube import BasebandCube
 from sosbeam.simulate import (Environment, SimConfig, Target, synthesize_rx)
 
 
-def random_hermitian(rng, n):
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return HermitianMatrix(entries=0.5 * (a + a.conj().T))
+def random_hermitian(rng, n, batch=()):
+    a = rng.standard_normal(batch + (n, n)) + 1j * rng.standard_normal(batch + (n, n))
+    return 0.5 * (a + np.swapaxes(a, -1, -2).conj())
 
 
 class TestSubarraySnapshots:
     def test_full_length_single_snapshot(self):
         x = np.arange(4) + 0j
         s = subarray_snapshots(x, 4)
-        assert s.n_snapshots == 1
-        np.testing.assert_array_equal(s.snapshots[0], x)
+        assert s.shape == (1, 4)
+        np.testing.assert_array_equal(s[0], x)
 
     def test_unit_length_scalar_snapshots(self):
         x = np.arange(4) + 0j
         s = subarray_snapshots(x, 1)
-        assert s.n_snapshots == 4
-        np.testing.assert_array_equal(s.snapshots.ravel(), x)
+        assert s.shape == (4, 1)
+        np.testing.assert_array_equal(s.ravel(), x)
 
     def test_contiguous_windows(self):
         x = np.array([1, 2, 3, 4], dtype=complex)
         s = subarray_snapshots(x, 2)
-        np.testing.assert_array_equal(s.snapshots, [[1, 2], [2, 3], [3, 4]])
+        np.testing.assert_array_equal(s, [[1, 2], [2, 3], [3, 4]])
 
     def test_length_out_of_range(self):
         with pytest.raises(ValueError):
@@ -39,115 +39,154 @@ class TestSubarraySnapshots:
         with pytest.raises(ValueError):
             subarray_snapshots(np.zeros(4, dtype=complex), 0)
 
+    def test_batched_view_not_copy(self):
+        x = np.arange(12, dtype=complex).reshape(3, 4)
+        s = subarray_snapshots(x, 3)
+        assert s.shape == (3, 2, 3)
+        assert np.shares_memory(s, x)
+        np.testing.assert_array_equal(s[1], [[4, 5, 6], [5, 6, 7]])
+
 
 class TestSampleCovariance:
     def test_single_snapshot_outer_product(self):
         s = subarray_snapshots(np.array([1.0, 0.0], dtype=complex), 2)
         cov = sample_covariance(s)
-        np.testing.assert_allclose(cov.entries, [[1, 0], [0, 0]])
+        np.testing.assert_allclose(cov, [[1, 0], [0, 0]])
 
     def test_orthonormal_pair(self):
-        from sosbeam.covariance import SnapshotSet
-        s = SnapshotSet(snapshots=np.array([[1, 0], [0, 1]], dtype=complex))
-        cov = sample_covariance(s)
-        np.testing.assert_allclose(cov.entries, np.eye(2) / 2)
+        cov = sample_covariance(np.array([[1, 0], [0, 1]], dtype=complex))
+        np.testing.assert_allclose(cov, np.eye(2) / 2)
 
     def test_against_double_loop_oracle(self):
         rng = np.random.default_rng(17)
-        from sosbeam.covariance import SnapshotSet
         snaps = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        s = SnapshotSet(snapshots=snaps)
-        cov = sample_covariance(s)
+        cov = sample_covariance(snaps)
         oracle = np.zeros((5, 5), dtype=complex)
         for x in snaps:
             for i in range(5):
                 for j in range(5):
                     oracle[i, j] += x[i] * np.conj(x[j])
         oracle /= 3
-        np.testing.assert_allclose(cov.entries, oracle, atol=1e-14)
-
-    def test_length_normalization_variant(self):
-        from sosbeam.covariance import SnapshotSet
-        snaps = np.ones((3, 5), dtype=complex)
-        a = sample_covariance(SnapshotSet(snapshots=snaps), "n_sub")
-        b = sample_covariance(SnapshotSet(snapshots=snaps), "length")
-        np.testing.assert_allclose(a.entries * 3, b.entries * 5)
+        np.testing.assert_allclose(cov, oracle, atol=1e-14)
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(2)
-        from sosbeam.covariance import SnapshotSet
         snaps = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-        cov = sample_covariance(SnapshotSet(snapshots=snaps))
-        eigs = np.linalg.eigvalsh(cov.entries)
+        eigs = np.linalg.eigvalsh(sample_covariance(snaps))
         assert eigs.min() >= -1e-12
+
+    def test_batch_matches_each_matrix(self):
+        rng = np.random.default_rng(9)
+        snaps = rng.standard_normal((2, 3, 4, 6)) + 1j * rng.standard_normal((2, 3, 4, 6))
+        batched = sample_covariance(snaps)
+        assert batched.shape == (2, 3, 6, 6)
+        for idx in np.ndindex(2, 3):
+            np.testing.assert_allclose(batched[idx], sample_covariance(snaps[idx]),
+                                       atol=1e-14)
 
 
 class TestForwardBackward:
     def test_identity_fixed_point(self):
-        fb = forward_backward(HermitianMatrix(entries=np.eye(3, dtype=complex)))
-        np.testing.assert_allclose(fb.entries, np.eye(3))
+        fb = forward_backward(np.eye(3, dtype=complex))
+        np.testing.assert_allclose(fb, np.eye(3))
 
     def test_hand_example(self):
-        m = HermitianMatrix(entries=np.array([[1, 1j], [-1j, 2]], dtype=complex))
-        fb = forward_backward(m)
-        np.testing.assert_allclose(fb.entries, [[1.5, 1j], [-1j, 1.5]])
+        fb = forward_backward(np.array([[1, 1j], [-1j, 2]], dtype=complex))
+        np.testing.assert_allclose(fb, [[1.5, 1j], [-1j, 1.5]])
 
     def test_persymmetric_inputs_unchanged(self):
         # exchange-symmetric Hermitian: J S^T J == S already
         s = np.array([[2.0, 1j, 0.5], [-1j, 3.0, 1j], [0.5, -1j, 2.0]])
-        fb = forward_backward(HermitianMatrix(entries=s))
-        np.testing.assert_allclose(fb.entries, s, atol=1e-15)
+        np.testing.assert_allclose(forward_backward(s), s, atol=1e-15)
 
     def test_output_persymmetric_random(self):
         rng = np.random.default_rng(23)
-        for _ in range(100):
-            fb = forward_backward(random_hermitian(rng, 15)).entries
-            j = np.eye(15)[::-1]
-            np.testing.assert_allclose(j @ fb.T @ j, fb, atol=1e-12)
+        fb = forward_backward(random_hermitian(rng, 15, (100,)))
+        j = np.eye(15)[::-1]
+        np.testing.assert_allclose(j @ np.swapaxes(fb, -1, -2) @ j, fb, atol=1e-12)
 
 
 class TestDiagonalLoad:
     def test_identity_example(self):
-        dl = diagonal_load(HermitianMatrix(entries=np.eye(2, dtype=complex)), 0.1)
-        np.testing.assert_allclose(dl.entries, 1.2 * np.eye(2))
+        dl = diagonal_load(np.eye(2, dtype=complex), 0.1)
+        np.testing.assert_allclose(dl, 1.2 * np.eye(2))
 
     def test_zero_eps_identity_map(self):
         rng = np.random.default_rng(4)
         m = random_hermitian(rng, 6)
-        dl = diagonal_load(m, 0.0)
-        np.testing.assert_array_equal(dl.entries, m.entries)
+        np.testing.assert_array_equal(diagonal_load(m, 0.0), m)
 
     def test_zero_matrix_stays_zero(self):
-        dl = diagonal_load(HermitianMatrix(entries=np.zeros((3, 3), dtype=complex)), 0.5)
-        np.testing.assert_array_equal(dl.entries, np.zeros((3, 3)))
+        dl = diagonal_load(np.zeros((3, 3), dtype=complex), 0.5)
+        np.testing.assert_array_equal(dl, np.zeros((3, 3)))
 
     def test_preserves_eigenvectors_shifts_eigenvalues(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
             m = random_hermitian(rng, 5)
             eps = float(rng.uniform(0.01, 0.5))
-            before_w, before_v = np.linalg.eigh(m.entries)
-            after_w, after_v = np.linalg.eigh(diagonal_load(m, eps).entries)
-            shift = eps * np.trace(m.entries).real
+            before_w, before_v = np.linalg.eigh(m)
+            after_w, after_v = np.linalg.eigh(diagonal_load(m, eps))
+            shift = eps * np.trace(m).real
             np.testing.assert_allclose(after_w, before_w + shift, rtol=1e-10,
                                        atol=1e-12)
             # eigenvectors agree up to phase per column
             overlap = np.abs(np.sum(np.conj(before_v) * after_v, axis=0))
             np.testing.assert_allclose(overlap, 1.0, atol=1e-9)
 
+    def test_per_matrix_trace_in_a_batch(self):
+        stack = np.stack([np.eye(2), 3.0 * np.eye(2)]).astype(complex)
+        dl = diagonal_load(stack, 0.5)
+        np.testing.assert_allclose(dl, [2.0 * np.eye(2), 6.0 * np.eye(2)])
+
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):
-            diagonal_load(HermitianMatrix(entries=np.eye(2, dtype=complex)), -0.1)
+            diagonal_load(np.eye(2, dtype=complex), -0.1)
+
+    def test_non_finite_eps_rejected(self):
+        for eps in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                diagonal_load(np.eye(2, dtype=complex), eps)
 
 
-class TestHermitianMatrix:
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError):
-            HermitianMatrix(entries=np.array([[1.0, 2.0], [3.0, 1.0]]))
+class TestReplaceDegenerate:
+    def test_bad_trace_matrices_become_identity(self):
+        stack = np.stack([2.0 * np.eye(3), np.zeros((3, 3)),
+                          np.full((3, 3), np.nan)]).astype(complex)
+        out, degenerate = replace_degenerate(stack)
+        np.testing.assert_array_equal(degenerate, [False, True, True])
+        np.testing.assert_array_equal(out, [2.0 * np.eye(3), np.eye(3), np.eye(3)])
+        assert np.isnan(stack[2]).all()  # the input is left alone
 
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            HermitianMatrix(entries=np.zeros((2, 3)))
+    def test_healthy_stack_passes_through(self):
+        stack = np.stack([np.eye(2), 2.0 * np.eye(2)]).astype(complex)
+        out, degenerate = replace_degenerate(stack)
+        assert out is stack
+        assert not degenerate.any()
+
+
+class TestCaponSolve:
+    def test_batch_matches_each_matrix(self):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((7, 4, 4)) + 1j * rng.standard_normal((7, 4, 4))
+        stack = a @ np.swapaxes(a, -1, -2).conj() + 0.1 * np.eye(4)
+        sol, denom, good = capon_solve(stack)
+        assert good.all()
+        for m, x, d in zip(stack, sol, denom):
+            np.testing.assert_allclose(x, np.linalg.inv(m) @ np.ones(4), rtol=1e-12)
+            assert d == pytest.approx(x.sum().real, rel=1e-15)
+
+    def test_singular_matrix_falls_back_per_row(self):
+        stack = np.stack([2.0 * np.eye(3), np.zeros((3, 3)), np.eye(3)]).astype(complex)
+        sol, denom, good = capon_solve(stack)
+        np.testing.assert_array_equal(good, [True, False, True])
+        np.testing.assert_allclose(sol, [np.full(3, 0.5), np.zeros(3), np.ones(3)])
+        np.testing.assert_allclose(denom, [1.5, 1.0, 3.0])
+
+    def test_indefinite_matrix_not_good(self):
+        _, denom, good = capon_solve(np.diag([1.0, -1.0]).astype(complex))
+        assert not good
+        assert denom == 1.0
 
 
 class TestDelayedSnapshot:
@@ -207,7 +246,6 @@ class TestCoherentDecorrelation:
         # two coherent plane waves cancel in the raw covariance; forward-
         # backward averaging restores the estimated power
         from sosbeam.beamform import capon_power
-        from sosbeam.covariance import SnapshotSet
 
         n = 30
         length = 16
@@ -217,9 +255,9 @@ class TestCoherentDecorrelation:
         x = a1 + 0.9 * np.exp(1j * 2.1) * a2
         rng = np.random.default_rng(8)
         x = x + 1e-3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        snaps = SnapshotSet(snapshots=np.lib.stride_tricks.sliding_window_view(x, length).copy())
+        snaps = subarray_snapshots(x, length)
         raw_cov = sample_covariance(snaps)
-        eps = 1e-3 / snaps.n_snapshots
+        eps = 1e-3 / snaps.shape[0]
         p_raw = capon_power(diagonal_load(raw_cov, eps))
         p_fb = capon_power(diagonal_load(forward_backward(raw_cov), eps))
         assert p_fb > p_raw
