@@ -26,7 +26,7 @@ from .core import ArrayGeometry, FocalPoint, ScanGrid, hann_weights, travel_time
 from .covariance import (_sample_at_times, capon_solve, diagonal_load, forward_backward,
                          replace_degenerate, sample_covariance, subarray_snapshots)
 from .cube import BasebandCube
-from .quadrature import SosPrior, gauss_hermite, node_to_sos
+from .quadrature import MAX_NODES, SosPrior, gauss_hermite, node_to_sos
 
 METHOD_DAS = "das"
 METHOD_MVDR = "mvdr"
@@ -51,7 +51,7 @@ class BeamformerConfig:
     method: str = METHOD_BAYES
     c_fixed: float = 1519.0
     subarray_length: int = 16
-    prior: SosPrior = field(default_factory=lambda: SosPrior(1519.0, 0.3))
+    prior: SosPrior = field(default_factory=SosPrior)
     n_quad: int = 8
     snr0_db: float = 15.0
     dr_db: float = 96.0
@@ -61,10 +61,12 @@ class BeamformerConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        if not self.c_fixed > 0:
+            raise ValueError("c_fixed must be > 0")
         if self.subarray_length < 1:
             raise ValueError("subarray_length must be >= 1")
-        if self.n_quad < 1:
-            raise ValueError("n_quad must be >= 1")
+        if not 1 <= self.n_quad <= MAX_NODES:
+            raise ValueError(f"n_quad must be in [1, {MAX_NODES}]")
         if self.dr_db <= 0:
             raise ValueError("dr_db must be > 0")
         if self.loading_factor is not None and not 0 <= self.loading_factor < np.inf:

@@ -1,17 +1,21 @@
 """Run configuration: a single JSON document validated against every module
 invariant before any computation starts.
 
-Validation errors carry the dotted path of the offending field so a bad
-config is rejected with a pointer, not a stack trace.
+Each section is read through a table of JSON key -> (constructor parameter,
+kind); an omitted key takes the constructor's own default. Unknown keys, bools
+and non-finite numbers are rejected. Errors carry the dotted path of the
+offending field, so a bad config is rejected with a pointer, not a stack trace.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
+import math
 from dataclasses import dataclass, replace
 
 from .beamform import BeamformerConfig, METHOD_DAS, METHODS
-from .chain import TVG_VARIANTS
+from .chain import TVG_TWO_WAY, TVG_VARIANTS
 from .core import ArrayGeometry, LfmPulse, ScanGrid
 from .metrics import Box, FWHM_AMPLITUDE, FWHM_INTENSITY
 from .quadrature import SosPrior
@@ -31,7 +35,7 @@ class ChainConfig:
     """Signal-chain settings applied between the raw cube and beamforming."""
 
     quantization_bits: int = 16
-    tvg_variant: str = "two_way"
+    tvg_variant: str = TVG_TWO_WAY
     tvg_speed: float = 1519.0
     decimation: int = 4
 
@@ -58,7 +62,7 @@ class RunConfig:
             raise ConfigError(f"beamformers.{method}", "method not configured")
         cfg = self.beamformers[method]
         if n_quad is not None and n_quad != cfg.n_quad:
-            cfg = replace(cfg, n_quad=n_quad)
+            cfg = _build(f"beamformers.{method}.n_quad", replace, cfg, n_quad=n_quad)
         return cfg
 
 
@@ -109,120 +113,149 @@ def default_config_dict() -> dict:
     }
 
 
-def _get(section: dict, key: str, path: str, kind, default=None):
-    if key not in section:
-        if default is not None:
-            return default
-        raise ConfigError(f"{path}.{key}", "missing required field")
-    value = section[key]
+def _value(value, path: str, kind):
+    """One JSON value as int, float or str (no bools, no nan/inf), as a checked
+    list or dict, or through a function (value, path) -> value."""
+    if kind in (list, dict):
+        if not isinstance(value, kind):
+            raise ConfigError(path, f"expected a JSON {'array' if kind is list else 'object'}")
+        return value
+    if kind not in (int, float, str):
+        return kind(value, path)
     try:
         if isinstance(value, bool):  # JSON true/false is not a number or a name
             raise TypeError
-        if kind is int:
-            if isinstance(value, float) and not value.is_integer():
-                raise ValueError
-            return int(value)
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}.{key}", f"expected {kind.__name__}, got {value!r}") from None
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):  # float(10**400) overflows
+        raise ConfigError(path, f"expected {kind.__name__}, got {value!r}") from None
+    if kind is float and not math.isfinite(out):
+        raise ConfigError(path, f"must be finite, got {value!r}")
+    return out
 
 
-def _section(doc: dict, key: str) -> dict:
-    if key not in doc or not isinstance(doc[key], dict):
-        raise ConfigError(key, "missing section")
-    return doc[key]
+def _read(section: dict, path: str, spec, known=None) -> dict:
+    """Arguments for spec = (factory, table) from section. An absent key is left
+    to the factory's default, or is missing if it has none. Keys outside known
+    (default: the table) are rejected."""
+    factory, table = spec
+    for key in section:
+        if key not in (known or table):
+            raise ConfigError(f"{path}.{key}", "unknown field")
+    kwargs = {}
+    for key, (name, kind) in table.items():
+        if key in section:
+            kwargs[name] = _value(section[key], f"{path}.{key}", kind)
+        elif inspect.signature(factory).parameters[name].default is inspect.Parameter.empty:
+            raise ConfigError(f"{path}.{key}", "missing required field")
+    return kwargs
 
 
-def _build(path: str, factory, **kwargs):
+def _build(path: str, factory, *args, **kwargs):
     try:
-        return factory(**kwargs)
+        return factory(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from None
 
 
+def _make(section: dict, path: str, spec):
+    return _build(path, spec[0], **_read(section, path, spec))
+
+
+def _section(doc: dict, key: str, default=None) -> dict:
+    sec = doc.get(key, default)
+    if not isinstance(sec, dict):
+        raise ConfigError(key, "missing section" if sec is None else "expected an object")
+    return sec
+
+
+def _profile(value, path: str) -> tuple:
+    if (not isinstance(value, list) or not value
+            or any(not isinstance(p, list) or len(p) != 2 for p in value)):
+        raise ConfigError(path, "expected a non-empty list of [depth_m, speed_m_s] pairs")
+    return tuple((_value(z, f"{path}[{i}]", float), _value(c, f"{path}[{i}]", float))
+                 for i, (z, c) in enumerate(value))
+
+
+def _box(value, path: str) -> Box:
+    return _make(_value(value, path, dict), path, BOX)
+
+
+# (constructor, {JSON key: (constructor parameter, kind)}), one per constructor
+ARRAY = (ArrayGeometry.uniform, {
+    "n_sensors": ("n_sensors", int), "length_m": ("length", float),
+    "depth_m": ("array_depth", float), "source_x_m": ("source_x", float)})
+ENVIRONMENT = (Environment, {
+    "bottom_depth_m": ("bottom_depth", float), "sos_profile": ("sos_profile", _profile),
+    "surface_reflectivity": ("surface_reflectivity", float),
+    "bottom_reflectivity": ("bottom_reflectivity", float)})
+SLANT_TARGET = (Target.at_slant_range, {
+    "x_m": ("x", float), "range_m": ("slant_range", float), "depth_m": ("depth", float),
+    "reflectivity": ("reflectivity", float)})
+TARGET = (Target, {"x_m": ("x", float), "y_m": ("y", float), "depth_m": ("depth", float),
+                   "reflectivity": ("reflectivity", float)})
+PULSE = (LfmPulse, {"center_frequency_hz": ("center_frequency", float),
+                    "bandwidth_hz": ("bandwidth", float), "duration_s": ("duration", float)})
+SIMULATION = (SimConfig, {
+    "sample_rate_hz": ("sample_rate", float), "record_duration_s": ("record_duration", float),
+    "noise_power_db": ("noise_power_db", float), "signal_power_db": ("signal_power_db", float),
+    "ref_level_db": ("ref_level_db", float), "rng_seed": ("rng_seed", int)})
+CHAIN = (ChainConfig, {
+    "quantization_bits": ("quantization_bits", int), "tvg_variant": ("tvg_variant", str),
+    "tvg_speed_m_s": ("tvg_speed", float), "decimation": ("decimation", int)})
+PRIOR = (SosPrior, {"mu_c_m_s": ("mu_c", float), "sigma_c_m_s": ("sigma_c", float)})
+BEAMFORMER = (BeamformerConfig, {
+    "c_fixed_m_s": ("c_fixed", float), "subarray_length": ("subarray_length", int),
+    "n_quad": ("n_quad", int), "snr0_db": ("snr0_db", float), "dr_db": ("dr_db", float),
+    "loading_factor": ("loading_factor", float)})
+GRID = (ScanGrid, {"x_min_m": ("x_min", float), "x_max_m": ("x_max", float),
+                   "y_min_m": ("y_min", float), "y_max_m": ("y_max", float),
+                   "n_x": ("n_x", int), "n_y": ("n_y", int)})
+BOX = (Box, {key: (key, float) for key in ("x_min", "x_max", "y_min", "y_max")})
+SCENE = (RunConfig, {"targets": ("targets", list)})
+METRICS = (RunConfig, {"target_box": ("target_box", _box),
+                       "artifact_box": ("artifact_box", _box),
+                       "fwhm_convention": ("fwhm_convention", str)})
+OUTPUT = (RunConfig, {"dynamic_range_db": ("dynamic_range_db", float)})
+SECTIONS = ("array", "environment", "scene", "pulse", "simulation", "chain",
+            "beamformers", "grid", "metrics", "output")
+
+
 def parse_config(doc: dict) -> RunConfig:
     """Validate a parsed JSON document and build the typed run configuration."""
-    arr = _section(doc, "array")
-    geometry = _build("array", ArrayGeometry.uniform,
-                      n_sensors=_get(arr, "n_sensors", "array", int),
-                      length=_get(arr, "length_m", "array", float),
-                      array_depth=_get(arr, "depth_m", "array", float),
-                      source_x=_get(arr, "source_x_m", "array", float, 0.0))
+    for key in doc:
+        if key not in SECTIONS:
+            raise ConfigError(key, "unknown section")
+    geometry = _make(_section(doc, "array"), "array", ARRAY)
+    environment = _make(_section(doc, "environment"), "environment", ENVIRONMENT)
+    if not 0 <= geometry.array_depth <= environment.bottom_depth:  # the source is there too
+        raise ConfigError("array.depth_m", "array depth outside water column")
 
-    env_sec = _section(doc, "environment")
-    profile = env_sec.get("sos_profile")
-    if (not isinstance(profile, list) or not profile
-            or any(not isinstance(p, list) or len(p) != 2 for p in profile)):
-        raise ConfigError("environment.sos_profile",
-                          "expected a non-empty list of [depth_m, speed_m_s] pairs")
-    environment = _build("environment", Environment,
-                         bottom_depth=_get(env_sec, "bottom_depth_m", "environment", float),
-                         sos_profile=tuple((float(z), float(c)) for z, c in profile),
-                         surface_reflectivity=_get(env_sec, "surface_reflectivity",
-                                                   "environment", float, -1.0),
-                         bottom_reflectivity=_get(env_sec, "bottom_reflectivity",
-                                                  "environment", float, 0.5))
-    for name, depth in (("array", geometry.array_depth), ("source", geometry.source_depth)):
-        if not 0 <= depth <= environment.bottom_depth:
-            raise ConfigError(f"array.depth_m", f"{name} depth {depth} outside water column")
-
-    scene = _section(doc, "scene")
-    raw_targets = scene.get("targets")
-    if not isinstance(raw_targets, list):
-        raise ConfigError("scene.targets", "expected a list of targets")
     targets = []
-    for i, t in enumerate(raw_targets):
+    for i, t in enumerate(_read(_section(doc, "scene"), "scene", SCENE)["targets"]):
         tpath = f"scene.targets[{i}]"
-        if not isinstance(t, dict):
-            raise ConfigError(tpath, "expected an object")
-        depth = _get(t, "depth_m", tpath, float)
-        if not 0 <= depth <= environment.bottom_depth:
-            raise ConfigError(f"{tpath}.depth_m", "target depth outside water column")
-        x = _get(t, "x_m", tpath, float)
-        refl = _get(t, "reflectivity", tpath, float, 1.0)
-        if "range_m" in t:
-            target = _build(tpath, Target.at_slant_range, x=x,
-                            slant_range=_get(t, "range_m", tpath, float),
-                            depth=depth, array_depth=geometry.array_depth,
-                            reflectivity=refl)
+        if "range_m" in _value(t, tpath, dict):
+            spec, extra = SLANT_TARGET, {"array_depth": geometry.array_depth}
         elif "y_m" in t:
-            target = Target(x=x, y=_get(t, "y_m", tpath, float), depth=depth,
-                            reflectivity=refl)
+            spec, extra = TARGET, {}
         else:
             raise ConfigError(tpath, "need either range_m (slant) or y_m (horizontal)")
-        targets.append(target)
+        args = _read(t, tpath, spec)
+        if not 0 <= args["depth"] <= environment.bottom_depth:
+            raise ConfigError(f"{tpath}.depth_m", "target depth outside water column")
+        targets.append(_build(tpath, spec[0], **args, **extra))
 
-    pulse_sec = _section(doc, "pulse")
-    pulse = _build("pulse", LfmPulse,
-                   center_frequency=_get(pulse_sec, "center_frequency_hz", "pulse", float),
-                   bandwidth=_get(pulse_sec, "bandwidth_hz", "pulse", float),
-                   duration=_get(pulse_sec, "duration_s", "pulse", float))
-
-    sim_sec = _section(doc, "simulation")
-    seed = _get(sim_sec, "rng_seed", "simulation", int, SimConfig.rng_seed)
-    if seed < 0:
-        raise ConfigError("simulation.rng_seed", "seed must be non-negative")
-    simulation = _build("simulation", SimConfig,
-                        sample_rate=_get(sim_sec, "sample_rate_hz", "simulation", float),
-                        record_duration=_get(sim_sec, "record_duration_s", "simulation", float),
-                        noise_power_db=_get(sim_sec, "noise_power_db", "simulation", float,
-                                            SimConfig.noise_power_db),
-                        signal_power_db=_get(sim_sec, "signal_power_db", "simulation", float,
-                                             SimConfig.signal_power_db),
-                        ref_level_db=_get(sim_sec, "ref_level_db", "simulation", float,
-                                          SimConfig.ref_level_db),
-                        rng_seed=seed)
+    pulse = _make(_section(doc, "pulse"), "pulse", PULSE)
+    simulation = _make(_section(doc, "simulation"), "simulation", SIMULATION)
+    if not 0 <= simulation.rng_seed < 2 ** 64:
+        raise ConfigError("simulation.rng_seed", "seed must be in [0, 2**64)")
     f_top = pulse.center_frequency + 0.5 * pulse.bandwidth
     if simulation.sample_rate <= 2.0 * f_top:
         raise ConfigError("simulation.sample_rate_hz",
                           f"must exceed twice the pulse top frequency ({2 * f_top:g} Hz)")
 
-    chain_sec = _section(doc, "chain")
-    chain = ChainConfig(
-        quantization_bits=_get(chain_sec, "quantization_bits", "chain", int, 16),
-        tvg_variant=_get(chain_sec, "tvg_variant", "chain", str, "two_way"),
-        tvg_speed=_get(chain_sec, "tvg_speed_m_s", "chain", float, 1519.0),
-        decimation=_get(chain_sec, "decimation", "chain", int, 4))
+    chain = _make(_section(doc, "chain"), "chain", CHAIN)
     if not 2 <= chain.quantization_bits <= 24:
         raise ConfigError("chain.quantization_bits", "must be in [2, 24]")
     if chain.tvg_variant not in TVG_VARIANTS:
@@ -232,34 +265,17 @@ def parse_config(doc: dict) -> RunConfig:
     if chain.decimation < 1:
         raise ConfigError("chain.decimation", "must be >= 1")
 
-    bf_sec = _section(doc, "beamformers")
     beamformers = {}
-    for method, bf in bf_sec.items():
+    known = {**PRIOR[1], **BEAMFORMER[1]}
+    for method, bf in _section(doc, "beamformers").items():
         bpath = f"beamformers.{method}"
         if method not in METHODS:
             raise ConfigError(bpath, f"unknown method; expected one of {METHODS}")
-        if not isinstance(bf, dict):
-            raise ConfigError(bpath, "expected an object")
-        prior = _build(bpath, SosPrior,
-                       mu_c=_get(bf, "mu_c_m_s", bpath, float, 1519.0),
-                       sigma_c=_get(bf, "sigma_c_m_s", bpath, float, 0.3))
-        if "cov_normalization" in bf:
-            # removed option: ignoring it would silently change the results
-            raise ConfigError(f"{bpath}.cov_normalization", "no longer supported; the "
-                              "covariance is always divided by the snapshot count")
-        loading = bf.get("loading_factor")
-        cfg = _build(bpath, BeamformerConfig,
-                     method=method,
-                     c_fixed=_get(bf, "c_fixed_m_s", bpath, float, 1519.0),
-                     subarray_length=_get(bf, "subarray_length", bpath, int,
-                                          max(geometry.n_sensors // 2 + 1, 1)),
-                     prior=prior,
-                     n_quad=_get(bf, "n_quad", bpath, int, 8),
-                     snr0_db=_get(bf, "snr0_db", bpath, float, 15.0),
-                     dr_db=_get(bf, "dr_db", bpath, float, 96.0),
-                     loading_factor=(None if loading is None else
-                                     _get(bf, "loading_factor", bpath, float)),
-                     tvg_variant=chain.tvg_variant)
+        prior = _build(bpath, SosPrior, **_read(_value(bf, bpath, dict), bpath, PRIOR, known))
+        args = _read(bf, bpath, BEAMFORMER, known)
+        args.setdefault("subarray_length", geometry.n_sensors // 2 + 1)  # derived fallback
+        cfg = _build(bpath, BeamformerConfig, method=method, prior=prior,
+                     tvg_variant=chain.tvg_variant, **args)
         if method != METHOD_DAS:
             try:
                 cfg.n_subarrays(geometry.n_sensors)
@@ -267,41 +283,22 @@ def parse_config(doc: dict) -> RunConfig:
                 raise ConfigError(f"{bpath}.subarray_length", str(exc)) from None
         beamformers[method] = cfg
 
-    grid_sec = _section(doc, "grid")
-    grid = _build("grid", ScanGrid,
-                  x_min=_get(grid_sec, "x_min_m", "grid", float),
-                  x_max=_get(grid_sec, "x_max_m", "grid", float),
-                  y_min=_get(grid_sec, "y_min_m", "grid", float),
-                  y_max=_get(grid_sec, "y_max_m", "grid", float),
-                  n_x=_get(grid_sec, "n_x", "grid", int),
-                  n_y=_get(grid_sec, "n_y", "grid", int))
-
-    met_sec = _section(doc, "metrics")
-
-    def box(key: str) -> Box:
-        sub = met_sec.get(key)
-        if not isinstance(sub, dict):
-            raise ConfigError(f"metrics.{key}", "missing box")
-        return Box(x_min=_get(sub, "x_min", f"metrics.{key}", float),
-                   x_max=_get(sub, "x_max", f"metrics.{key}", float),
-                   y_min=_get(sub, "y_min", f"metrics.{key}", float),
-                   y_max=_get(sub, "y_max", f"metrics.{key}", float))
-
-    fwhm_conv = _get(met_sec, "fwhm_convention", "metrics", str, FWHM_AMPLITUDE)
-    if fwhm_conv not in (FWHM_AMPLITUDE, FWHM_INTENSITY):
+    grid = _make(_section(doc, "grid"), "grid", GRID)
+    run = RunConfig(geometry=geometry, environment=environment, targets=targets,
+                    pulse=pulse, simulation=simulation, chain=chain,
+                    beamformers=beamformers, grid=grid,
+                    **_read(_section(doc, "metrics"), "metrics", METRICS),
+                    **_read(_section(doc, "output", {}), "output", OUTPUT))
+    for key in ("target_box", "artifact_box"):
+        _build(f"metrics.{key}", getattr(run, key).indices, grid)
+    if run.target_box.overlaps(run.artifact_box):
+        raise ConfigError("metrics.artifact_box", "overlaps metrics.target_box")
+    if run.fwhm_convention not in (FWHM_AMPLITUDE, FWHM_INTENSITY):
         raise ConfigError("metrics.fwhm_convention",
                           f"must be {FWHM_AMPLITUDE!r} or {FWHM_INTENSITY!r}")
-
-    out_sec = doc.get("output", {})
-    dyn = _get(out_sec, "dynamic_range_db", "output", float, 60.0)
-    if dyn <= 0:
+    if run.dynamic_range_db <= 0:
         raise ConfigError("output.dynamic_range_db", "must be > 0")
-
-    return RunConfig(geometry=geometry, environment=environment, targets=targets,
-                     pulse=pulse, simulation=simulation, chain=chain,
-                     beamformers=beamformers, grid=grid,
-                     target_box=box("target_box"), artifact_box=box("artifact_box"),
-                     fwhm_convention=fwhm_conv, dynamic_range_db=dyn)
+    return run
 
 
 def load_config(path) -> RunConfig:

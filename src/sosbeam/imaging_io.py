@@ -7,8 +7,6 @@ import numpy as np
 from .core import ScanGrid
 from .metrics import DbImage
 
-DEFAULT_DYNAMIC_RANGE_DB = 60.0
-
 
 def write_image_csv(path, img: DbImage) -> None:
     """dB magnitudes as CSV: range rows by azimuth columns.
@@ -36,8 +34,7 @@ def read_image_csv(path) -> DbImage:
     return DbImage(pixels=pixels, grid=grid)
 
 
-def write_image_pgm(path, img: DbImage,
-                    dynamic_range_db: float = DEFAULT_DYNAMIC_RANGE_DB) -> None:
+def write_image_pgm(path, img: DbImage, dynamic_range_db: float) -> None:
     """8-bit binary PGM after clipping to the display dynamic range.
 
     0 dB maps to white (255), -dynamic_range_db and below to black. Rows are

@@ -42,6 +42,14 @@ class Box:
     y_min: float
     y_max: float
 
+    def __post_init__(self):
+        if not (self.x_min < self.x_max and self.y_min < self.y_max):
+            raise ValueError("box min must be below max on each axis")
+
+    def overlaps(self, other: Box) -> bool:
+        return (self.x_min < other.x_max and other.x_min < self.x_max
+                and self.y_min < other.y_max and other.y_min < self.y_max)
+
     def indices(self, grid: ScanGrid):
         xs, ys = grid.x_values(), grid.y_values()
         ix = np.nonzero((xs >= self.x_min) & (xs <= self.x_max))[0]
@@ -116,8 +124,7 @@ def pmal(img: DbImage, target_box: Box, artifact_box: Box) -> float:
     """Peak multipath artifact level: artifact-box max minus target-box max, in dB."""
     t_rows, t_cols = target_box.indices(img.grid)
     a_rows, a_cols = artifact_box.indices(img.grid)
-    if (target_box.x_min < artifact_box.x_max and artifact_box.x_min < target_box.x_max
-            and target_box.y_min < artifact_box.y_max and artifact_box.y_min < target_box.y_max):
+    if target_box.overlaps(artifact_box):
         raise ValueError("target and artifact boxes overlap")
     target_peak = img.pixels[np.ix_(t_rows, t_cols)].max()
     artifact_peak = img.pixels[np.ix_(a_rows, a_cols)].max()

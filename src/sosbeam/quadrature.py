@@ -42,8 +42,8 @@ class QuadratureRule:
 class SosPrior:
     """Normal prior on the sound speed: mean mu_c, standard deviation sigma_c (m/s)."""
 
-    mu_c: float
-    sigma_c: float
+    mu_c: float = 1519.0
+    sigma_c: float = 0.3
 
     def __post_init__(self):
         if self.mu_c <= 0:

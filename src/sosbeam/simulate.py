@@ -63,7 +63,7 @@ class Environment:
     """
 
     bottom_depth: float
-    sos_profile: tuple = ((0.0, 1500.0),)
+    sos_profile: tuple
     surface_reflectivity: float = -1.0
     bottom_reflectivity: float = 0.5
 
@@ -246,9 +246,6 @@ def synthesize_rx(targets, geom: ArrayGeometry, pulse: LfmPulse,
     (seed, sensor)), so serial and parallel synthesis agree bit-for-bit.
     """
     fs = cfg.sample_rate
-    f_top = pulse.center_frequency + 0.5 * pulse.bandwidth
-    if fs <= 2.0 * f_top:
-        raise ValueError("sample_rate violates the Nyquist bound for the pulse")
     n_samples = cfg.n_samples
     pulse_wave = lfm_pulse_samples(pulse, fs) * cfg.signal_amplitude
     tx = (geom.source_x, 0.0, geom.source_depth)

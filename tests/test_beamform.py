@@ -8,7 +8,7 @@ from sosbeam.beamform import (BeamformerConfig, FLAG_OUT_OF_RECORD, bayes_pixel,
 from sosbeam.chain import demodulate, matched_filter, quantize, tvg
 from sosbeam.core import ArrayGeometry, FocalPoint, LfmPulse, ScanGrid
 from sosbeam.cube import BasebandCube
-from sosbeam.quadrature import SosPrior, gauss_hermite, node_to_sos
+from sosbeam.quadrature import MAX_NODES, SosPrior, gauss_hermite, node_to_sos
 from sosbeam.simulate import Environment, SimConfig, Target, synthesize_rx
 
 GEOM = ArrayGeometry.uniform(12, 1.0, array_depth=70.0)
@@ -36,6 +36,21 @@ def baseband():
     cube = quantize(cube, 16)
     cube = tvg(cube, 1519.0, "two_way", t_min=PULSE.duration)
     return matched_filter(demodulate(cube, 30e3, 4), PULSE)
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize("c", [0.0, -5.0, float("nan")])
+    def test_fixed_speed_must_be_positive(self, c):
+        with pytest.raises(ValueError, match="c_fixed"):
+            _make_cfg(c_fixed=c)
+
+    def test_n_quad_capped_at_max_nodes(self):
+        assert _make_cfg(n_quad=MAX_NODES).n_quad == MAX_NODES
+        with pytest.raises(ValueError, match="n_quad"):
+            _make_cfg(n_quad=MAX_NODES + 1)
+
+    def test_default_prior_is_the_sos_prior_default(self):
+        assert BeamformerConfig().prior == SosPrior()
 
 
 class TestMvdrWeights:

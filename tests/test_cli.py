@@ -147,6 +147,14 @@ class TestBeamform:
                   "--method", "das", "--out", str(tmp_path / "x")])
         assert info.value.code == 3
 
+    @pytest.mark.parametrize("n_quad", ["0", "-3", "500"])
+    def test_bad_n_quad_exit_1_with_field_path(self, small_config, cube_path, tmp_path,
+                                               capsys, n_quad):
+        assert main(["beamform", "--config", str(small_config), "--data", str(cube_path),
+                     "--method", "bayes", "--n-quad", n_quad,
+                     "--out", str(tmp_path / "x")]) == 1
+        assert "beamformers.bayes.n_quad" in capsys.readouterr().err
+
     def test_missing_data_exit_2(self, small_config, tmp_path):
         with pytest.raises(SystemExit) as info:
             main(["beamform", "--config", str(small_config), "--data",
@@ -211,3 +219,35 @@ class TestAll:
             assert (out_dir / name).is_file(), name
         doc = json.loads((out_dir / "metrics.json").read_text())
         assert "bayes_q32/bayes_q8" in doc["rmse_db"]
+
+    @pytest.mark.parametrize("field, value", [
+        ("beamformers.bayes.mu_c_m_s", float("nan")),
+        ("beamformers.bayes.sigma_c_m_s", float("inf")),
+        ("beamformers.das.c_fixed_m_s", float("nan")),
+        ("chain.tvg_speed_m_s", float("inf")),
+        ("simulation.noise_power_db", float("nan")),
+        ("environment.bottom_reflectivity", float("nan")),
+        ("simulation.record_duration_s", float("inf")),
+        ("simulation.sample_rate_hz", float("nan")),
+        ("beamformers.das.c_fixed_m_s", -5.0),
+        ("beamformers.bayes.n_quad", 500),
+        ("simulation.rng_seed", 2 ** 70),
+        ("chain.decimaton", 4),
+    ])
+    def test_bad_config_exit_1_before_any_work(self, tmp_path, capsys, field, value):
+        doc = default_config_dict()
+        *parents, key = field.split(".")
+        section = doc
+        for part in parents:
+            section = section[part]
+        section[key] = value
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        out_dir = tmp_path / "run"
+        with pytest.raises(SystemExit) as info:
+            main(["all", "--config", str(cfg), "--out-dir", str(out_dir)])
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: ")
+        assert key.split("_m_s")[0] in err
+        assert not out_dir.exists()

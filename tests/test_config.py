@@ -1,8 +1,11 @@
+import inspect
 import json
+import re
 from dataclasses import fields
 
 import pytest
 
+from sosbeam import config
 from sosbeam.config import (ConfigError, default_config_dict, load_config,
                             parse_config)
 
@@ -160,3 +163,170 @@ class TestFallbacks:
                              record_duration=sim.record_duration)
         assert sim == defaults
         assert sim.ref_level_db == -47.0
+
+    def test_subarray_length_falls_back_to_half_the_array(self, doc):
+        doc["array"]["n_sensors"] = 20
+        del doc["beamformers"]["mvdr"]["subarray_length"]
+        assert parse_config(doc).beamformers["mvdr"].subarray_length == 11
+
+
+def table_doc():
+    """The default document with one target of each form; both stay valid for
+    any array depth in the water column."""
+    doc = default_config_dict()
+    doc["scene"]["targets"] = [
+        {"x_m": 0.0, "range_m": 95.0, "depth_m": 90.0, "reflectivity": 1.0},
+        {"x_m": 0.0, "y_m": 30.0, "depth_m": 90.0, "reflectivity": 1.0}]
+    doc["beamformers"]["bayes"]["loading_factor"] = 0.002
+    return doc
+
+
+def node(doc, path):
+    """The object at a field path such as scene.targets[0]."""
+    for part in re.findall(r"[^.\[\]]+", path):
+        doc = doc[int(part)] if part.isdigit() else doc[part]
+    return doc
+
+
+# (field path, key table, the object the table builds)
+TABLES = [
+    ("array", config.ARRAY, lambda c: c.geometry),
+    ("environment", config.ENVIRONMENT, lambda c: c.environment),
+    ("scene", config.SCENE, lambda c: c),
+    ("scene.targets[0]", config.SLANT_TARGET, lambda c: c.targets[0]),
+    ("scene.targets[1]", config.TARGET, lambda c: c.targets[1]),
+    ("pulse", config.PULSE, lambda c: c.pulse),
+    ("simulation", config.SIMULATION, lambda c: c.simulation),
+    ("chain", config.CHAIN, lambda c: c.chain),
+    ("beamformers.bayes", config.PRIOR, lambda c: c.beamformers["bayes"].prior),
+    ("beamformers.bayes", config.BEAMFORMER, lambda c: c.beamformers["bayes"]),
+    ("grid", config.GRID, lambda c: c.grid),
+    ("metrics.target_box", config.BOX, lambda c: c.target_box),
+    ("metrics", config.METRICS, lambda c: c),
+    ("output", config.OUTPUT, lambda c: c),
+]
+KEYS = [(path, key, name, kind, factory, built)
+        for path, (factory, table), built in TABLES
+        for key, (name, kind) in table.items()]
+OPTIONAL = [pytest.param(path, key, name, factory, built, id=f"{path}.{key}")
+            for path, key, name, _, factory, built in KEYS
+            if inspect.signature(factory).parameters[name].default
+            is not inspect.Parameter.empty and key != "subarray_length"]
+NUMERIC = [pytest.param(path, key, bad, id=f"{path}.{key}={bad}")
+           for path, key, _, kind, _, _ in KEYS if kind in (int, float)
+           for bad in ((float("nan"), float("inf"), True) if kind is float else (True,))]
+
+
+class TestKeyTables:
+    @pytest.mark.parametrize("path, key, name, factory, built", OPTIONAL)
+    def test_omitted_key_takes_constructor_default(self, path, key, name, factory, built):
+        doc = table_doc()
+        del node(doc, path)[key]
+        default = inspect.signature(factory).parameters[name].default
+        assert getattr(built(parse_config(doc)), name) == default
+
+    @pytest.mark.parametrize("path, key, bad", NUMERIC)
+    def test_bad_number_reports_its_key(self, path, key, bad):
+        doc = table_doc()
+        node(doc, path)[key] = bad
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert info.value.path == f"{path}.{key}"
+
+    @pytest.mark.parametrize("path", sorted({path for path, _, _ in TABLES}
+                                            | {"beamformers.das"}))
+    def test_unknown_key_rejected(self, path):
+        doc = table_doc()
+        node(doc, path)["bogus"] = 1.0
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert info.value.path == f"{path}.bogus"
+
+    def test_unknown_section_rejected(self, doc):
+        doc["beamformer"] = {}
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert info.value.path == "beamformer"
+
+    def test_required_keys_reported_missing(self):
+        for path, (factory, table), _ in TABLES:
+            params = inspect.signature(factory).parameters
+            for key, (name, _) in table.items():
+                # range_m / y_m pick the target form: test_target_needs_a_range_key
+                if (params[name].default is inspect.Parameter.empty
+                        and key not in ("range_m", "y_m")):
+                    doc = table_doc()
+                    del node(doc, path)[key]
+                    with pytest.raises(ConfigError, match="missing required field") as info:
+                        parse_config(doc)
+                    assert info.value.path == f"{path}.{key}"
+
+
+class TestRangeChecks:
+    def error_path(self, doc):
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        return info.value.path
+
+    @pytest.mark.parametrize("speed", [0.0, -5.0])
+    def test_non_positive_fixed_speed(self, doc, speed):
+        doc["beamformers"]["das"]["c_fixed_m_s"] = speed
+        with pytest.raises(ConfigError, match="c_fixed") as info:
+            parse_config(doc)
+        assert info.value.path == "beamformers.das"
+
+    def test_n_quad_above_max_nodes(self, doc):
+        doc["beamformers"]["bayes"]["n_quad"] = 500
+        with pytest.raises(ConfigError, match="n_quad") as info:
+            parse_config(doc)
+        assert info.value.path == "beamformers.bayes"
+
+    def test_inverted_box(self, doc):
+        doc["metrics"]["target_box"].update(x_min=3.0, x_max=-3.0)
+        assert self.error_path(doc) == "metrics.target_box"
+
+    def test_box_off_the_grid(self, doc):
+        doc["metrics"]["target_box"].update(x_min=100.0, x_max=101.0)
+        assert self.error_path(doc) == "metrics.target_box"
+
+    def test_overlapping_boxes(self, doc):
+        doc["metrics"]["artifact_box"]["y_min"] = 34.0
+        assert self.error_path(doc) == "metrics.artifact_box"
+
+    def test_seed_below_2_to_the_64(self, doc):
+        doc["simulation"]["rng_seed"] = 2 ** 64 - 1
+        assert parse_config(doc).simulation.rng_seed == 2 ** 64 - 1
+        doc["simulation"]["rng_seed"] = 2 ** 70
+        assert self.error_path(doc) == "simulation.rng_seed"
+
+    @pytest.mark.parametrize("section, value", [("output", 5), ("metrics", [])])
+    def test_section_must_be_an_object(self, doc, section, value):
+        doc[section] = value
+        assert self.error_path(doc) == section
+
+    def test_non_numeric_profile_entry(self, doc):
+        doc["environment"]["sos_profile"] = [["a", 1500.0]]
+        assert self.error_path(doc) == "environment.sos_profile[0]"
+
+    def test_nan_profile_speed(self, doc):
+        doc["environment"]["sos_profile"][1][1] = float("nan")
+        assert self.error_path(doc) == "environment.sos_profile[1]"
+
+    def test_integer_too_large_for_a_float(self, doc):
+        doc["pulse"]["duration_s"] = 10 ** 400
+        assert self.error_path(doc) == "pulse.duration_s"
+
+    @pytest.mark.parametrize("n_quad", [0, -3, 500])
+    def test_bad_n_quad_override(self, doc, n_quad):
+        cfg = parse_config(doc)
+        with pytest.raises(ConfigError) as info:
+            cfg.beamformer("bayes", n_quad=n_quad)
+        assert info.value.path == "beamformers.bayes.n_quad"
+
+    def test_nan_round_trips_through_a_file(self, doc, tmp_path):
+        doc["beamformers"]["bayes"]["mu_c_m_s"] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))  # written as NaN, which json.load accepts
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert info.value.path == "beamformers.bayes.mu_c_m_s"

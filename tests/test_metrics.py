@@ -129,6 +129,19 @@ class TestPmal:
             pmal(img, self.T_BOX, Box(100.0, 101.0, 12.5, 14.0))
 
 
+class TestBox:
+    @pytest.mark.parametrize("coords", [(2, -2, 10.0, 11.5), (-2, 2, 11.5, 10.0),
+                                        (-2, -2, 10.0, 11.5)])
+    def test_min_must_be_below_max(self, coords):
+        with pytest.raises(ValueError, match="min must be below max"):
+            Box(*coords)
+
+    def test_overlap_is_symmetric_and_open(self):
+        assert Box(-2, 2, 10, 12).overlaps(Box(-1, 1, 11, 13))
+        assert Box(-1, 1, 11, 13).overlaps(Box(-2, 2, 10, 12))
+        assert not Box(-2, 2, 10, 12).overlaps(Box(-2, 2, 12, 14))  # shared edge only
+
+
 class TestRmseDb:
     def test_identical_images_hit_floor(self):
         rng = np.random.default_rng(1)
