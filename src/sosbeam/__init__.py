@@ -15,7 +15,7 @@ from .core import (ArrayGeometry, FocalPoint, LfmPulse, ScanGrid, hann_weights,
                    round_trip_time, steering_vector)
 from .covariance import (capon_solve, delayed_snapshot, diagonal_load,
                          forward_backward, replace_degenerate, sample_covariance,
-                         subarray_snapshots)
+                         subarray_snapshots, unitary_windows)
 from .cube import BasebandCube, RawDataCube, read_cube, write_cube
 from .metrics import (Box, DbImage, MetricsReport, envelope_db, fwhm, pmal,
                       rmse_db)

@@ -23,8 +23,8 @@ import numpy as np
 
 from .chain import TVG_TWO_WAY, TVG_VARIANTS
 from .core import ArrayGeometry, FocalPoint, ScanGrid, hann_weights, travel_times
-from .covariance import (_sample_at_times, capon_solve, diagonal_load, forward_backward,
-                         replace_degenerate, sample_covariance, subarray_snapshots)
+from .covariance import (_sample_at_times, capon_solve, diagonal_load, replace_degenerate,
+                         sample_covariance, subarray_snapshots, unitary_windows)
 from .cube import BasebandCube
 from .quadrature import MAX_NODES, SosPrior, gauss_hermite, node_to_sos
 
@@ -210,6 +210,8 @@ class _Imager:
         else:
             self.n_sub = cfg.n_subarrays(geom.n_sensors)
             self.eps = cfg.loading(self.n_sub)
+            half, odd = divmod(cfg.subarray_length, 2)
+            self.q = np.r_[np.full(half, np.sqrt(2.0)), np.ones(odd), np.zeros(half)]
             rule = gauss_hermite(cfg.n_quad)
             self.log_u = np.log(rule.weights)
             self.c_nodes = node_to_sos(rule.nodes, cfg.prior)
@@ -228,15 +230,20 @@ class _Imager:
         return snap @ self.hann, flags
 
     def mvdr_node(self, px, py, c):
-        """MVDR output and Capon power at one speed: (values, power, flags)."""
+        """MVDR output and Capon power at one speed: (values, power, flags).
+
+        With y = C^-1 q in the unitary domain, the output is y^T Q^H m / q^T y
+        for the window mean m."""
         snap, flags = self.delayed_snapshots(px, py, c)
         snaps = subarray_snapshots(snap, self.cfg.subarray_length)
-        cov = diagonal_load(forward_backward(sample_covariance(snaps)), self.eps)
+        cov = diagonal_load(sample_covariance(unitary_windows(snaps)), self.eps)
         cov, degenerate = replace_degenerate(cov)
-        sol, denom, good = capon_solve(cov)
+        sol, denom, good = capon_solve(cov, self.q)
         flags = flags | np.where(degenerate | ~good, FLAG_SINGULAR, 0).astype(np.uint8)
         power = np.where(good, 1.0 / denom, 0.0)
-        values = np.einsum("...i,...i->...", sol.conj(), snaps.mean(axis=-2)) / denom
+        mean = unitary_windows(snaps.mean(axis=-2, keepdims=True))  # sqrt(2) Q^H m
+        re, im = np.einsum("...ci,...i->c...", mean, sol)
+        values = (re + 1j * im) / (np.sqrt(2.0) * denom)
         return np.where(good, values, 0.0), power, flags
 
     def bayes(self, px, py):

@@ -143,8 +143,11 @@ def cmd_metrics(args) -> int:
         if not Path(path).is_file():
             print(f"error: image file not found: {path}", file=sys.stderr)
             return EXIT_USAGE
-        name = Path(path).stem
-        images[name] = read_image_csv(path)
+        try:
+            images[Path(path).stem] = read_image_csv(path)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     grids = {name: img.grid for name, img in images.items()}
     first = next(iter(grids.values()))
     for name, grid in grids.items():

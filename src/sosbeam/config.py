@@ -68,8 +68,8 @@ class RunConfig:
 
 def default_config_dict() -> dict:
     """Evaluation-setup defaults: 30-sensor 1 m array, 30 kHz/20 kHz/50 us LFM,
-    500 kHz sampling for 0.3 s, decimation 4, a 5-target cross near 32 m with
-    a single resolution target at 36 m, and the 28-42 m x +/-6 m grid."""
+    500 kHz sampling for 0.3 s, decimation 4, a 5-target cross (31-33 m range
+    on axis, x = +/-1 m at 32 m, 90 m deep) and the 28-42 m x +/-6 m grid."""
     return {
         "array": {"n_sensors": 30, "length_m": 1.0, "depth_m": 70.0, "source_x_m": 0.0},
         "environment": {

@@ -65,7 +65,7 @@ class BasebandCube:
     time_origin: float = 0.0  # s
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=complex)
+        self.samples = np.ascontiguousarray(self.samples, dtype=complex)
         if self.samples.ndim != 2:
             raise ValueError("baseband cube samples must be 2-D (sensors x samples)")
         if self.samples.shape[1] < 1:

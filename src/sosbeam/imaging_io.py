@@ -21,17 +21,28 @@ def write_image_csv(path, img: DbImage) -> None:
 
 
 def read_image_csv(path) -> DbImage:
-    """Reload a dB image written by write_image_csv."""
+    """Reload a dB image written by write_image_csv.
+
+    Any other file raises ValueError naming it and the missing or bad field.
+    """
     with open(path) as fh:
         first = fh.readline()
     if not first.startswith("#"):
         raise ValueError(f"{path}: missing grid metadata header")
-    fields = dict(part.split("=") for part in first[1:].split())
-    grid = ScanGrid(x_min=float(fields["x_min"]), x_max=float(fields["x_max"]),
-                    y_min=float(fields["y_min"]), y_max=float(fields["y_max"]),
-                    n_x=int(fields["n_x"]), n_y=int(fields["n_y"]))
-    pixels = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return DbImage(pixels=pixels, grid=grid)
+    fields = dict(part.partition("=")[::2] for part in first[1:].split())
+    grid = {}
+    for key in ("x_min", "x_max", "y_min", "y_max", "n_x", "n_y"):
+        kind = int if key.startswith("n_") else float
+        try:
+            grid[key] = kind(fields[key])
+        except (KeyError, ValueError):
+            raise ValueError(f"{path}: grid header {key} is missing or not "
+                             f"a valid {kind.__name__}") from None
+    try:
+        pixels = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        return DbImage(pixels=pixels, grid=ScanGrid(**grid))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_image_pgm(path, img: DbImage, dynamic_range_db: float) -> None:

@@ -42,11 +42,26 @@ def delay_kernel(frac) -> np.ndarray:
     return h / h.sum(axis=-1, keepdims=True)
 
 
+PHASES = 4096
+_TABLE = delay_kernel(np.arange(PHASES + 1) / PHASES)
+_SLOPE = np.diff(_TABLE, axis=0)
+
+
+def tabulated_kernel(frac) -> np.ndarray:
+    """sample_rows' taps: delay_kernel(frac) interpolated linearly between
+    PHASES + 1 tabulated offsets, within 1e-7. The simulator uses delay_kernel."""
+    t = np.asarray(frac, dtype=float) * PHASES
+    # frac may round up to 1.0; mode="clip" keeps a non-finite frac in the table
+    phase = np.minimum(t.astype(np.intp), PHASES - 1)
+    return (_TABLE.take(phase, axis=0, mode="clip")
+            + (t - phase)[..., None] * _SLOPE.take(phase, axis=0, mode="clip"))
+
+
 def sample_rows(rows: np.ndarray, pos: np.ndarray):
     """Band-limited sampling of each row of `rows` at fractional positions.
 
     Args:
-        rows: (n_rows, m) array, real or complex.
+        rows: (n_rows, m) array, real or complex (copied unless C-contiguous).
         pos: (..., n_rows) fractional sample positions, one per row.
 
     Returns:
@@ -56,16 +71,13 @@ def sample_rows(rows: np.ndarray, pos: np.ndarray):
     n_rows, m = rows.shape
     base = np.floor(pos).astype(np.int64)
     frac = pos - base
-    h = delay_kernel(frac)
+    h = tabulated_kernel(frac)
     lo = base - (_HALF - 1)
     valid = (lo >= 0) & (base + _HALF <= m - 1)
-    lo_safe = np.clip(lo, 0, max(m - TAPS, 0))
-    row_idx = np.arange(n_rows)
-    idx = lo_safe[..., None] + np.arange(TAPS)
-    gathered = rows[row_idx[..., None], idx]
-    values = np.einsum("...t,...t->...", gathered, h.astype(rows.dtype, copy=False))
-    values = np.where(valid, values, 0.0)
-    return values, valid
+    start = np.clip(lo, 0, max(m - TAPS, 0)) + np.arange(n_rows) * m
+    gathered = rows.reshape(-1).take(start[..., None] + np.arange(TAPS))
+    values = np.einsum("...t,...t->...", h, gathered)
+    return np.where(valid, values, 0.0), valid
 
 
 def place_fractional(out: np.ndarray, waveform: np.ndarray, position: float,

@@ -46,10 +46,10 @@ class SosPrior:
     sigma_c: float = 0.3
 
     def __post_init__(self):
-        if self.mu_c <= 0:
-            raise ValueError("mu_c must be > 0")
-        if self.sigma_c < 0:
-            raise ValueError("sigma_c must be >= 0")
+        if not 0 < self.mu_c < np.inf:
+            raise ValueError("mu_c must be finite and > 0")
+        if not 0 <= self.sigma_c < np.inf:
+            raise ValueError("sigma_c must be finite and >= 0")
 
 
 def gauss_hermite(n: int) -> QuadratureRule:

@@ -122,8 +122,8 @@ class SimConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.sample_rate <= 0 or self.record_duration <= 0:
-            raise ValueError("sample_rate and record_duration must be > 0")
+        if not (0 < self.sample_rate < np.inf and 0 < self.record_duration < np.inf):
+            raise ValueError("sample_rate and record_duration must be finite and > 0")
 
     @property
     def n_samples(self) -> int:

@@ -322,21 +322,24 @@ class TestPixels:
 class TestMvdrNode:
     def test_is_the_covariance_kernels_composed(self, baseband):
         # the image path's MVDR output and Capon power, rebuilt from the
-        # public covariance functions and the single-matrix wrappers
+        # public complex-domain covariance functions and the single-matrix
+        # wrappers, for odd and even subarray lengths (the unitary transform
+        # has a middle element only for odd ones)
         from sosbeam.beamform import _Imager
         from sosbeam.covariance import (delayed_snapshot, diagonal_load, forward_backward,
                                         sample_covariance, subarray_snapshots)
-        cfg = _make_cfg(method="mvdr")
-        imager = _Imager(baseband, GEOM, cfg)
         p = FocalPoint(0.2, TARGET_RANGE)
-        value, power, flags = imager.mvdr_node(np.asarray(p.x), np.asarray(p.y), 1519.0)
-        snaps = subarray_snapshots(delayed_snapshot(baseband, p, 1519.0, GEOM),
-                                   cfg.subarray_length)
-        cov = diagonal_load(forward_backward(sample_covariance(snaps)), imager.eps)
-        assert flags == 0
-        assert power == pytest.approx(capon_power(cov), rel=1e-12)
-        expected = np.vdot(mvdr_weights(cov), snaps.mean(axis=0))
-        assert value == pytest.approx(expected, rel=1e-12)
+        snap = delayed_snapshot(baseband, p, 1519.0, GEOM)
+        for length in (7, 1, 6, 12):
+            cfg = _make_cfg(method="mvdr", subarray_length=length)
+            imager = _Imager(baseband, GEOM, cfg)
+            value, power, flags = imager.mvdr_node(np.asarray(p.x), np.asarray(p.y), 1519.0)
+            snaps = subarray_snapshots(snap, cfg.subarray_length)
+            cov = diagonal_load(forward_backward(sample_covariance(snaps)), imager.eps)
+            assert flags == 0
+            assert power == pytest.approx(capon_power(cov), rel=1e-12)
+            expected = np.vdot(mvdr_weights(cov), snaps.mean(axis=0))
+            assert value == pytest.approx(expected, rel=1e-12)
 
     def test_zero_snapshot_flagged_singular(self):
         from sosbeam.beamform import FLAG_SINGULAR, _Imager

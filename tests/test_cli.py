@@ -208,6 +208,22 @@ class TestMetricsCommand:
         assert main(["metrics", "--config", str(small_config), images[0],
                      str(prefix) + ".csv", "--out", str(tmp_path / "r.json")]) == 3
 
+    @pytest.mark.parametrize("text, field", [
+        ("1,2\n3,4\n", "missing grid metadata header"),
+        ("# x_min=0\n1,2\n", "x_max"),
+        ("# x_min=0 x_max=1 y_min=1 y_max=2 n_x=two n_y=1\n1,2\n", "n_x"),
+        ("# x_min=0 x_max=1 y_min=1 y_max=2 n_x=2 n_y=1\nabc,1\n", "abc"),
+    ])
+    def test_bad_image_csv_exit_2(self, small_config, tmp_path, capsys, text, field):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        assert main(["metrics", "--config", str(small_config), str(bad),
+                     "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(bad) in err and field in err
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestAll:
     def test_pipeline_produces_all_artifacts(self, small_config, tmp_path):

@@ -5,7 +5,7 @@ from sosbeam.chain import demodulate, matched_filter
 from sosbeam.core import ArrayGeometry, FocalPoint, LfmPulse
 from sosbeam.covariance import (SnapshotWarning, capon_solve, delayed_snapshot,
                                 diagonal_load, forward_backward, replace_degenerate,
-                                sample_covariance, subarray_snapshots)
+                                sample_covariance, subarray_snapshots, unitary_windows)
 from sosbeam.cube import BasebandCube
 from sosbeam.simulate import (Environment, SimConfig, Target, synthesize_rx)
 
@@ -106,6 +106,56 @@ class TestForwardBackward:
         np.testing.assert_allclose(j @ np.swapaxes(fb, -1, -2) @ j, fb, atol=1e-12)
 
 
+def unitary_matrix(n):
+    """The sparse unitary Q of Huarng & Yeh, built densely."""
+    k = n // 2
+    q = np.zeros((n, n), dtype=complex)
+    eye, exchange = np.eye(k), np.eye(k)[::-1]
+    q[:k, :k], q[:k, n - k:] = eye, 1j * eye
+    q[n - k:, :k], q[n - k:, n - k:] = exchange, -1j * exchange
+    if n % 2:
+        q[k, k] = np.sqrt(2.0)
+    return q / np.sqrt(2.0)
+
+
+class TestUnitaryTransform:
+    @pytest.mark.parametrize("length", [1, 15, 16])
+    def test_matrix_is_unitary(self, length):
+        q = unitary_matrix(length)
+        np.testing.assert_allclose(q.conj().T @ q, np.eye(length), atol=1e-15)
+
+    @pytest.mark.parametrize("length", [1, 15, 16])
+    def test_covariance_is_q_h_fb_q(self, length):
+        rng = np.random.default_rng(length)
+        x = rng.standard_normal((4, 30)) + 1j * rng.standard_normal((4, 30))
+        snaps = subarray_snapshots(x, length)
+        q = unitary_matrix(length)
+        expected = q.conj().T @ forward_backward(sample_covariance(snaps)) @ q
+        cov = sample_covariance(unitary_windows(snaps))
+        assert cov.dtype == float
+        assert cov.shape == (4, length, length)
+        np.testing.assert_allclose(cov, expected.real, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(expected.imag, 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("length", [1, 15, 16])
+    def test_windows_are_scaled_q_h_x(self, length):
+        rng = np.random.default_rng(40 + length)
+        snaps = rng.standard_normal((3, length)) + 1j * rng.standard_normal((3, length))
+        y = np.sqrt(2.0) * snaps @ unitary_matrix(length).conj()
+        np.testing.assert_allclose(unitary_windows(snaps), np.concatenate([y.real, y.imag]),
+                                   atol=1e-14)
+
+    @pytest.mark.parametrize("length", [1, 15, 16])
+    def test_image_path_steering_is_q_h_ones(self, length):
+        from sosbeam.beamform import BeamformerConfig, _Imager
+        cube = BasebandCube(samples=np.zeros((16, 64), dtype=complex), sample_rate=125e3,
+                            carrier=30e3)
+        imager = _Imager(cube, ArrayGeometry.uniform(16, 1.0),
+                         BeamformerConfig(method="mvdr", subarray_length=length))
+        np.testing.assert_allclose(imager.q, unitary_matrix(length).conj().T @ np.ones(length),
+                                   atol=1e-15)
+
+
 class TestDiagonalLoad:
     def test_identity_example(self):
         dl = diagonal_load(np.eye(2, dtype=complex), 0.1)
@@ -182,6 +232,20 @@ class TestCaponSolve:
         np.testing.assert_array_equal(good, [True, False, True])
         np.testing.assert_allclose(sol, [np.full(3, 0.5), np.zeros(3), np.ones(3)])
         np.testing.assert_allclose(denom, [1.5, 1.0, 3.0])
+
+    def test_real_stack_with_steering_stays_real(self):
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((5, 4, 4))
+        stack = a @ np.swapaxes(a, -1, -2) + 0.1 * np.eye(4)
+        stack[2] = 0.0
+        q = np.array([np.sqrt(2.0), np.sqrt(2.0), 0.0, 0.0])
+        sol, denom, good = capon_solve(stack, q)
+        assert sol.dtype == float
+        np.testing.assert_array_equal(good, [True, True, False, True, True])
+        for i in (0, 1, 3, 4):
+            np.testing.assert_allclose(sol[i], np.linalg.inv(stack[i]) @ q, rtol=1e-12)
+            assert denom[i] == pytest.approx(q @ sol[i], rel=1e-15)
+        np.testing.assert_array_equal(sol[2], 0.0)
 
     def test_indefinite_matrix_not_good(self):
         _, denom, good = capon_solve(np.diag([1.0, -1.0]).astype(complex))

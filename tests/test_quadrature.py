@@ -72,6 +72,18 @@ class TestGaussHermite:
             QuadratureRule(nodes=np.array([0.0]), weights=np.array([-1.0]))
 
 
+class TestSosPrior:
+    @pytest.mark.parametrize("mu, sigma", [
+        (float("nan"), 0.3), (float("inf"), 0.3), (0.0, 0.3), (-1519.0, 0.3),
+        (1519.0, float("inf")), (1519.0, float("nan")), (1519.0, -0.1)])
+    def test_non_finite_or_out_of_range_rejected(self, mu, sigma):
+        with pytest.raises(ValueError):
+            SosPrior(mu, sigma)
+
+    def test_collapsed_prior_allowed(self):
+        assert SosPrior(1519.0, 0.0).sigma_c == 0.0
+
+
 class TestNodeToSos:
     def test_zero_node_maps_to_mean(self):
         prior = SosPrior(1519.0, 0.3)

@@ -218,6 +218,15 @@ class TestSynthesizeRx:
         assert cube.samples.shape == (4, 5000)
 
 
+class TestSimConfigValidation:
+    @pytest.mark.parametrize("rate, duration", [
+        (float("nan"), 0.3), (float("inf"), 0.3), (0.0, 0.3),
+        (500e3, float("nan")), (500e3, float("inf")), (500e3, -0.3)])
+    def test_non_finite_or_non_positive_rejected(self, rate, duration):
+        with pytest.raises(ValueError):
+            SimConfig(rate, duration)
+
+
 class TestEnvironmentValidation:
     def test_profile_depths_must_increase(self):
         with pytest.raises(ValueError):
