@@ -16,6 +16,7 @@ thread pool, with identical per-row arithmetic either way.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -61,14 +62,16 @@ class BeamformerConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if not self.c_fixed > 0:
-            raise ValueError("c_fixed must be > 0")
+        if not 0 < self.c_fixed < np.inf:
+            raise ValueError("c_fixed must be finite and > 0")
         if self.subarray_length < 1:
             raise ValueError("subarray_length must be >= 1")
         if not 1 <= self.n_quad <= MAX_NODES:
             raise ValueError(f"n_quad must be in [1, {MAX_NODES}]")
-        if self.dr_db <= 0:
-            raise ValueError("dr_db must be > 0")
+        if not 0 < self.dr_db < np.inf:
+            raise ValueError("dr_db must be finite and > 0")
+        if not math.isfinite(self.snr0_db):
+            raise ValueError("snr0_db must be finite")
         if self.loading_factor is not None and not 0 <= self.loading_factor < np.inf:
             raise ValueError("loading_factor must be finite and >= 0")
         if self.tvg_variant not in TVG_VARIANTS:

@@ -2,13 +2,15 @@
 demodulation with decimation, and matched-filter range compression.
 
 Every stage is a pure per-sensor transformation; the whole chain is
-deterministic for a given cube and settings.
+deterministic for a given cube and settings. The demodulator's low-pass
+filter and the matched filter are both full linear convolutions along each
+sensor row, done by FFT (`_convolve_rows`: one numpy forward/inverse pair at
+a 5-smooth length).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from .core import LfmPulse, TWO_PI
 from .cube import BasebandCube, RawDataCube
@@ -61,6 +63,33 @@ def tvg(cube: RawDataCube, c: float, variant: str = TVG_TWO_WAY,
     return RawDataCube(samples=cube.samples * r, sample_rate=cube.sample_rate)
 
 
+def _fft_length(n: int) -> int:
+    """The smallest 2**a * 3**b * 5**c >= n, a length numpy's FFT handles fast."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power of two q with p35 * q >= n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _convolve_rows(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Full linear convolution of every row of x with a 1-D kernel.
+
+    Row by row this is np.convolve(row, kernel) to rounding, n + k - 1
+    complex columns, done with one zero-padded FFT pair.
+    """
+    n_out = x.shape[-1] + kernel.size - 1
+    n_fft = _fft_length(n_out)
+    spectrum = np.fft.fft(x, n_fft, axis=-1)
+    spectrum *= np.fft.fft(kernel, n_fft)
+    return np.fft.ifft(spectrum, axis=-1, out=spectrum)[..., :n_out]
+
+
 def _lowpass_taps(fs: float, carrier: float, decim: int) -> np.ndarray:
     """Hamming-windowed sinc low-pass for the demodulator.
 
@@ -105,7 +134,7 @@ def _demodulate_samples(x: np.ndarray, fs: float, carrier: float, decim: int):
     t = np.arange(n) / fs
     mixed = x * (2.0 * np.exp(-1j * TWO_PI * carrier * t))
     taps = _lowpass_taps(fs, carrier, decim)
-    full = sp_signal.fftconvolve(mixed, taps[None, :], mode="full", axes=1)
+    full = _convolve_rows(mixed, taps)
     shift = LOWPASS_TAPS // 2
     compensated = full[:, shift:shift + n]
     t0 = (shift - (LOWPASS_TAPS - 1) / 2.0) / fs
@@ -140,7 +169,7 @@ def matched_filter(cube: BasebandCube, pulse: LfmPulse) -> BasebandCube:
     if r.size > cube.n_samples:
         raise ValueError("matched-filter replica is longer than the data record")
     kernel = np.conj(r[::-1])
-    full = sp_signal.fftconvolve(cube.samples, kernel[None, :], mode="full", axes=1)
+    full = _convolve_rows(cube.samples, kernel)
     out = full[:, r.size - 1:r.size - 1 + cube.n_samples]
     return BasebandCube(samples=out, sample_rate=cube.sample_rate,
                         carrier=cube.carrier, decimation=cube.decimation,

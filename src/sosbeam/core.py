@@ -7,6 +7,7 @@ multipath simulator's world; it never enters the round-trip model here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +35,15 @@ class ArrayGeometry:
         sx = np.atleast_1d(np.asarray(self.sensor_x, dtype=float))
         if sx.ndim != 1 or sx.size < 1:
             raise ValueError("sensor_x must be a non-empty 1-D sequence")
+        if not np.isfinite(sx).all():
+            raise ValueError("sensor_x must be finite")
         if sx.size > 1 and not np.all(np.diff(sx) > 0):
             raise ValueError("sensor_x must be strictly increasing")
         object.__setattr__(self, "sensor_x", sx)
         if self.source_depth is None:
             object.__setattr__(self, "source_depth", float(self.array_depth))
+        if not all(map(math.isfinite, (self.array_depth, self.source_x, self.source_depth))):
+            raise ValueError("array_depth, source_x and source_depth must be finite")
 
     @classmethod
     def uniform(cls, n_sensors: int, length: float, array_depth: float = 0.0,
@@ -87,6 +92,8 @@ class ScanGrid:
     def __post_init__(self):
         if self.n_x < 1 or self.n_y < 1:
             raise ValueError("pixel counts must be >= 1")
+        if not all(map(math.isfinite, (self.x_min, self.x_max, self.y_min, self.y_max))):
+            raise ValueError("grid bounds must be finite")
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise ValueError("grid max must exceed min on each axis")
         if not self.y_min > 0:
@@ -120,12 +127,12 @@ class LfmPulse:
     duration: float          # s
 
     def __post_init__(self):
-        if self.center_frequency <= 0:
-            raise ValueError("center_frequency must be > 0")
+        if not 0 < self.center_frequency < np.inf:
+            raise ValueError("center_frequency must be finite and > 0")
         if not 0 < self.bandwidth < 2 * self.center_frequency:
             raise ValueError("bandwidth must be in (0, 2*center_frequency)")
-        if self.duration <= 0:
-            raise ValueError("duration must be > 0")
+        if not 0 < self.duration < np.inf:
+            raise ValueError("duration must be finite and > 0")
 
 
 def travel_times(px, py, c: float, geom: ArrayGeometry) -> np.ndarray:

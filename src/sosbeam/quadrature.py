@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 MAX_NODES = 128
 
@@ -53,21 +52,22 @@ class SosPrior:
 
 
 def gauss_hermite(n: int) -> QuadratureRule:
-    """Gauss-Hermite rule of order n via the Golub-Welsch tridiagonal eigenproblem.
+    """Gauss-Hermite rule of order n via the Golub-Welsch eigenproblem.
 
     The Jacobi matrix for the Hermite recurrence has zero diagonal and
-    off-diagonals sqrt(k/2); its eigenvalues are the nodes. Weights come from
-    the Christoffel identity 1 / sum_k p_k(x)^2 over the orthonormal Hermite
-    polynomials, which stays finite where the eigenvector first components
-    underflow for large n. Nodes and weights are symmetrized to kill rounding
-    asymmetry.
+    off-diagonals sqrt(k/2); its eigenvalues are the nodes. The matrix is at
+    most MAX_NODES x MAX_NODES, so it is solved densely with
+    np.linalg.eigvalsh. Weights come from the Christoffel identity
+    1 / sum_k p_k(x)^2 over the orthonormal Hermite polynomials, which stays
+    finite where the eigenvector first components underflow for large n.
+    Nodes and weights are symmetrized to kill rounding asymmetry.
     """
     if not 1 <= n <= MAX_NODES:
         raise ValueError(f"node count must be in [1, {MAX_NODES}]")
     if n == 1:
         return QuadratureRule(nodes=np.zeros(1), weights=np.array([np.sqrt(np.pi)]))
     off = np.sqrt(np.arange(1, n) / 2.0)
-    nodes = eigh_tridiagonal(np.zeros(n), off, eigvals_only=True)
+    nodes = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
     nodes = 0.5 * (nodes - nodes[::-1])
 
     # orthonormal recurrence w.r.t. exp(-z^2): p0 = pi^(-1/4),

@@ -9,6 +9,7 @@ speed profile enters through the depth-averaged speed along each leg.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -42,6 +43,10 @@ class Target:
     depth: float
     reflectivity: float = 1.0
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.x, self.y, self.depth, self.reflectivity))):
+            raise ValueError("target x, y, depth and reflectivity must be finite")
+
     @classmethod
     def at_slant_range(cls, x: float, slant_range: float, depth: float,
                        array_depth: float, reflectivity: float = 1.0) -> "Target":
@@ -68,16 +73,21 @@ class Environment:
     bottom_reflectivity: float = 0.5
 
     def __post_init__(self):
-        if self.bottom_depth <= 0:
-            raise ValueError("bottom_depth must be > 0")
+        if not 0 < self.bottom_depth < np.inf:
+            raise ValueError("bottom_depth must be finite and > 0")
+        if not (math.isfinite(self.surface_reflectivity)
+                and math.isfinite(self.bottom_reflectivity)):
+            raise ValueError("surface and bottom reflectivities must be finite")
         prof = tuple((float(z), float(c)) for z, c in self.sos_profile)
         if not prof:
             raise ValueError("sos_profile must hold at least one breakpoint")
         depths = [z for z, _ in prof]
+        if not all(map(math.isfinite, depths)):
+            raise ValueError("sos_profile depths must be finite")
         if any(b <= a for a, b in zip(depths, depths[1:])):
             raise ValueError("sos_profile depths must be strictly increasing")
-        if any(c <= 0 for _, c in prof):
-            raise ValueError("sos_profile speeds must be > 0")
+        if any(not 0 < c < np.inf for _, c in prof):
+            raise ValueError("sos_profile speeds must be finite and > 0")
         object.__setattr__(self, "sos_profile", prof)
 
     def sound_speed_at(self, z: float) -> float:

@@ -44,6 +44,13 @@ class TestConfigChecks:
         with pytest.raises(ValueError, match="c_fixed"):
             _make_cfg(c_fixed=c)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(c_fixed=float("inf")), dict(dr_db=float("nan")), dict(dr_db=float("inf")),
+        dict(snr0_db=float("nan")), dict(snr0_db=float("inf")), dict(snr0_db=float("-inf"))])
+    def test_non_finite_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            _make_cfg(**kwargs)
+
     def test_n_quad_capped_at_max_nodes(self):
         assert _make_cfg(n_quad=MAX_NODES).n_quad == MAX_NODES
         with pytest.raises(ValueError, match="n_quad"):

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from sosbeam.chain import (baseband_replica, demodulate, matched_filter,
-                           quantize, tvg)
+import sosbeam
+from sosbeam.chain import (_convolve_rows, _fft_length, baseband_replica, demodulate,
+                           matched_filter, quantize, tvg)
 from sosbeam.core import LfmPulse
 from sosbeam.cube import BasebandCube, RawDataCube
 from sosbeam.simulate import lfm_pulse_samples
@@ -250,3 +256,46 @@ class TestChainDeterminism:
             return matched_filter(demodulate(c, 30e3, 4), PULSE).samples
 
         np.testing.assert_array_equal(run(), run())
+
+
+def _five_smooth(m: int) -> bool:
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+class TestFftConvolution:
+    @pytest.mark.parametrize("complex_rows", [False, True])
+    @pytest.mark.parametrize("k", [1, 7, 50, 123])
+    def test_rows_equal_np_convolve(self, complex_rows, k):
+        # kernels shorter than, as long as and longer than the 50-sample rows
+        rng = np.random.default_rng(k)
+        x = rng.standard_normal((3, 50))
+        if complex_rows:
+            x = x + 1j * rng.standard_normal((3, 50))
+        kernel = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        for kern in (kernel.real, kernel):
+            got = _convolve_rows(x, kern)
+            assert got.shape == (3, 50 + k - 1)
+            for row, out in zip(x, got):
+                want = np.convolve(row, kern)
+                assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_fft_length_is_the_smallest_5_smooth_length(self):
+        for n in range(1, 5001):
+            m = n
+            while not _five_smooth(m):
+                m += 1
+            assert _fft_length(n) == m, n
+
+
+class TestNumpyOnly:
+    def test_import_loads_no_scipy(self):
+        src = str(Path(sosbeam.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import sys, sosbeam; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path}, timeout=60, check=True)
+        assert out.stdout.strip() == "[]"

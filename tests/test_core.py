@@ -127,6 +127,28 @@ class TestTypes:
         assert grid.x_values().shape == (5,)
         assert grid.y_values()[0] == 10 and grid.y_values()[-1] == 20
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(sensor_x=[0.0, float("nan")]), dict(sensor_x=[0.0, float("inf")]),
+        dict(array_depth=float("nan")), dict(source_x=float("nan")),
+        dict(source_depth=float("inf"))])
+    def test_array_non_finite_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            ArrayGeometry(**{"sensor_x": [0.0, 1.0], **kwargs})
+
+    @pytest.mark.parametrize("bounds", [
+        (float("nan"), 1, 1, 2), (-1, float("inf"), 1, 2), (float("-inf"), 1, 1, 2),
+        (-1, 1, float("nan"), 2), (-1, 1, 1, float("inf"))])
+    def test_grid_non_finite_rejected(self, bounds):
+        with pytest.raises(ValueError):
+            ScanGrid(*bounds, 4, 4)
+
+    @pytest.mark.parametrize("args", [
+        (float("nan"), 20e3, 5e-5), (float("inf"), 20e3, 5e-5), (30e3, float("nan"), 5e-5),
+        (30e3, 20e3, float("nan")), (30e3, 20e3, float("inf"))])
+    def test_pulse_non_finite_rejected(self, args):
+        with pytest.raises(ValueError):
+            LfmPulse(*args)
+
     def test_pulse_validation(self):
         with pytest.raises(ValueError):
             LfmPulse(center_frequency=10e3, bandwidth=25e3, duration=1e-3)

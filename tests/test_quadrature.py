@@ -61,6 +61,13 @@ class TestGaussHermite:
         got = float((rule.weights * np.cos(rule.nodes)).sum())
         assert got == pytest.approx(oracle, abs=1e-8)
 
+    @pytest.mark.parametrize("n", [2, 8, 32, 128])
+    def test_matches_numpy_hermgauss(self, n):
+        nodes, weights = np.polynomial.hermite.hermgauss(n)
+        rule = gauss_hermite(n)
+        np.testing.assert_allclose(rule.nodes, nodes, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rule.weights, weights, rtol=1e-10)
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             gauss_hermite(0)

@@ -134,11 +134,17 @@ class TestLfmPulse:
     def test_mid_pulse_instantaneous_frequency_is_center(self):
         # the analytic-signal oracle needs many carrier cycles, so use a long
         # pulse; the Table-I pulse's phase law is pinned exactly above
-        from scipy.signal import hilbert
         pulse = LfmPulse(center_frequency=30e3, bandwidth=20e3, duration=5e-3)
         fs = 1e6
         w = lfm_pulse_samples(pulse, fs)
-        phase = np.unwrap(np.angle(hilbert(w)))
+        # FFT analytic signal: keep DC (and Nyquist), double the positive
+        # frequencies, drop the negative ones
+        one_sided = np.zeros(w.size)
+        one_sided[0] = 1.0
+        one_sided[1:(w.size + 1) // 2] = 2.0
+        if w.size % 2 == 0:
+            one_sided[w.size // 2] = 1.0
+        phase = np.unwrap(np.angle(np.fft.ifft(np.fft.fft(w) * one_sided)))
         mid = w.size // 2
         half = w.size // 50
         sl = slice(mid - half, mid + half)
@@ -235,6 +241,24 @@ class TestEnvironmentValidation:
     def test_positive_speeds(self):
         with pytest.raises(ValueError):
             Environment(bottom_depth=100, sos_profile=((0, -5.0),))
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(bottom_depth=float("nan")), dict(bottom_depth=float("inf")),
+        dict(sos_profile=((0.0, float("nan")),)), dict(sos_profile=((0.0, float("inf")),)),
+        dict(sos_profile=((float("nan"), 1500.0),)),
+        dict(sos_profile=((0.0, 1500.0), (float("inf"), 1510.0))),
+        dict(surface_reflectivity=float("nan")), dict(bottom_reflectivity=float("-inf"))])
+    def test_non_finite_rejected(self, kwargs):
+        base = dict(bottom_depth=100.0, sos_profile=((0.0, 1500.0),))
+        with pytest.raises(ValueError):
+            Environment(**{**base, **kwargs})
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(x=float("nan")), dict(y=float("nan")), dict(y=float("inf")),
+        dict(depth=float("-inf")), dict(reflectivity=float("nan"))])
+    def test_target_non_finite_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            Target(**{**dict(x=0.0, y=30.0, depth=90.0), **kwargs})
 
     def test_target_slant_placement(self):
         t = Target.at_slant_range(0.0, 36.0, 90.0, 70.0)
