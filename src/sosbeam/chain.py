@@ -2,10 +2,14 @@
 demodulation with decimation, and matched-filter range compression.
 
 Every stage is a pure per-sensor transformation; the whole chain is
-deterministic for a given cube and settings. The demodulator's low-pass
-filter and the matched filter are both full linear convolutions along each
-sensor row, done by FFT (`_convolve_rows`: one numpy forward/inverse pair at
-a 5-smooth length).
+deterministic for a given cube and settings. The demodulator uses the
+identity that mixing to baseband and then low-pass filtering equals
+band-pass filtering at the carrier and then mixing: the real record goes
+through one real FFT, is multiplied by the band-pass spectrum, and the
+decimation is done by folding that spectrum before a short inverse FFT, so
+only the kept samples are ever formed. The matched filter is a full linear
+convolution along each sensor row, done by FFT (`_convolve_rows`: one numpy
+forward/inverse pair at a 5-smooth length).
 """
 
 from __future__ import annotations
@@ -29,18 +33,22 @@ def quantize(cube: RawDataCube, bits: int) -> RawDataCube:
     Codes follow the two's-complement ADC convention (-2**(bits-1) ..
     2**(bits-1) - 1), so zero maps to zero and the quantization error is at
     most half an LSB except at the saturating positive rail, where it reaches
-    one LSB. Output is rescaled back to the input's units. An all-zero cube
-    is returned unchanged.
+    one LSB. Output is rescaled back to the input's units in a new array; the
+    input cube is not written. An all-zero cube is returned unchanged.
     """
     if not 2 <= bits <= 24:
         raise ValueError("bits must be in [2, 24]")
-    full_scale = float(np.max(np.abs(cube.samples)))
+    x = cube.samples
+    full_scale = float(max(x.max(), -x.min()))
     if full_scale == 0.0:
-        return RawDataCube(samples=cube.samples.copy(), sample_rate=cube.sample_rate)
+        return RawDataCube(samples=x.copy(), sample_rate=cube.sample_rate)
     step = 2.0 * full_scale / (2 ** bits)
     top = 2 ** (bits - 1) - 1
-    codes = np.clip(np.round(cube.samples / step), -(top + 1), top)
-    return RawDataCube(samples=codes * step, sample_rate=cube.sample_rate)
+    out = np.divide(x, step)
+    np.round(out, out=out)
+    np.clip(out, -(top + 1), top, out=out)
+    out *= step
+    return RawDataCube(samples=out, sample_rate=cube.sample_rate)
 
 
 def tvg(cube: RawDataCube, c: float, variant: str = TVG_TWO_WAY,
@@ -52,8 +60,8 @@ def tvg(cube: RawDataCube, c: float, variant: str = TVG_TWO_WAY,
     (typically one pulse duration) reuse the gain at t_min, avoiding the
     log singularity at t = 0.
     """
-    if c <= 0:
-        raise ValueError("propagation speed must be > 0")
+    if not 0 < c < np.inf:
+        raise ValueError("propagation speed must be finite and > 0")
     if variant not in TVG_VARIANTS:
         raise ValueError(f"unknown TVG variant {variant!r}")
     t = np.arange(cube.n_samples) / cube.sample_rate
@@ -107,8 +115,9 @@ def _lowpass_taps(fs: float, carrier: float, decim: int) -> np.ndarray:
 def demodulate(cube: RawDataCube, carrier: float, decim: int) -> BasebandCube:
     """Quadrature demodulation to complex baseband with decimation.
 
-    Mixes with 2*exp(-j*2*pi*carrier*t), low-pass filters (linear-phase FIR,
-    group delay compensated), and keeps every decim-th sample. A unit
+    The result is mixing with 2*exp(-j*2*pi*carrier*t), low-pass filtering
+    (linear-phase FIR, group delay compensated) and keeping every decim-th
+    sample, computed in band-pass form (see _demodulate_samples). A unit
     carrier tone maps to baseband magnitude 1 in steady state.
     """
     if decim < 1:
@@ -124,21 +133,47 @@ def demodulate(cube: RawDataCube, carrier: float, decim: int) -> BasebandCube:
 
 
 def _demodulate_samples(x: np.ndarray, fs: float, carrier: float, decim: int):
-    """Demodulate rows of x; returns (baseband rows, time origin in seconds).
+    """Demodulate real rows of x; returns (baseband rows, time origin in seconds).
 
-    The filter's 31.5-sample group delay is compensated by a 32-sample shift;
-    the residual half raw sample is reported through the time origin.
+    The result is y[n] = e^{-jw0 n} (x * g)[n] at n = shift + m*decim, with
+    g[k] = 2 h[k] e^{jw0 k} the low-pass h moved up to the carrier: the same
+    numbers as mixing with 2 e^{-jw0 n}, filtering with h and keeping every
+    decim-th sample. The filter's 31.5-sample group delay is compensated by a
+    32-sample shift, applied as a circular rotation of g; the residual half
+    raw sample is reported through the time origin.
+
+    x * g is a circular convolution of length N = decim * M (M 5-smooth and
+    long enough that nothing wraps). Its every decim-th sample is the length-M
+    inverse FFT of the sum of the decim length-M chunks of X G, divided by
+    decim, so the full-rate output is never formed. Mixing phases are reduced
+    modulo fs before scaling, which is exact for integer-Hz carriers.
     """
     x = np.atleast_2d(x)
-    n = x.shape[1]
-    t = np.arange(n) / fs
-    mixed = x * (2.0 * np.exp(-1j * TWO_PI * carrier * t))
-    taps = _lowpass_taps(fs, carrier, decim)
-    full = _convolve_rows(mixed, taps)
+    rows, n = x.shape
     shift = LOWPASS_TAPS // 2
-    compensated = full[:, shift:shift + n]
+    m_len = _fft_length(-(-(n + LOWPASS_TAPS) // decim))
+    n_fft = decim * m_len
+
+    def phase(k):
+        return TWO_PI / fs * np.fmod(carrier * k, fs)
+
+    k = np.arange(LOWPASS_TAPS)
+    g = np.zeros(n_fft, dtype=complex)
+    g[k - shift] = 2.0 * _lowpass_taps(fs, carrier, decim) * np.exp(1j * phase(k))
+
+    # the full spectrum of the real rows: rfft, then its Hermitian mirror
+    half = n_fft // 2 + 1
+    spectrum = np.empty((rows, n_fft), dtype=complex)
+    np.fft.rfft(x, n_fft, axis=-1, out=spectrum[:, :half])
+    np.conjugate(spectrum[:, n_fft - half:0:-1], out=spectrum[:, half:])
+    spectrum *= np.fft.fft(g)
+
+    folded = spectrum.reshape(rows, decim, m_len).sum(axis=1)
+    n_keep = -(-n // decim)
+    out = np.fft.ifft(folded, axis=-1, out=folded)[:, :n_keep]
+    out *= np.exp(-1j * phase(shift + decim * np.arange(n_keep))) / decim
     t0 = (shift - (LOWPASS_TAPS - 1) / 2.0) / fs
-    return compensated[:, ::decim], t0
+    return out, t0
 
 
 def baseband_replica(pulse: LfmPulse, fs: float, carrier: float,

@@ -179,13 +179,13 @@ def cmd_all(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     cube_path = out_dir / "raw_cube.bin"
+    threads = _thread_count(args)
     cube = synthesize_rx(cfg.targets, cfg.geometry, cfg.pulse, cfg.environment,
-                         cfg.simulation)
+                         cfg.simulation, threads=threads)
     write_cube(cube_path, cube)
     _print_arrival_table(cfg)
 
     baseband = _run_chain(cfg, cube)
-    threads = _thread_count(args)
     jobs = []
     if METHOD_DAS in cfg.beamformers:
         jobs.append(("das", cfg.beamformer(METHOD_DAS)))
@@ -194,7 +194,8 @@ def cmd_all(args) -> int:
     if METHOD_BAYES in cfg.beamformers:
         base = cfg.beamformer(METHOD_BAYES)
         jobs.append((f"bayes_q{base.n_quad}", base))
-        jobs.append(("bayes_q32", cfg.beamformer(METHOD_BAYES, n_quad=32)))
+        if base.n_quad != 32:
+            jobs.append(("bayes_q32", cfg.beamformer(METHOD_BAYES, n_quad=32)))
 
     image_paths = []
     for name, bf_cfg in jobs:

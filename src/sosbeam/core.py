@@ -141,8 +141,8 @@ def travel_times(px, py, c: float, geom: ArrayGeometry) -> np.ndarray:
     px, py are broadcastable arrays of focal coordinates; the result has
     shape broadcast(px, py).shape + (n_sensors,), in seconds.
     """
-    if c <= 0:
-        raise ValueError("propagation speed must be > 0")
+    if not 0 < c < np.inf:
+        raise ValueError("propagation speed must be finite and > 0")
     px = np.asarray(px, dtype=float)[..., None]
     py = np.asarray(py, dtype=float)[..., None]
     r_tx = np.hypot(px - geom.source_x, py)

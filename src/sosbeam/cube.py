@@ -8,6 +8,7 @@ time-origin metadata.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -34,8 +35,8 @@ class RawDataCube:
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim != 2:
             raise ValueError("raw cube samples must be 2-D (sensors x samples)")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be > 0")
+        if not 0 < self.sample_rate < np.inf:
+            raise ValueError("sample_rate must be finite and > 0")
 
     @property
     def n_sensors(self) -> int:
@@ -70,10 +71,12 @@ class BasebandCube:
             raise ValueError("baseband cube samples must be 2-D (sensors x samples)")
         if self.samples.shape[1] < 1:
             raise ValueError("baseband cube must hold at least one sample")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be > 0")
+        if not 0 < self.sample_rate < np.inf:
+            raise ValueError("sample_rate must be finite and > 0")
         if self.decimation < 1:
             raise ValueError("decimation must be >= 1")
+        if not (math.isfinite(self.carrier) and math.isfinite(self.time_origin)):
+            raise ValueError("carrier and time_origin must be finite")
 
     @property
     def n_sensors(self) -> int:
@@ -128,10 +131,13 @@ def read_cube(path):
         raise CubeFormatError(
             f"{path}: payload holds {data.size} samples, header promises {n_sens * n_samples}")
     samples = data.reshape(n_sens, n_samples)
-    if fmt == _FORMAT_RAW:
-        return RawDataCube(samples=samples.astype(float), sample_rate=fs)
-    return BasebandCube(samples=samples.astype(complex), sample_rate=fs,
-                        carrier=carrier, decimation=decim, time_origin=t0)
+    try:
+        if fmt == _FORMAT_RAW:
+            return RawDataCube(samples=samples.astype(float), sample_rate=fs)
+        return BasebandCube(samples=samples.astype(complex), sample_rate=fs,
+                            carrier=carrier, decimation=decim, time_origin=t0)
+    except ValueError as exc:
+        raise CubeFormatError(f"{path}: bad header: {exc}") from exc
 
 
 def write_cube_csv(path, cube) -> None:

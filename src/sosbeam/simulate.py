@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,8 +221,9 @@ def enumerate_paths(tx, target: Target, rx, env: Environment):
         if not 0 <= point[2] <= env.bottom_depth:
             raise ValueError(f"{name} depth {point[2]} outside water column")
     arrivals = []
+    rx_legs = _leg_paths(tpos, rx, env)
     for tx_kind, l1, c1, g1 in _leg_paths(tx, tpos, env):
-        for rx_kind, l2, c2, g2 in _leg_paths(tpos, rx, env):
+        for rx_kind, l2, c2, g2 in rx_legs:
             delay = l1 / c1 + l2 / c2
             amplitude = target.reflectivity * g1 * g2 / (l1 * l2)
             arrivals.append(PathArrival(tx_kind=tx_kind, rx_kind=rx_kind,
@@ -247,24 +249,27 @@ def lfm_pulse_samples(pulse: LfmPulse, fs: float) -> np.ndarray:
 
 
 def synthesize_rx(targets, geom: ArrayGeometry, pulse: LfmPulse,
-                  env: Environment, cfg: SimConfig) -> RawDataCube:
+                  env: Environment, cfg: SimConfig, threads: int = 1) -> RawDataCube:
     """Synthesize the raw receive cube for a list of targets.
 
     Per sensor: the sum over targets and round-trip paths of amplitude-scaled,
     sub-sample-delayed pulse replicas, plus white Gaussian noise. Noise is
     drawn from an independent counter-based stream per sensor (Philox keyed by
-    (seed, sensor)), so serial and parallel synthesis agree bit-for-bit.
+    (seed, sensor)). Each sensor row is an independent work unit; with
+    threads > 1 the rows are spread over a thread pool, which changes the
+    scheduling only, so serial and parallel synthesis agree bit-for-bit.
     """
     fs = cfg.sample_rate
     n_samples = cfg.n_samples
     pulse_wave = lfm_pulse_samples(pulse, fs) * cfg.signal_amplitude
     tx = (geom.source_x, 0.0, geom.source_depth)
-
     samples = np.zeros((geom.n_sensors, n_samples))
-    dropped = 0
-    for sensor, x_n in enumerate(geom.sensor_x):
-        rx = (float(x_n), 0.0, geom.array_depth)
+
+    def run_sensor(sensor: int) -> int:
+        """Fill one row; returns the number of arrivals dropped from it."""
+        rx = (float(geom.sensor_x[sensor]), 0.0, geom.array_depth)
         row = samples[sensor]
+        dropped = 0
         for target in targets:
             for arrival in enumerate_paths(tx, target, rx, env):
                 ok = place_fractional(row, pulse_wave, arrival.delay * fs,
@@ -272,7 +277,17 @@ def synthesize_rx(targets, geom: ArrayGeometry, pulse: LfmPulse,
                 if not ok:
                     dropped += 1
         rng = np.random.Generator(np.random.Philox(key=[cfg.rng_seed, sensor]))
-        row += cfg.noise_amplitude * rng.standard_normal(n_samples)
+        noise = rng.standard_normal(n_samples)
+        noise *= cfg.noise_amplitude
+        row += noise
+        return dropped
+
+    sensors = range(geom.n_sensors)
+    if threads <= 1:
+        dropped = sum(map(run_sensor, sensors))
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            dropped = sum(pool.map(run_sensor, sensors))
     if dropped:
         warnings.warn(f"{dropped} arrivals fell outside the {cfg.record_duration} s record "
                       "and were dropped", SimulationWarning)

@@ -5,10 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import sosbeam
-from sosbeam.chain import (_convolve_rows, _fft_length, baseband_replica, demodulate,
-                           matched_filter, quantize, tvg)
+from sosbeam.chain import (LOWPASS_TAPS, _convolve_rows, _fft_length, _lowpass_taps,
+                           baseband_replica, demodulate, matched_filter, quantize, tvg)
 from sosbeam.core import LfmPulse
 from sosbeam.cube import BasebandCube, RawDataCube
 from sosbeam.simulate import lfm_pulse_samples
@@ -19,6 +20,26 @@ PULSE = LfmPulse(center_frequency=30e3, bandwidth=20e3, duration=50e-6)
 
 def raw(samples):
     return RawDataCube(samples=np.atleast_2d(samples), sample_rate=FS)
+
+
+def direct_demodulation(x, carrier, decim):
+    """The demodulator by its definition: mix every raw sample with
+    2 exp(-j w0 t), convolve with the low-pass taps, drop the 32-sample group
+    delay and keep every decim-th sample. The mixing phase is reduced modulo
+    one carrier cycle before scaling, exact for integer-Hz carriers, so the
+    reference holds rounding error only."""
+    x = np.atleast_2d(x)
+    n = x.shape[1]
+    phase = 2 * np.pi / FS * np.fmod(carrier * np.arange(n), FS)
+    mixed = x * (2.0 * np.exp(-1j * phase))
+    taps = _lowpass_taps(FS, carrier, decim)
+    shift = LOWPASS_TAPS // 2
+    return np.array([np.convolve(row, taps)[shift:shift + n][::decim] for row in mixed])
+
+
+def assert_close_relative(got, want, rtol):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
 class TestQuantize:
@@ -58,6 +79,14 @@ class TestQuantize:
             quantize(raw([1.0]), 1)
         with pytest.raises(ValueError):
             quantize(raw([1.0]), 25)
+
+    def test_input_unchanged(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((3, 500))
+        cube = raw(x.copy())
+        out = quantize(cube, 8)
+        np.testing.assert_array_equal(cube.samples, x)
+        assert not np.shares_memory(out.samples, cube.samples)
 
     def test_16_bit_error_tiny(self):
         rng = np.random.default_rng(1)
@@ -120,6 +149,11 @@ class TestTvg:
         with pytest.raises(ValueError):
             tvg(raw([1.0]), 1500.0, "three_way")
 
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), -float("inf"), 0.0, -1500.0])
+    def test_non_finite_or_non_positive_speed_rejected(self, c):
+        with pytest.raises(ValueError, match="speed"):
+            tvg(raw(np.ones(10)), c)
+
 
 class TestDemodulate:
     def test_carrier_tone_magnitude_near_unity(self):
@@ -164,6 +198,21 @@ class TestDemodulate:
     def test_short_record_rejected(self):
         with pytest.raises(ValueError):
             demodulate(raw(np.zeros(32)), 30e3, 4)
+
+    @pytest.mark.parametrize("n", [64, 65, 1001, 20011])
+    @pytest.mark.parametrize("decim", [1, 2, 3, 4, 7])
+    def test_equals_direct_definition(self, decim, n):
+        x = np.random.default_rng(n + decim).standard_normal((2, n))
+        bb = demodulate(raw(x), 30e3, decim)
+        assert bb.n_samples == -(-n // decim)
+        assert_close_relative(bb.samples, direct_demodulation(x, 30e3, decim), 1e-12)
+
+    @given(n=st.integers(LOWPASS_TAPS, 3000), decim=st.integers(1, 9),
+           carrier=st.integers(1, int(FS / 2) - 1), seed=st.integers(0, 2 ** 32 - 1))
+    def test_property_equals_direct_definition(self, n, decim, carrier, seed):
+        x = np.random.default_rng(seed).standard_normal((2, n))
+        bb = demodulate(raw(x), float(carrier), decim)
+        assert_close_relative(bb.samples, direct_demodulation(x, carrier, decim), 1e-12)
 
 
 class TestMatchedFilter:

@@ -3,9 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from sosbeam import cli
 from sosbeam.cli import main
 from sosbeam.config import default_config_dict
-from sosbeam.cube import read_cube
+from sosbeam.cube import _HEADER, read_cube
 
 
 @pytest.fixture
@@ -147,6 +148,21 @@ class TestBeamform:
                   "--method", "das", "--out", str(tmp_path / "x")])
         assert info.value.code == 3
 
+    @pytest.mark.parametrize("fs", [0.0, float("nan")])
+    def test_bad_cube_header_exit_3(self, small_config, cube_path, tmp_path, capsys, fs):
+        data = bytearray(cube_path.read_bytes())
+        head = list(_HEADER.unpack_from(data))
+        head[5] = fs  # the header's sample rate
+        _HEADER.pack_into(data, 0, *head)
+        cube_path.write_bytes(bytes(data))
+        with pytest.raises(SystemExit) as info:
+            main(["beamform", "--config", str(small_config), "--data", str(cube_path),
+                  "--method", "das", "--out", str(tmp_path / "x")])
+        assert info.value.code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(cube_path) in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("n_quad", ["0", "-3", "500"])
     def test_bad_n_quad_exit_1_with_field_path(self, small_config, cube_path, tmp_path,
                                                capsys, n_quad):
@@ -235,6 +251,38 @@ class TestAll:
             assert (out_dir / name).is_file(), name
         doc = json.loads((out_dir / "metrics.json").read_text())
         assert "bayes_q32/bayes_q8" in doc["rmse_db"]
+
+    def test_bayes_32_configured_is_beamformed_once(self, small_config, tmp_path,
+                                                     monkeypatch):
+        doc = json.loads(Path(small_config).read_text())
+        doc["beamformers"] = {"bayes": {**doc["beamformers"]["bayes"], "n_quad": 32}}
+        cfg = tmp_path / "bayes32.json"
+        cfg.write_text(json.dumps(doc))
+        calls = []
+        real = cli.beamform_image
+
+        def counting(baseband, grid, bf_cfg, geom, threads=1):
+            calls.append(bf_cfg.n_quad)
+            return real(baseband, grid, bf_cfg, geom, threads=threads)
+
+        monkeypatch.setattr(cli, "beamform_image", counting)
+        out_dir = tmp_path / "run"
+        assert main(["all", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
+        assert calls == [32]
+        doc = json.loads((out_dir / "metrics.json").read_text())
+        assert doc["method"] == ["bayes_q32"]
+        assert list(doc["pmal_db"]) == ["bayes_q32"]
+
+    def test_threads_write_identical_raw_cube(self, small_config, tmp_path):
+        doc = json.loads(Path(small_config).read_text())
+        doc["beamformers"] = {"das": doc["beamformers"]["das"]}
+        cfg = tmp_path / "das.json"
+        cfg.write_text(json.dumps(doc))
+        for threads in ("1", "2"):
+            assert main(["all", "--config", str(cfg), "--out-dir", str(tmp_path / threads),
+                         "--threads", threads]) == 0
+        assert ((tmp_path / "1" / "raw_cube.bin").read_bytes()
+                == (tmp_path / "2" / "raw_cube.bin").read_bytes())
 
     @pytest.mark.parametrize("field, value", [
         ("beamformers.bayes.mu_c_m_s", float("nan")),

@@ -155,6 +155,11 @@ class TestTypes:
         with pytest.raises(ValueError):
             LfmPulse(center_frequency=10e3, bandwidth=5e3, duration=0.0)
 
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), -float("inf"), 0.0, -10.0])
+    def test_travel_times_speed_must_be_finite_and_positive(self, c):
+        with pytest.raises(ValueError, match="speed"):
+            travel_times(0.0, 30.0, c, ArrayGeometry.uniform(4, 1.0))
+
     def test_travel_times_batched_matches_scalar(self):
         geom = ArrayGeometry.uniform(4, 1.0)
         px = np.array([0.0, 1.0, -2.0])

@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
 
-from sosbeam.cube import (BasebandCube, CubeFormatError, RawDataCube, read_cube,
+from sosbeam.cube import (_HEADER, BasebandCube, CubeFormatError, RawDataCube, read_cube,
                           write_cube, write_cube_csv)
+
+
+def patch_header(path, **fields):
+    """Rewrite named header fields of a cube file in place."""
+    names = ("magic", "version", "fmt", "n_sens", "n_samples", "fs", "carrier", "t0",
+             "decim")
+    data = path.read_bytes()
+    head = dict(zip(names, _HEADER.unpack(data[:_HEADER.size])))
+    head.update(fields)
+    path.write_bytes(_HEADER.pack(*(head[n] for n in names)) + data[_HEADER.size:])
 
 
 class TestRawRoundTrip:
@@ -67,6 +77,46 @@ class TestFormatErrors:
         path.write_bytes(data[:-8])
         with pytest.raises(CubeFormatError):
             read_cube(path)
+
+
+class TestHeaderValues:
+    @pytest.mark.parametrize("fs", [0.0, float("nan"), float("inf"), -1e3])
+    def test_bad_raw_sample_rate(self, tmp_path, fs):
+        path = tmp_path / "raw.bin"
+        write_cube(path, RawDataCube(samples=np.zeros((2, 10)), sample_rate=1e3))
+        patch_header(path, fs=fs)
+        with pytest.raises(CubeFormatError, match="sample_rate") as info:
+            read_cube(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("fields, word", [
+        ({"decim": 0}, "decimation"),
+        ({"fs": float("nan")}, "sample_rate"),
+        ({"carrier": float("nan")}, "carrier"),
+        ({"t0": float("inf")}, "time_origin"),
+    ])
+    def test_bad_baseband_header(self, tmp_path, fields, word):
+        path = tmp_path / "bb.bin"
+        write_cube(path, BasebandCube(samples=np.ones((2, 5), dtype=complex),
+                                      sample_rate=125e3, carrier=30e3, decimation=4))
+        patch_header(path, **fields)
+        with pytest.raises(CubeFormatError, match=word) as info:
+            read_cube(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("fs", [0.0, -1.0, float("nan"), float("inf")])
+    def test_constructors_reject_bad_sample_rate(self, fs):
+        with pytest.raises(ValueError):
+            RawDataCube(samples=np.zeros((1, 4)), sample_rate=fs)
+        with pytest.raises(ValueError):
+            BasebandCube(samples=np.zeros((1, 4)), sample_rate=fs, carrier=30e3)
+
+    @pytest.mark.parametrize("kwargs", [{"carrier": float("nan")}, {"carrier": float("inf")},
+                                        {"carrier": 30e3, "time_origin": float("nan")},
+                                        {"carrier": 30e3, "time_origin": -float("inf")}])
+    def test_baseband_rejects_non_finite_carrier_and_origin(self, kwargs):
+        with pytest.raises(ValueError):
+            BasebandCube(samples=np.zeros((1, 4)), sample_rate=1e3, **kwargs)
 
 
 class TestCsvExport:

@@ -1,7 +1,12 @@
+import re
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
 from sosbeam.core import ArrayGeometry, LfmPulse
+from sosbeam.interp import TAPS
 from sosbeam.simulate import (BOTTOM, DIRECT, SURFACE, Environment, SimConfig,
                               SimulationWarning, Target, depth_averaged_sos,
                               enumerate_paths, lfm_pulse_samples, synthesize_rx)
@@ -214,6 +219,45 @@ class TestSynthesizeRx:
                         ref_level_db=80.0)
         cube = synthesize_rx([], self.GEOM, self.PULSE, FLAT_ENV, cfg)
         assert cube.samples.shape == (4, round(0.0503 * 500e3))
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_threads_bit_identical_and_drops_counted_once(self, threads):
+        # round trips with a surface bounce (0.12-0.22 s) and the second
+        # target's double bottom bounce fall past the 0.07 s record; the
+        # other arrivals land inside it
+        cfg = SimConfig(sample_rate=500e3, record_duration=0.07, rng_seed=3,
+                        ref_level_db=70.0)
+        targets = [Target(x=0.0, y=30.0, depth=90.0), Target(x=0.2, y=20.0, depth=80.0)]
+        wave_size = lfm_pulse_samples(self.PULSE, cfg.sample_rate).size
+        expected, total = 0, 0
+        tx = (self.GEOM.source_x, 0.0, self.GEOM.source_depth)
+        for x_n in self.GEOM.sensor_x:
+            for target in targets:
+                for a in enumerate_paths(tx, target, (x_n, 0.0, 70.0), FLAT_ENV):
+                    start = int(np.floor(a.delay * cfg.sample_rate)) - (TAPS // 2 - 1)
+                    stop = start + wave_size + TAPS - 1
+                    expected += start < 0 or stop > cfg.n_samples
+                    total += 1
+        assert 0 < expected < total
+
+        def run(n_threads):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                cube = synthesize_rx(targets, self.GEOM, self.PULSE, FLAT_ENV, cfg,
+                                     threads=n_threads)
+            sim = [w for w in caught if issubclass(w.category, SimulationWarning)]
+            assert len(sim) == 1
+            return cube, int(re.match(r"(\d+) arrivals", str(sim[0].message)).group(1))
+
+        serial, dropped_serial = run(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often: more chances to lose an update
+        try:
+            parallel, dropped_parallel = run(threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert dropped_serial == dropped_parallel == expected
+        assert np.array_equal(serial.samples, parallel.samples)
 
     def test_late_arrival_dropped_with_warning(self):
         cfg = SimConfig(sample_rate=500e3, record_duration=0.01, rng_seed=0,
