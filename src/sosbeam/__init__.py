@@ -6,16 +6,13 @@ with DAS, MVDR, or an MVDR beamformer marginalized over a Gaussian
 sound-speed posterior via Gauss-Hermite quadrature.
 """
 
-from .beamform import (BeamformerConfig, ImageResult, PixelResult, SosPosterior,
-                       bayes_pixel, beamform_image, capon_power, das_pixel,
-                       gamma_of_p, log_likelihood, mvdr_pixel, mvdr_weights,
-                       sos_posterior)
+from .beamform import (BeamformerConfig, ImageResult, PointsResult, beamform_image,
+                       beamform_points)
 from .chain import demodulate, matched_filter, quantize, tvg
-from .core import (ArrayGeometry, FocalPoint, LfmPulse, ScanGrid, hann_weights,
-                   round_trip_time, steering_vector)
-from .covariance import (capon_solve, delayed_snapshot, diagonal_load,
-                         forward_backward, replace_degenerate, sample_covariance,
-                         subarray_snapshots, unitary_windows)
+from .core import ArrayGeometry, LfmPulse, ScanGrid, hann_weights
+from .covariance import (capon_solve, diagonal_load, forward_backward,
+                         replace_degenerate, sample_covariance, subarray_snapshots,
+                         unitary_windows)
 from .cube import BasebandCube, RawDataCube, read_cube, write_cube
 from .metrics import (Box, DbImage, MetricsReport, envelope_db, fwhm, pmal,
                       rmse_db)

@@ -10,20 +10,22 @@ per focal point (so the steering vector is all ones), then:
          averaged under the per-pixel posterior; the likelihood couples the
          Capon power through the range-dependent strength constant gamma.
 
-Pixels are independent: images are computed row by row, optionally across a
-thread pool, with identical per-row arithmetic either way.
+Pixels are independent. beamform_points runs one batch of pixels of any
+shape and, for Bayes, also returns the per-pixel sound-speed posterior;
+beamform_image runs the same engine row by row, optionally across a thread
+pool, with identical per-row arithmetic either way.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chain import TVG_TWO_WAY, TVG_VARIANTS
-from .core import ArrayGeometry, FocalPoint, ScanGrid, hann_weights, travel_times
+from .core import ArrayGeometry, ScanGrid, hann_weights, travel_times
 from .covariance import (_sample_at_times, capon_solve, diagonal_load, replace_degenerate,
                          sample_covariance, subarray_snapshots, unitary_windows)
 from .cube import BasebandCube
@@ -91,20 +93,18 @@ class BeamformerConfig:
 
 
 @dataclass(frozen=True)
-class SosPosterior:
-    """Per-pixel sound-speed posterior on the quadrature nodes."""
+class PointsResult:
+    """Beamformer output at a batch of pixels, shaped like broadcast(px, py).
 
-    nodes: np.ndarray      # m/s
-    log_v: np.ndarray      # unnormalized log posterior weights
-    weights: np.ndarray    # normalized, sums to 1
-    fallback: bool = False
+    Bayes results also carry the per-pixel sound-speed posterior on the
+    quadrature nodes; the other methods leave those fields None.
+    """
 
-
-@dataclass(frozen=True)
-class PixelResult:
-    value: complex
-    posterior: SosPosterior | None = None
-    flags: int = 0
+    values: np.ndarray                 # complex
+    flags: np.ndarray                  # uint8
+    nodes: np.ndarray | None = None    # (n_quad,) node speeds, m/s
+    log_v: np.ndarray | None = None    # (..., n_quad) unnormalized log posterior
+    weights: np.ndarray | None = None  # (..., n_quad) normalized, sums to 1
 
 
 @dataclass(frozen=True)
@@ -122,28 +122,6 @@ class ImageResult:
             "singular": int(np.count_nonzero(self.flags & FLAG_SINGULAR)),
             "posterior_fallback": int(np.count_nonzero(self.flags & FLAG_POSTERIOR_FALLBACK)),
         }
-
-
-def mvdr_weights(cov: np.ndarray) -> np.ndarray:
-    """Distortionless minimum-variance weights S^-1 1 / (1^T S^-1 1), all-ones steering.
-
-    Works on a (..., L, L) stack; the unit-gain constraint ones^H w = 1
-    holds to solver precision.
-    """
-    sol, denom = _capon(cov)
-    return sol / denom[..., None]
-
-
-def capon_power(cov: np.ndarray):
-    """Capon spectral estimate of the focal signal power: 1 / (ones^H S^-1 ones)."""
-    return 1.0 / _capon(cov)[1]
-
-
-def _capon(cov):
-    sol, denom, good = capon_solve(np.asarray(cov))
-    if not np.all(good):
-        raise np.linalg.LinAlgError("covariance is not positive definite")
-    return sol, denom
 
 
 def posterior_weights(log_u: np.ndarray, log_lik: np.ndarray):
@@ -173,18 +151,13 @@ def focal_range(px, py, geom: ArrayGeometry):
     return 0.5 * (r_tx + r_rx)
 
 
-def gamma_of_p(p: FocalPoint, cfg: BeamformerConfig, geom: ArrayGeometry,
-               c_ref: float | None = None) -> float:
-    """Likelihood strength constant gamma(p).
+def _gamma_batch(px, py, cfg: BeamformerConfig, geom: ArrayGeometry):
+    """Likelihood strength constant gamma(p) for each pixel.
 
     Converts the range-dependent noise level and SNR models (in dB, driven by
     the TVG the chain applied at a single reference speed) to linear and
-    combines them; strictly positive for any focal point.
+    combines them; strictly positive for any pixel.
     """
-    return float(_gamma_batch(np.asarray(p.x), np.asarray(p.y), cfg, geom))
-
-
-def _gamma_batch(px, py, cfg: BeamformerConfig, geom: ArrayGeometry):
     r_p = focal_range(px, py, geom)
     if np.any(r_p <= 0):
         raise ValueError("focal range must be positive")
@@ -284,56 +257,27 @@ class _Imager:
         return values, flags
 
 
-# -- single-pixel API ---------------------------------------------------------
+def beamform_points(cube: BasebandCube, px, py, cfg: BeamformerConfig,
+                    geom: ArrayGeometry) -> PointsResult:
+    """Beamform the pixels (px, py) with the configured method.
 
-def _adaptive_imager(cube: BasebandCube, geom: ArrayGeometry,
-                     cfg: BeamformerConfig) -> _Imager:
-    """An imager set up for MVDR and Bayes, whichever method cfg names."""
-    if cfg.method == METHOD_DAS:
-        cfg = replace(cfg, method=METHOD_MVDR)
-    return _Imager(cube, geom, cfg)
-
-
-def das_pixel(cube: BasebandCube, p: FocalPoint, c: float,
-              geom: ArrayGeometry) -> complex:
-    """Hann-weighted delay-and-sum response at one focal point."""
-    cfg = BeamformerConfig(method=METHOD_DAS, c_fixed=c)
-    values, _ = _Imager(cube, geom, cfg).das(np.asarray(p.x), np.asarray(p.y))
-    return complex(values)
-
-
-def mvdr_pixel(cube: BasebandCube, p: FocalPoint, cfg: BeamformerConfig,
-               geom: ArrayGeometry, c: float | None = None) -> PixelResult:
-    """MVDR response at one focal point and a single speed (cfg.c_fixed by default)."""
-    imager = _adaptive_imager(cube, geom, cfg)
-    c = cfg.c_fixed if c is None else c
-    values, _, flags = imager.mvdr_node(np.asarray(p.x), np.asarray(p.y), c)
-    return PixelResult(value=complex(values), flags=int(flags))
-
-
-def log_likelihood(p: FocalPoint, c: float, cube: BasebandCube,
-                   cfg: BeamformerConfig, geom: ArrayGeometry) -> float:
-    """Log sound-speed likelihood at one focal point: n_sub * gamma(p) * P_s(p, c)."""
-    imager = _adaptive_imager(cube, geom, cfg)
-    _, power, _ = imager.mvdr_node(np.asarray(p.x), np.asarray(p.y), c)
-    return float(imager.n_sub * gamma_of_p(p, cfg, geom) * power)
-
-
-def sos_posterior(p: FocalPoint, cube: BasebandCube, cfg: BeamformerConfig,
-                  geom: ArrayGeometry) -> SosPosterior:
-    """Quadrature-node posterior over the sound speed at one focal point."""
-    return bayes_pixel(p, cube, cfg, geom).posterior
-
-
-def bayes_pixel(p: FocalPoint, cube: BasebandCube, cfg: BeamformerConfig,
-                geom: ArrayGeometry) -> PixelResult:
-    """Sound-speed-marginalized MVDR response at one focal point."""
-    imager = _adaptive_imager(cube, geom, cfg)
-    values, flags, log_v, weights = imager.bayes(np.asarray(p.x), np.asarray(p.y))
-    posterior = SosPosterior(nodes=imager.c_nodes.copy(), log_v=np.asarray(log_v),
-                             weights=np.asarray(weights),
-                             fallback=bool(flags & FLAG_POSTERIOR_FALLBACK))
-    return PixelResult(value=complex(values), posterior=posterior, flags=int(flags))
+    px, py are broadcastable arrays of azimuth and range in meters; py must
+    be positive. A single-speed question is a config: MVDR at speed c is
+    replace(cfg, method="mvdr", c_fixed=c), and Bayes with SosPrior(c, 0.0)
+    and n_quad=1 puts its one node at c, so log_v is the log likelihood
+    there plus the constant log sqrt(pi).
+    """
+    px = np.asarray(px, dtype=float)
+    py = np.asarray(py, dtype=float)
+    if not np.isfinite(px).all():
+        raise ValueError("pixel azimuth px must be finite")
+    if not ((py > 0) & (py < np.inf)).all():
+        raise ValueError("pixel range py must be finite and > 0")
+    imager = _Imager(cube, geom, cfg)
+    if cfg.method != METHOD_BAYES:
+        return PointsResult(*imager.row(px, py))
+    values, flags, log_v, weights = imager.bayes(px, py)
+    return PointsResult(values, flags, imager.c_nodes, log_v, weights)
 
 
 def beamform_image(cube: BasebandCube, grid: ScanGrid, cfg: BeamformerConfig,

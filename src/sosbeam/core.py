@@ -67,18 +67,6 @@ class ArrayGeometry:
 
 
 @dataclass(frozen=True)
-class FocalPoint:
-    """Image pixel at azimuth x, range y (meters). Range must be positive."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not self.y > 0:
-            raise ValueError("focal point range y must be > 0")
-
-
-@dataclass(frozen=True)
 class ScanGrid:
     """Rectangular pixel grid over azimuth [x_min, x_max] and range [y_min, y_max]."""
 
@@ -148,24 +136,6 @@ def travel_times(px, py, c: float, geom: ArrayGeometry) -> np.ndarray:
     r_tx = np.hypot(px - geom.source_x, py)
     r_rx = np.hypot(px - geom.sensor_x, py)
     return (r_tx + r_rx) / c
-
-
-def round_trip_time(p: FocalPoint, c: float, n: int, geom: ArrayGeometry) -> float:
-    """Round-trip time from source to focal point p to sensor n, in seconds."""
-    if not 0 <= n < geom.n_sensors:
-        raise ValueError(f"sensor index {n} out of range [0, {geom.n_sensors})")
-    return float(travel_times(p.x, p.y, c, geom)[n])
-
-
-def steering_vector(p: FocalPoint, c: float, geom: ArrayGeometry,
-                    carrier: float) -> np.ndarray:
-    """Unit-modulus steering phasors exp(-j*carrier*t(p,c,n)).
-
-    carrier is the angular frequency in rad/s; the per-sensor phase is the
-    round-trip delay scaled by it.
-    """
-    t = travel_times(p.x, p.y, c, geom)
-    return np.exp(-1j * carrier * t)
 
 
 def hann_weights(n: int) -> np.ndarray:

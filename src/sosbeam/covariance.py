@@ -13,45 +13,25 @@ forward_backward on complex windows are the forms it is tested against.
 
 The kernels take and return plain ndarrays with any leading batch axes: a
 snapshot stack (..., N) gives subarray windows (..., n_sub, L) and
-covariances (..., L, L). The image path calls them on a row of pixels and
-the single-pixel API on one pixel, so both run the same arithmetic.
+covariances (..., L, L). The beamformers call them on one batch of pixels
+at a time, a grid row for images.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import ArrayGeometry, FocalPoint, TWO_PI, travel_times
+from .core import TWO_PI
 from .cube import BasebandCube
 from .interp import sample_rows
 
 
-class SnapshotWarning(UserWarning):
-    """Raised when focal delays fall outside the recorded data."""
-
-
-def delayed_snapshot(cube: BasebandCube, p: FocalPoint, c: float,
-                     geom: ArrayGeometry) -> np.ndarray:
-    """Per-sensor baseband samples at the focal round-trip delays.
-
-    Each entry is the band-limited interpolation of sensor n at t(p, c, n),
-    rotated by exp(+j*2*pi*carrier*t) to strip the residual carrier phase,
-    so a matched echo yields a phase-aligned (all-ones steering) snapshot.
-    Entries whose delay leaves the record are zero-filled with a warning.
-    """
-    t = travel_times(p.x, p.y, c, geom)
-    values, valid = _sample_at_times(cube, t)
-    if not np.all(valid):
-        warnings.warn(f"{int((~valid).sum())} sensor delays outside the record at "
-                      f"p=({p.x:g}, {p.y:g}), c={c:g}", SnapshotWarning)
-    return values
-
-
 def _sample_at_times(cube: BasebandCube, t: np.ndarray):
-    """Interpolate each sensor row at times t[..., sensor]; carrier-rotated."""
+    """Interpolate each sensor row at times t[..., sensor], rotated by
+    exp(+j*2*pi*carrier*t) to strip the residual carrier phase, so a matched
+    echo yields a phase-aligned (all-ones steering) snapshot. Samples whose
+    stencil leaves the record are zero; returns (values, valid)."""
     pos = (t - cube.time_origin) * cube.sample_rate
     values, valid = sample_rows(cube.samples, pos)
     values = values * np.exp(1j * TWO_PI * cube.carrier * t)

@@ -139,14 +139,3 @@ def read_cube(path):
     except ValueError as exc:
         raise CubeFormatError(f"{path}: bad header: {exc}") from exc
 
-
-def write_cube_csv(path, cube) -> None:
-    """Debug CSV export: one row per sensor; complex cubes as re/im column pairs."""
-    samples = cube.samples
-    if np.iscomplexobj(samples):
-        stacked = np.empty((samples.shape[0], 2 * samples.shape[1]))
-        stacked[:, 0::2] = samples.real
-        stacked[:, 1::2] = samples.imag
-        np.savetxt(path, stacked, delimiter=",")
-    else:
-        np.savetxt(path, samples, delimiter=",")

@@ -220,9 +220,13 @@ def enumerate_paths(tx, target: Target, rx, env: Environment):
     for name, point in (("tx", tx), ("rx", rx), ("target", tpos)):
         if not 0 <= point[2] <= env.bottom_depth:
             raise ValueError(f"{name} depth {point[2]} outside water column")
+    return _round_trips(target, _leg_paths(tx, tpos, env), _leg_paths(tpos, rx, env))
+
+
+def _round_trips(target: Target, tx_legs, rx_legs):
+    """enumerate_paths' arrivals from the transmit-leg and receive-leg paths."""
     arrivals = []
-    rx_legs = _leg_paths(tpos, rx, env)
-    for tx_kind, l1, c1, g1 in _leg_paths(tx, tpos, env):
+    for tx_kind, l1, c1, g1 in tx_legs:
         for rx_kind, l2, c2, g2 in rx_legs:
             delay = l1 / c1 + l2 / c2
             amplitude = target.reflectivity * g1 * g2 / (l1 * l2)
@@ -264,14 +268,17 @@ def synthesize_rx(targets, geom: ArrayGeometry, pulse: LfmPulse,
     pulse_wave = lfm_pulse_samples(pulse, fs) * cfg.signal_amplitude
     tx = (geom.source_x, 0.0, geom.source_depth)
     samples = np.zeros((geom.n_sensors, n_samples))
+    # the transmit legs do not depend on the sensor: one set per target
+    tx_legs = [_leg_paths(tx, (t.x, t.y, t.depth), env) for t in targets]
 
     def run_sensor(sensor: int) -> int:
         """Fill one row; returns the number of arrivals dropped from it."""
         rx = (float(geom.sensor_x[sensor]), 0.0, geom.array_depth)
         row = samples[sensor]
         dropped = 0
-        for target in targets:
-            for arrival in enumerate_paths(tx, target, rx, env):
+        for target, legs in zip(targets, tx_legs):
+            rx_legs = _leg_paths((target.x, target.y, target.depth), rx, env)
+            for arrival in _round_trips(target, legs, rx_legs):
                 ok = place_fractional(row, pulse_wave, arrival.delay * fs,
                                       arrival.amplitude)
                 if not ok:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from sosbeam.core import (ArrayGeometry, FocalPoint, LfmPulse, ScanGrid,
-                          hann_weights, round_trip_time, steering_vector,
-                          travel_times)
+from sosbeam.beamform import BeamformerConfig, beamform_points
+from sosbeam.core import ArrayGeometry, LfmPulse, ScanGrid, hann_weights, travel_times
+from sosbeam.cube import BasebandCube
 
 
 @pytest.fixture
@@ -13,72 +13,45 @@ def collinear_geom():
 
 class TestRoundTripTime:
     def test_collinear_is_two_r_over_c(self, collinear_geom):
-        p = FocalPoint(0.0, 36.0)
-        assert round_trip_time(p, 1519.0, 0, collinear_geom) == pytest.approx(72.0 / 1519.0)
+        assert travel_times(0.0, 36.0, 1519.0, collinear_geom)[0] == pytest.approx(72.0 / 1519.0)
 
     def test_offset_sensor_pythagorean(self):
         geom = ArrayGeometry(sensor_x=np.array([0.5]))
-        p = FocalPoint(0.0, 36.0)
         expected = (36.0 + np.hypot(36.0, 0.5)) / 1519.0
-        assert round_trip_time(p, 1519.0, 0, geom) == pytest.approx(expected, rel=1e-14)
+        assert travel_times(0.0, 36.0, 1519.0, geom)[0] == pytest.approx(expected, rel=1e-14)
 
     def test_doubling_c_halves_time(self, collinear_geom):
-        p = FocalPoint(0.0, 36.0)
-        t1 = round_trip_time(p, 1519.0, 0, collinear_geom)
-        t2 = round_trip_time(p, 2.0 * 1519.0, 0, collinear_geom)
+        t1 = travel_times(0.0, 36.0, 1519.0, collinear_geom)[0]
+        t2 = travel_times(0.0, 36.0, 2.0 * 1519.0, collinear_geom)[0]
         assert t2 == pytest.approx(0.5 * t1, rel=1e-14)
 
     def test_time_times_c_recovers_distance(self):
         geom = ArrayGeometry.uniform(5, 1.0)
         rng = np.random.default_rng(11)
         for _ in range(50):
-            p = FocalPoint(float(rng.uniform(-5, 5)), float(rng.uniform(1, 50)))
+            x, y = float(rng.uniform(-5, 5)), float(rng.uniform(1, 50))
             c = float(rng.uniform(1400, 1600))
             n = int(rng.integers(0, 5))
-            r = (np.hypot(p.x - geom.source_x, p.y)
-                 + np.hypot(p.x - geom.sensor_x[n], p.y))
-            assert round_trip_time(p, c, n, geom) * c == pytest.approx(r, rel=1e-12)
+            r = np.hypot(x - geom.source_x, y) + np.hypot(x - geom.sensor_x[n], y)
+            assert travel_times(x, y, c, geom)[n] * c == pytest.approx(r, rel=1e-12)
 
     def test_monotone_decreasing_in_c(self, collinear_geom):
-        p = FocalPoint(1.0, 20.0)
-        times = [round_trip_time(p, c, 0, collinear_geom) for c in np.linspace(1400, 1600, 20)]
+        times = [travel_times(1.0, 20.0, c, collinear_geom)[0]
+                 for c in np.linspace(1400, 1600, 20)]
         assert all(a > b for a, b in zip(times, times[1:]))
 
     def test_nonpositive_speed_rejected(self, collinear_geom):
         with pytest.raises(ValueError):
-            round_trip_time(FocalPoint(0, 1), 0.0, 0, collinear_geom)
+            travel_times(0.0, 1.0, 0.0, collinear_geom)
         with pytest.raises(ValueError):
-            round_trip_time(FocalPoint(0, 1), -10.0, 0, collinear_geom)
+            travel_times(0.0, 1.0, -10.0, collinear_geom)
 
     def test_bad_sensor_index_rejected(self, collinear_geom):
-        with pytest.raises(ValueError):
-            round_trip_time(FocalPoint(0, 1), 1500.0, 1, collinear_geom)
-
-
-class TestSteeringVector:
-    def test_equal_delays_give_equal_entries(self):
-        # a single-sensor array trivially has equal delays; use symmetric pair
-        geom = ArrayGeometry(sensor_x=np.array([-0.25, 0.25]))
-        a = steering_vector(FocalPoint(0.0, 30.0), 1500.0, geom, carrier=2 * np.pi * 30e3)
-        assert a[0] == pytest.approx(a[1], rel=1e-12)
-
-    def test_single_sensor_unit_modulus(self):
-        geom = ArrayGeometry(sensor_x=np.array([0.0]))
-        a = steering_vector(FocalPoint(0.3, 12.0), 1500.0, geom, carrier=2 * np.pi * 30e3)
-        assert a.shape == (1,)
-        assert abs(a[0]) == pytest.approx(1.0, abs=1e-14)
-
-    def test_all_entries_unit_modulus(self):
-        geom = ArrayGeometry.uniform(30, 1.0)
-        a = steering_vector(FocalPoint(2.0, 40.0), 1519.0, geom, carrier=2 * np.pi * 30e3)
-        np.testing.assert_allclose(np.abs(a), 1.0, atol=1e-14)
-
-    def test_broadside_conjugate_symmetric_up_to_common_phase(self):
-        geom = ArrayGeometry.uniform(8, 1.0)
-        a = steering_vector(FocalPoint(0.0, 25.0), 1500.0, geom, carrier=2 * np.pi * 30e3)
-        # delays are symmetric about the array center, so the phase profile is
-        # palindromic: a equals its own reversal
-        np.testing.assert_allclose(a, a[::-1], rtol=1e-12)
+        # one time per sensor on the trailing axis, and no more
+        t = travel_times(0.0, 1.0, 1500.0, collinear_geom)
+        assert t.shape == (1,)
+        with pytest.raises(IndexError):
+            t[1]
 
 
 class TestHannWeights:
@@ -113,10 +86,12 @@ class TestTypes:
             ArrayGeometry(sensor_x=np.array([1.0, 0.0]))
 
     def test_focal_point_needs_positive_range(self):
-        with pytest.raises(ValueError):
-            FocalPoint(0.0, 0.0)
-        with pytest.raises(ValueError):
-            FocalPoint(0.0, -3.0)
+        geom = ArrayGeometry.uniform(4, 1.0)
+        cube = BasebandCube(samples=np.zeros((4, 64), dtype=complex), sample_rate=125e3,
+                            carrier=30e3, decimation=4, time_origin=0.0)
+        for y in (0.0, -3.0):
+            with pytest.raises(ValueError, match="py"):
+                beamform_points(cube, 0.0, y, BeamformerConfig(method="das"), geom)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -168,5 +143,5 @@ class TestTypes:
         assert batch.shape == (3, 4)
         for i in range(3):
             for n in range(4):
-                single = round_trip_time(FocalPoint(px[i], py[i]), 1500.0, n, geom)
+                single = travel_times(float(px[i]), float(py[i]), 1500.0, geom)[n]
                 assert batch[i, n] == pytest.approx(single, rel=1e-15)

@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
 
+from sosbeam.beamform import FLAG_OUT_OF_RECORD, BeamformerConfig, _Imager
 from sosbeam.chain import demodulate, matched_filter
-from sosbeam.core import ArrayGeometry, FocalPoint, LfmPulse
-from sosbeam.covariance import (SnapshotWarning, capon_solve, delayed_snapshot,
-                                diagonal_load, forward_backward, replace_degenerate,
-                                sample_covariance, subarray_snapshots, unitary_windows)
+from sosbeam.core import ArrayGeometry, LfmPulse, travel_times
+from sosbeam.covariance import (capon_solve, diagonal_load, forward_backward,
+                                replace_degenerate, sample_covariance, subarray_snapshots,
+                                unitary_windows)
 from sosbeam.cube import BasebandCube
 from sosbeam.simulate import (Environment, SimConfig, Target, synthesize_rx)
+
+
+def delayed_snapshot(cube, x, y, c, geom):
+    """The beamformers' phase-aligned snapshot at one pixel: (values, flags)."""
+    imager = _Imager(cube, geom, BeamformerConfig(method="das", c_fixed=c))
+    return imager.delayed_snapshots(np.asarray(x), np.asarray(y), c)
 
 
 def random_hermitian(rng, n, batch=()):
@@ -270,12 +277,12 @@ class TestDelayedSnapshot:
         bb = BasebandCube(samples=np.full((4, 8192), 2.0 + 0j), sample_rate=125e3,
                           carrier=30e3, decimation=4, time_origin=0.0)
         geom = ArrayGeometry.uniform(4, 0.5)
-        p = FocalPoint(0.0, 1.2)  # round trip ~1.6 ms, well inside the record
-        snap = delayed_snapshot(bb, p, 1500.0, geom)
+        # round trip ~1.6 ms, well inside the record
+        snap, flags = delayed_snapshot(bb, 0.0, 1.2, 1500.0, geom)
+        assert flags == 0
         np.testing.assert_allclose(np.abs(snap), 2.0, rtol=1e-9)
         # entries differ only by the carrier rotation at each sensor delay
-        from sosbeam.core import travel_times
-        t = travel_times(p.x, p.y, 1500.0, geom)
+        t = travel_times(0.0, 1.2, 1500.0, geom)
         expected = 2.0 * np.exp(1j * 2 * np.pi * 30e3 * t)
         np.testing.assert_allclose(snap, expected, rtol=1e-9)
 
@@ -283,34 +290,30 @@ class TestDelayedSnapshot:
         target = Target(x=0.0, y=30.0, depth=90.0)
         bb = self._baseband([target])
         slant = float(np.hypot(30.0, 20.0))
-        p = FocalPoint(0.0, slant)
-        snap = delayed_snapshot(bb, p, 1500.0, self.GEOM)
+        snap, _ = delayed_snapshot(bb, 0.0, slant, 1500.0, self.GEOM)
         phases = np.angle(snap * np.conj(snap.mean()))
         assert np.var(phases) < 1e-3
 
     def test_empty_region_near_noise_floor(self):
         target = Target(x=0.0, y=30.0, depth=90.0)
         bb = self._baseband([target], noise_db=-120.0)
-        on = delayed_snapshot(bb, FocalPoint(0.0, float(np.hypot(30, 20))), 1500.0,
-                              self.GEOM)
-        off = delayed_snapshot(bb, FocalPoint(0.0, 60.0), 1500.0, self.GEOM)
+        on, _ = delayed_snapshot(bb, 0.0, float(np.hypot(30, 20)), 1500.0, self.GEOM)
+        off, _ = delayed_snapshot(bb, 0.0, 60.0, 1500.0, self.GEOM)
         assert np.linalg.norm(off) < 1e-3 * np.linalg.norm(on)
 
-    def test_out_of_record_zero_filled_with_warning(self):
+    def test_out_of_record_zero_filled_and_flagged(self):
         bb = BasebandCube(samples=np.ones((4, 64), dtype=complex), sample_rate=125e3,
                           carrier=30e3, decimation=4, time_origin=0.0)
         geom = ArrayGeometry.uniform(4, 0.5)
-        with pytest.warns(SnapshotWarning):
-            snap = delayed_snapshot(bb, FocalPoint(0.0, 5000.0), 1500.0, geom)
+        snap, flags = delayed_snapshot(bb, 0.0, 5000.0, 1500.0, geom)
         np.testing.assert_array_equal(snap, np.zeros(4, dtype=complex))
+        assert flags == FLAG_OUT_OF_RECORD
 
 
 class TestCoherentDecorrelation:
     def test_fb_raises_capon_power_for_coherent_pair(self):
         # two coherent plane waves cancel in the raw covariance; forward-
-        # backward averaging restores the estimated power
-        from sosbeam.beamform import capon_power
-
+        # backward averaging restores the estimated power (1 / denom)
         n = 30
         length = 16
         k = np.arange(n)
@@ -322,6 +325,7 @@ class TestCoherentDecorrelation:
         snaps = subarray_snapshots(x, length)
         raw_cov = sample_covariance(snaps)
         eps = 1e-3 / snaps.shape[0]
-        p_raw = capon_power(diagonal_load(raw_cov, eps))
-        p_fb = capon_power(diagonal_load(forward_backward(raw_cov), eps))
-        assert p_fb > p_raw
+        _, denom_raw, good_raw = capon_solve(diagonal_load(raw_cov, eps))
+        _, denom_fb, good_fb = capon_solve(diagonal_load(forward_backward(raw_cov), eps))
+        assert good_raw and good_fb
+        assert 1.0 / denom_fb > 1.0 / denom_raw

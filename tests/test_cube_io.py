@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sosbeam.cube import (_HEADER, BasebandCube, CubeFormatError, RawDataCube, read_cube,
-                          write_cube, write_cube_csv)
+                          write_cube)
 
 
 def patch_header(path, **fields):
@@ -118,19 +118,3 @@ class TestHeaderValues:
         with pytest.raises(ValueError):
             BasebandCube(samples=np.zeros((1, 4)), sample_rate=1e3, **kwargs)
 
-
-class TestCsvExport:
-    def test_raw_csv(self, tmp_path):
-        cube = RawDataCube(samples=np.arange(6.0).reshape(2, 3), sample_rate=1e3)
-        path = tmp_path / "cube.csv"
-        write_cube_csv(path, cube)
-        back = np.loadtxt(path, delimiter=",")
-        np.testing.assert_allclose(back, cube.samples)
-
-    def test_complex_csv_interleaves(self, tmp_path):
-        cube = BasebandCube(samples=np.array([[1 + 2j, 3 - 4j]]), sample_rate=1e3,
-                            carrier=1.0)
-        path = tmp_path / "bb.csv"
-        write_cube_csv(path, cube)
-        back = np.loadtxt(path, delimiter=",")
-        np.testing.assert_allclose(back, [1.0, 2.0, 3.0, -4.0])

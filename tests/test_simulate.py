@@ -259,6 +259,26 @@ class TestSynthesizeRx:
         assert dropped_serial == dropped_parallel == expected
         assert np.array_equal(serial.samples, parallel.samples)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_transmit_legs_computed_once_per_target(self, monkeypatch, threads):
+        # one transmit leg per target, then one receive leg per target and sensor
+        import sosbeam.simulate as simulate
+        calls = []
+        leg_paths = simulate._leg_paths
+
+        def counted(a, b, env):
+            calls.append((a, b))
+            return leg_paths(a, b, env)
+
+        monkeypatch.setattr(simulate, "_leg_paths", counted)
+        cfg = SimConfig(sample_rate=500e3, record_duration=0.3, rng_seed=3)
+        targets = [Target(x=0.0, y=30.0, depth=90.0), Target(x=0.2, y=20.0, depth=80.0),
+                   Target(x=-0.3, y=25.0, depth=85.0)]
+        synthesize_rx(targets, self.GEOM, self.PULSE, FLAT_ENV, cfg, threads=threads)
+        assert len(calls) == len(targets) * (1 + self.GEOM.n_sensors)
+        tx = (self.GEOM.source_x, 0.0, self.GEOM.source_depth)
+        assert sum(a == tx for a, _ in calls) == len(targets)
+
     def test_late_arrival_dropped_with_warning(self):
         cfg = SimConfig(sample_rate=500e3, record_duration=0.01, rng_seed=0,
                         ref_level_db=80.0)  # 7.5 m record; paths at 30+ m
