@@ -8,7 +8,7 @@ sound-speed posterior via Gauss-Hermite quadrature.
 
 from .beamform import (BeamformerConfig, ImageResult, PointsResult, beamform_image,
                        beamform_points)
-from .chain import demodulate, matched_filter, quantize, tvg
+from .chain import demodulate, matched_filter, quantize, receive_chain, tvg
 from .core import ArrayGeometry, LfmPulse, ScanGrid, hann_weights
 from .covariance import (capon_solve, diagonal_load, forward_backward,
                          replace_degenerate, sample_covariance, subarray_snapshots,

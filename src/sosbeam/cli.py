@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .beamform import METHOD_BAYES, METHOD_DAS, METHOD_MVDR, beamform_image
-from .chain import demodulate, matched_filter, quantize, tvg
+from .chain import receive_chain
 from .config import ConfigError, RunConfig, default_config_dict, load_config
 from .cube import CubeFormatError, RawDataCube, read_cube, write_cube
 from .imaging_io import read_image_csv, write_image_csv, write_image_pgm
@@ -78,12 +78,10 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _run_chain(cfg: RunConfig, cube: RawDataCube):
-    cube = quantize(cube, cfg.chain.quantization_bits)
-    cube = tvg(cube, cfg.chain.tvg_speed, cfg.chain.tvg_variant,
-               t_min=cfg.pulse.duration)
-    baseband = demodulate(cube, cfg.pulse.center_frequency, cfg.chain.decimation)
-    return matched_filter(baseband, cfg.pulse)
+def _run_chain(cfg: RunConfig, cube: RawDataCube, threads: int):
+    chain = cfg.chain
+    return receive_chain(cube, cfg.pulse, chain.quantization_bits, chain.tvg_speed,
+                         chain.tvg_variant, chain.decimation, threads=threads)
 
 
 def _load_cube_or_exit(cfg: RunConfig, path: str) -> RawDataCube:
@@ -127,9 +125,9 @@ def cmd_beamform(args) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    baseband = _run_chain(cfg, raw)
-    image = beamform_image(baseband, cfg.grid, bf_cfg, cfg.geometry,
-                           threads=_thread_count(args))
+    threads = _thread_count(args)
+    baseband = _run_chain(cfg, raw, threads)
+    image = beamform_image(baseband, cfg.grid, bf_cfg, cfg.geometry, threads=threads)
     _image_outputs(args.out, image, cfg)
     print(f"wrote {args.out}.csv / .pgm ({image.method}, "
           f"{cfg.grid.n_y} x {cfg.grid.n_x} pixels)")
@@ -185,7 +183,7 @@ def cmd_all(args) -> int:
     write_cube(cube_path, cube)
     _print_arrival_table(cfg)
 
-    baseband = _run_chain(cfg, cube)
+    baseband = _run_chain(cfg, cube, threads)
     jobs = []
     if METHOD_DAS in cfg.beamformers:
         jobs.append(("das", cfg.beamformer(METHOD_DAS)))

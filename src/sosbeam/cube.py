@@ -96,18 +96,18 @@ def write_cube(path, cube) -> None:
     if isinstance(cube, RawDataCube):
         fmt = _FORMAT_RAW
         carrier, t0, decim = 0.0, 0.0, 1
-        payload = cube.samples.astype("<f4").tobytes()
+        payload = cube.samples.astype("<f4", order="C")
     elif isinstance(cube, BasebandCube):
         fmt = _FORMAT_BASEBAND
         carrier, t0, decim = cube.carrier, cube.time_origin, cube.decimation
-        payload = cube.samples.astype("<c8").tobytes()
+        payload = cube.samples.astype("<c8", order="C")
     else:
         raise TypeError(f"unsupported cube type {type(cube).__name__}")
     header = _HEADER.pack(MAGIC, 1, fmt, cube.n_sensors, cube.n_samples,
                           cube.sample_rate, carrier, t0, decim)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        fh.write(payload)  # through the buffer protocol: no bytes copy of the payload
 
 
 def read_cube(path):

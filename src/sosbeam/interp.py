@@ -52,7 +52,8 @@ def tabulated_kernel(frac) -> np.ndarray:
     PHASES + 1 tabulated offsets, within 1e-7. The simulator uses delay_kernel."""
     t = np.asarray(frac, dtype=float) * PHASES
     # frac may round up to 1.0; mode="clip" keeps a non-finite frac in the table
-    phase = np.minimum(t.astype(np.intp), PHASES - 1)
+    with np.errstate(invalid="ignore"):
+        phase = np.minimum(t.astype(np.intp), PHASES - 1)
     return (_TABLE.take(phase, axis=0, mode="clip")
             + (t - phase)[..., None] * _SLOPE.take(phase, axis=0, mode="clip"))
 
@@ -69,12 +70,13 @@ def sample_rows(rows: np.ndarray, pos: np.ndarray):
         stencil would leave [0, m); valid is the matching boolean mask.
     """
     n_rows, m = rows.shape
-    base = np.floor(pos).astype(np.int64)
+    with np.errstate(invalid="ignore"):
+        # a non-finite position casts to INT64_MIN, which the bound test rejects
+        base = np.floor(pos).astype(np.int64)
     frac = pos - base
     h = tabulated_kernel(frac)
-    lo = base - (_HALF - 1)
-    valid = (lo >= 0) & (base + _HALF <= m - 1)
-    start = np.clip(lo, 0, max(m - TAPS, 0)) + np.arange(n_rows) * m
+    valid = (base >= _HALF - 1) & (base <= m - 1 - _HALF)
+    start = np.clip(base - (_HALF - 1), 0, max(m - TAPS, 0)) + np.arange(n_rows) * m
     gathered = rows.reshape(-1).take(start[..., None] + np.arange(TAPS))
     values = np.einsum("...t,...t->...", h, gathered)
     return np.where(valid, values, 0.0), valid

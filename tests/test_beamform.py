@@ -416,6 +416,30 @@ class TestBeamformImage:
         assert (img.flags & FLAG_OUT_OF_RECORD).all()
         np.testing.assert_array_equal(img.values, np.zeros((3, 3), dtype=complex))
 
+    @given(method=st.sampled_from(METHODS), n_x=st.integers(1, 6), n_y=st.integers(1, 5),
+           x_min=st.floats(-2.0, 1.0), width=st.floats(0.01, 2.0),
+           y_min=st.floats(TARGET_RANGE - 2.0, TARGET_RANGE + 1.0),
+           depth=st.floats(0.01, 2.0))
+    def test_property_threads_1_and_2_bit_identical(self, baseband, method, n_x, n_y, x_min,
+                                                    width, y_min, depth):
+        grid = ScanGrid(x_min, x_min + width, y_min, y_min + depth, n_x, n_y)
+        cfg = _make_cfg(method=method, n_quad=8)
+        one = beamform_image(baseband, grid, cfg, GEOM, threads=1)
+        two = beamform_image(baseband, grid, cfg, GEOM, threads=2)
+        np.testing.assert_array_equal(one.values, two.values)
+        np.testing.assert_array_equal(one.flags, two.flags)
+
+    def test_kernel_flags_non_finite_pixel_out_of_record(self, baseband):
+        # beamform_points rejects such pixels; the engine under it must not
+        # turn them into valid nan samples either
+        imager = _Imager(baseband, GEOM, _make_cfg(method="das"))
+        px = np.array([np.nan, 0.0, 0.0])
+        py = np.array([TARGET_RANGE, TARGET_RANGE, np.nan])
+        snap, flags = imager.delayed_snapshots(px, py, 1519.0)
+        np.testing.assert_array_equal(flags, [FLAG_OUT_OF_RECORD, 0, FLAG_OUT_OF_RECORD])
+        np.testing.assert_array_equal(snap[[0, 2]], 0.0)
+        assert np.isfinite(snap).all()
+
     def test_das_noise_only_floor(self):
         sim = SimConfig(sample_rate=500e3, record_duration=0.12, rng_seed=3,
                         ref_level_db=-47.0)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import sosbeam
-from sosbeam.chain import (LOWPASS_TAPS, _convolve_rows, _fft_length, _lowpass_taps,
-                           baseband_replica, demodulate, matched_filter, quantize, tvg)
+from sosbeam.chain import (LOWPASS_TAPS, TVG_VARIANTS, _Convolver, _fft_length,
+                           _lowpass_taps, baseband_replica, demodulate, matched_filter,
+                           quantize, receive_chain, tvg)
 from sosbeam.core import LfmPulse
 from sosbeam.cube import BasebandCube, RawDataCube
 from sosbeam.simulate import lfm_pulse_samples
@@ -307,6 +309,62 @@ class TestChainDeterminism:
         np.testing.assert_array_equal(run(), run())
 
 
+def composed_chain(cube, bits, variant, decim):
+    """The four public stages one after another, as receive_chain documents."""
+    c = tvg(quantize(cube, bits), 1519.0, variant, t_min=PULSE.duration)
+    return matched_filter(demodulate(c, PULSE.center_frequency, decim), PULSE)
+
+
+def assert_same_baseband(got, want):
+    np.testing.assert_array_equal(got.samples, want.samples)
+    assert (got.sample_rate, got.carrier, got.decimation, got.time_origin) == (
+        want.sample_rate, want.carrier, want.decimation, want.time_origin)
+
+
+class TestReceiveChain:
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    @pytest.mark.parametrize("decim", [1, 4])
+    @pytest.mark.parametrize("variant", TVG_VARIANTS)
+    def test_equals_the_composed_stages(self, variant, decim, threads):
+        x = np.random.default_rng(decim).standard_normal((5, 4000))
+        cube = raw(x.copy())
+        got = receive_chain(cube, PULSE, 16, 1519.0, variant, decim, threads=threads)
+        assert_same_baseband(got, composed_chain(cube, 16, variant, decim))
+        np.testing.assert_array_equal(cube.samples, x)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_all_zero_cube(self, threads):
+        cube = raw(np.zeros((3, 2000)))
+        got = receive_chain(cube, PULSE, 12, 1519.0, "two_way", 4, threads=threads)
+        assert_same_baseband(got, composed_chain(cube, 12, "two_way", 4))
+        assert not got.samples.any()
+
+    @pytest.mark.parametrize("kwargs, word", [
+        ({"bits": 1}, "bits"), ({"tvg_speed": float("nan")}, "speed"),
+        ({"tvg_variant": "cubic"}, "variant"), ({"decim": 0}, "decimation")])
+    def test_bad_settings_rejected_as_by_the_stages(self, kwargs, word):
+        settings = {"bits": 16, "tvg_speed": 1519.0, "tvg_variant": "two_way", "decim": 4,
+                    **kwargs}
+        with pytest.raises(ValueError, match=word):
+            receive_chain(raw(np.ones((2, 2000))), PULSE, **settings)
+
+    @given(rows=st.integers(1, 5), n=st.integers(64, 3000), decim=st.integers(1, 6),
+           bits=st.integers(2, 24), variant=st.sampled_from(TVG_VARIANTS),
+           threads=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_property_equals_the_composed_stages(self, rows, n, decim, bits, variant,
+                                                 threads, seed):
+        # a record too short for the replica is rejected by both, with the same message
+        cube = raw(np.random.default_rng(seed).standard_normal((rows, n)))
+        try:
+            want = composed_chain(cube, bits, variant, decim)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                receive_chain(cube, PULSE, bits, 1519.0, variant, decim, threads=threads)
+            return
+        got = receive_chain(cube, PULSE, bits, 1519.0, variant, decim, threads=threads)
+        assert_same_baseband(got, want)
+
+
 def _five_smooth(m: int) -> bool:
     for p in (2, 3, 5):
         while m % p == 0:
@@ -325,7 +383,7 @@ class TestFftConvolution:
             x = x + 1j * rng.standard_normal((3, 50))
         kernel = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         for kern in (kernel.real, kernel):
-            got = _convolve_rows(x, kern)
+            got = _Convolver(kern, x.shape[1])(x)
             assert got.shape == (3, 50 + k - 1)
             for row, out in zip(x, got):
                 want = np.convolve(row, kern)

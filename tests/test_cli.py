@@ -273,16 +273,18 @@ class TestAll:
         assert doc["method"] == ["bayes_q32"]
         assert list(doc["pmal_db"]) == ["bayes_q32"]
 
-    def test_threads_write_identical_raw_cube(self, small_config, tmp_path):
-        doc = json.loads(Path(small_config).read_text())
-        doc["beamformers"] = {"das": doc["beamformers"]["das"]}
-        cfg = tmp_path / "das.json"
-        cfg.write_text(json.dumps(doc))
+    def test_threads_write_identical_files(self, small_config, tmp_path):
+        # synthesis, the receive chain and the image rows all run on the pool
         for threads in ("1", "2"):
-            assert main(["all", "--config", str(cfg), "--out-dir", str(tmp_path / threads),
-                         "--threads", threads]) == 0
-        assert ((tmp_path / "1" / "raw_cube.bin").read_bytes()
-                == (tmp_path / "2" / "raw_cube.bin").read_bytes())
+            assert main(["all", "--config", str(small_config), "--out-dir",
+                         str(tmp_path / threads), "--threads", threads]) == 0
+        names = sorted(p.name for p in (tmp_path / "1").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
+        assert {"raw_cube.bin", "das.csv", "mvdr.pgm", "bayes_q32_flags.json",
+                "metrics.json"} <= set(names)
+        for name in names:
+            assert ((tmp_path / "1" / name).read_bytes()
+                    == (tmp_path / "2" / name).read_bytes()), name
 
     @pytest.mark.parametrize("field, value", [
         ("beamformers.bayes.mu_c_m_s", float("nan")),

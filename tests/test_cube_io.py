@@ -56,6 +56,27 @@ class TestBasebandRoundTrip:
         np.testing.assert_array_equal(back.samples, samples)
 
 
+class TestFileBytes:
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_raw_file_is_header_plus_float32_payload(self, tmp_path, layout):
+        samples = np.asarray(np.random.default_rng(3).standard_normal((4, 30)), order=layout)
+        cube = RawDataCube(samples=samples, sample_rate=500e3)
+        path = tmp_path / "raw.bin"
+        write_cube(path, cube)
+        header = _HEADER.pack(b"SSBC", 1, 0, 4, 30, 500e3, 0.0, 0.0, 1)
+        assert path.read_bytes() == header + samples.astype("<f4").tobytes()
+
+    def test_baseband_file_is_header_plus_complex64_payload(self, tmp_path):
+        rng = np.random.default_rng(4)
+        samples = rng.standard_normal((3, 20)) + 1j * rng.standard_normal((3, 20))
+        cube = BasebandCube(samples=samples, sample_rate=125e3, carrier=30e3,
+                            decimation=4, time_origin=-2e-6)
+        path = tmp_path / "bb.bin"
+        write_cube(path, cube)
+        header = _HEADER.pack(b"SSBC", 1, 1, 3, 20, 125e3, 30e3, -2e-6, 4)
+        assert path.read_bytes() == header + samples.astype("<c8").tobytes()
+
+
 class TestFormatErrors:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"

@@ -66,3 +66,12 @@ class TestSampleRows:
         values, valid = sample_rows(self.rows(), np.array([-1e6, 0.5, 1e9]))
         assert not valid.any()
         np.testing.assert_array_equal(values, 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("complex_", [True, False])
+    def test_non_finite_positions_invalid_and_zero(self, complex_):
+        pos = np.array([[np.nan, 10.5, np.inf], [-np.inf, np.nan, 20.25]])
+        values, valid = sample_rows(self.rows(complex_), pos)
+        np.testing.assert_array_equal(valid, [[False, True, False], [False, False, True]])
+        np.testing.assert_array_equal(values[~valid], 0.0)
+        assert np.isfinite(values).all()
