@@ -12,20 +12,19 @@ per focal point (so the steering vector is all ones), then:
 
 Pixels are independent. beamform_points runs one batch of pixels of any
 shape and, for Bayes, also returns the per-pixel sound-speed posterior;
-beamform_image runs the same engine row by row, optionally across a thread
-pool, with identical per-row arithmetic either way.
+beamform_image runs the same engine row by row on core.map_rows, with
+identical per-row arithmetic at any thread count.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import TVG_TWO_WAY, TVG_VARIANTS
-from .core import ArrayGeometry, ScanGrid, hann_weights, travel_times
+from .chain import TVG_TWO_WAY, TVG_VARIANTS, tvg_range
+from .core import ArrayGeometry, ScanGrid, hann_weights, map_rows, travel_times
 from .covariance import (_sample_at_times, capon_solve, diagonal_load, replace_degenerate,
                          sample_covariance, subarray_snapshots, unitary_windows)
 from .cube import BasebandCube
@@ -161,13 +160,9 @@ def _gamma_batch(px, py, cfg: BeamformerConfig, geom: ArrayGeometry):
     r_p = focal_range(px, py, geom)
     if np.any(r_p <= 0):
         raise ValueError("focal range must be positive")
-    # the chain's gain at this pixel's arrival time; the reference speed
-    # cancels out of r = c*t/2 (and contributes only the 2*pi factor in the
-    # pi-range variant)
-    if cfg.tvg_variant == TVG_TWO_WAY:
-        g_tvg_db = 20.0 * np.log10(r_p)
-    else:
-        g_tvg_db = 20.0 * np.log10(2.0 * np.pi * r_p)
+    # the chain's gain at this pixel's arrival time, where its r = c*t/2 is
+    # the focal range whatever the reference speed
+    g_tvg_db = 20.0 * np.log10(tvg_range(r_p, cfg.tvg_variant))
     nl = 10.0 ** ((cfg.dr_db - cfg.snr0_db + g_tvg_db) / 10.0)
     snr = 10.0 ** ((cfg.snr0_db - g_tvg_db) / 10.0)
     n_sub = cfg.n_subarrays(geom.n_sensors)
@@ -298,10 +293,5 @@ def beamform_image(cube: BasebandCube, grid: ScanGrid, cfg: BeamformerConfig,
         py = np.full(grid.n_x, ys[iy])
         values[iy], flags[iy] = imager.row(xs, py)
 
-    if threads <= 1:
-        for iy in range(grid.n_y):
-            run_row(iy)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_row, range(grid.n_y)))
+    map_rows(run_row, grid.n_y, threads)
     return ImageResult(values=values, flags=flags, grid=grid, method=cfg.method)

@@ -2,13 +2,15 @@
 demodulation with decimation, and matched-filter range compression.
 
 Every stage is a pure per-sensor transformation, so the chain runs as one
-pass per sensor row: `receive_chain` takes each row through quantize → TVG
-→ demodulate → matched filter before the next, optionally spreading the
-rows over a thread pool. The per-call set-up (quantizer full scale, gain
-ramp, filter spectra, replica) is built once per call, and each stage's
-math lives in one row-level helper (`_Quantizer`, `_tvg_gain`,
-`_Demodulator`, `_MatchedFilter`) that the single-stage functions share, so
-the fused chain equals their composition bit-for-bit at any thread count.
+pass per sensor row: `receive_chain(cube, pulse, ChainConfig, threads)`
+takes each row through quantize → TVG → demodulate → matched filter before
+the next, the rows spread over `core.map_rows`. The per-call set-up
+(quantizer full scale, gain ramp, filter spectra, replica) is built once per
+call, and each stage's math lives in one row-level helper (`_Quantizer`,
+`_tvg_gain`, `_Demodulator`, `_MatchedFilter`) that the single-stage
+functions share, so the fused chain equals their composition bit-for-bit at
+any thread count. `tvg_range` is the one TVG range law; the Bayesian
+beamformer's likelihood strength reads the chain's gain through it too.
 
 The demodulator uses the identity that mixing to baseband and then low-pass
 filtering equals band-pass filtering at the carrier and then mixing: the
@@ -21,11 +23,11 @@ filter is a full linear convolution along each sensor row, done by FFT
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LfmPulse, TWO_PI
+from .core import LfmPulse, TWO_PI, map_rows
 from .cube import BasebandCube, RawDataCube
 from .simulate import lfm_pulse_samples
 
@@ -34,6 +36,16 @@ LOWPASS_TAPS = 64
 TVG_TWO_WAY = "two_way"
 TVG_PI_RANGE = "pi_range"
 TVG_VARIANTS = (TVG_TWO_WAY, TVG_PI_RANGE)
+
+
+@dataclass
+class ChainConfig:
+    """Signal-chain settings applied between the raw cube and beamforming."""
+
+    quantization_bits: int = 16
+    tvg_variant: str = TVG_TWO_WAY
+    tvg_speed: float = 1519.0
+    decimation: int = 4
 
 
 class _Quantizer:
@@ -72,16 +84,22 @@ def quantize(cube: RawDataCube, bits: int) -> RawDataCube:
     return RawDataCube(samples=out, sample_rate=cube.sample_rate)
 
 
-def _tvg_gain(n: int, fs: float, c: float, variant: str, t_min: float) -> np.ndarray:
-    """tvg's linear gain r(t) for samples 0 .. n-1 at rate fs."""
-    if not 0 < c < np.inf:
-        raise ValueError("propagation speed must be finite and > 0")
+def tvg_range(r, variant: str):
+    """The range in the TVG law G = 20*log10(range) at two-way range r = c*t/2:
+    r itself for two_way, 2*pi*r for pi_range."""
     if variant not in TVG_VARIANTS:
         raise ValueError(f"unknown TVG variant {variant!r}")
+    return r if variant == TVG_TWO_WAY else TWO_PI * r
+
+
+def _tvg_gain(n: int, fs: float, c: float, variant: str, t_min: float) -> np.ndarray:
+    """tvg's linear gain for samples 0 .. n-1 at rate fs."""
+    if not 0 < c < np.inf:
+        raise ValueError("propagation speed must be finite and > 0")
     t = np.arange(n) / fs
     t_floor = max(t_min, 1.0 / fs)
     t = np.maximum(t, t_floor)
-    return 0.5 * c * t if variant == TVG_TWO_WAY else np.pi * t * c
+    return tvg_range(0.5 * c * t, variant)
 
 
 def tvg(cube: RawDataCube, c: float, variant: str = TVG_TWO_WAY,
@@ -270,21 +288,23 @@ def matched_filter(cube: BasebandCube, pulse: LfmPulse) -> BasebandCube:
                         time_origin=cube.time_origin - mf.time_shift)
 
 
-def receive_chain(cube: RawDataCube, pulse: LfmPulse, bits: int, tvg_speed: float,
-                  tvg_variant: str, decim: int, threads: int = 1) -> BasebandCube:
+def receive_chain(cube: RawDataCube, pulse: LfmPulse, settings: ChainConfig,
+                  threads: int = 1) -> BasebandCube:
     """quantize → tvg → demodulate → matched_filter, one sensor row at a time.
 
-    The TVG floor is one pulse duration and the carrier is the pulse's
-    centre frequency. Each row is one work unit; with threads > 1 the rows
-    are spread over a thread pool, which changes the scheduling only, so the
-    result equals the four-stage composition bit-for-bit at any thread
-    count. The input cube is not written.
+    The bits, TVG law and decimation come from settings; the TVG floor is one
+    pulse duration and the carrier is the pulse's centre frequency. Each row
+    is one work unit of core.map_rows, so the thread count changes the
+    scheduling only and the result equals the four-stage composition
+    bit-for-bit at any thread count. The input cube is not written.
     """
     x = cube.samples
     fs = cube.sample_rate
     carrier = pulse.center_frequency
-    quantizer = _Quantizer(x, bits)
-    gain = _tvg_gain(cube.n_samples, fs, tvg_speed, tvg_variant, pulse.duration)
+    decim = settings.decimation
+    quantizer = _Quantizer(x, settings.quantization_bits)
+    gain = _tvg_gain(cube.n_samples, fs, settings.tvg_speed, settings.tvg_variant,
+                     pulse.duration)
     demod = _Demodulator(cube.n_samples, fs, carrier, decim)
     mf = _MatchedFilter(pulse, fs, carrier, decim, demod.n_keep)
     out = np.empty((cube.n_sensors, demod.n_keep), dtype=complex)
@@ -294,11 +314,6 @@ def receive_chain(cube: RawDataCube, pulse: LfmPulse, bits: int, tvg_speed: floa
         row *= gain
         out[i] = mf(demod(row))
 
-    if threads <= 1:
-        for i in range(cube.n_sensors):
-            run_row(i)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_row, range(cube.n_sensors)))
+    map_rows(run_row, cube.n_sensors, threads)
     return BasebandCube(samples=out, sample_rate=fs / decim, carrier=carrier,
                         decimation=decim, time_origin=demod.time_origin - mf.time_shift)

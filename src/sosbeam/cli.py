@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -29,19 +28,16 @@ EXIT_CONFIG = 1
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 
-THREADS_ENV = "SOSBEAM_THREADS"
 
-
-def _thread_count(args) -> int:
-    if args.threads is not None:
-        return max(args.threads, 1)
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(int(env), 1)
-        except ValueError:
-            print(f"warning: ignoring non-integer {THREADS_ENV}={env!r}", file=sys.stderr)
-    return 1
+def _thread_count(text: str) -> int:
+    """argparse type of --threads: an integer >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return n
 
 
 def _load_config_or_exit(path: str) -> RunConfig:
@@ -76,12 +72,6 @@ def cmd_simulate(args) -> int:
     _print_arrival_table(cfg)
     print(f"wrote {cube.n_sensors} x {cube.n_samples} raw cube to {args.out}")
     return EXIT_OK
-
-
-def _run_chain(cfg: RunConfig, cube: RawDataCube, threads: int):
-    chain = cfg.chain
-    return receive_chain(cube, cfg.pulse, chain.quantization_bits, chain.tvg_speed,
-                         chain.tvg_variant, chain.decimation, threads=threads)
 
 
 def _load_cube_or_exit(cfg: RunConfig, path: str) -> RawDataCube:
@@ -125,9 +115,8 @@ def cmd_beamform(args) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    threads = _thread_count(args)
-    baseband = _run_chain(cfg, raw, threads)
-    image = beamform_image(baseband, cfg.grid, bf_cfg, cfg.geometry, threads=threads)
+    baseband = receive_chain(raw, cfg.pulse, cfg.chain, threads=args.threads)
+    image = beamform_image(baseband, cfg.grid, bf_cfg, cfg.geometry, threads=args.threads)
     _image_outputs(args.out, image, cfg)
     print(f"wrote {args.out}.csv / .pgm ({image.method}, "
           f"{cfg.grid.n_y} x {cfg.grid.n_x} pixels)")
@@ -177,13 +166,12 @@ def cmd_all(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     cube_path = out_dir / "raw_cube.bin"
-    threads = _thread_count(args)
     cube = synthesize_rx(cfg.targets, cfg.geometry, cfg.pulse, cfg.environment,
-                         cfg.simulation, threads=threads)
+                         cfg.simulation, threads=args.threads)
     write_cube(cube_path, cube)
     _print_arrival_table(cfg)
 
-    baseband = _run_chain(cfg, cube, threads)
+    baseband = receive_chain(cube, cfg.pulse, cfg.chain, threads=args.threads)
     jobs = []
     if METHOD_DAS in cfg.beamformers:
         jobs.append(("das", cfg.beamformer(METHOD_DAS)))
@@ -198,7 +186,7 @@ def cmd_all(args) -> int:
     image_paths = []
     for name, bf_cfg in jobs:
         image = beamform_image(baseband, cfg.grid, bf_cfg, cfg.geometry,
-                               threads=threads)
+                               threads=args.threads)
         prefix = out_dir / name
         _image_outputs(str(prefix), image, cfg)
         image_paths.append(str(prefix) + ".csv")
@@ -236,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-quad", type=int, default=None,
                    help="override the configured quadrature node count (bayes)")
     p.add_argument("--out", required=True, help="output path prefix")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_thread_count, default=1)
     p.set_defaults(func=cmd_beamform)
 
     p = sub.add_parser("metrics", help="evaluate beamformed images")
@@ -248,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("all", help="simulate, beamform every method, evaluate")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_thread_count, default=1)
     p.set_defaults(func=cmd_all)
 
     p = sub.add_parser("init-config", help="write the default configuration")

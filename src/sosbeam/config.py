@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .beamform import BeamformerConfig, METHOD_DAS, METHODS
-from .chain import TVG_TWO_WAY, TVG_VARIANTS
+from .chain import ChainConfig, TVG_VARIANTS
 from .core import ArrayGeometry, LfmPulse, ScanGrid
 from .metrics import Box, FWHM_AMPLITUDE, FWHM_INTENSITY
 from .quadrature import SosPrior
@@ -28,16 +28,6 @@ class ConfigError(Exception):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}")
-
-
-@dataclass
-class ChainConfig:
-    """Signal-chain settings applied between the raw cube and beamforming."""
-
-    quantization_bits: int = 16
-    tvg_variant: str = TVG_TWO_WAY
-    tvg_speed: float = 1519.0
-    decimation: int = 4
 
 
 @dataclass

@@ -8,6 +8,7 @@ multipath simulator's world; it never enters the round-trip model here.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,10 +102,6 @@ class ScanGrid:
     def x_spacing(self) -> float:
         return (self.x_max - self.x_min) / max(self.n_x - 1, 1)
 
-    @property
-    def y_spacing(self) -> float:
-        return (self.y_max - self.y_min) / max(self.n_y - 1, 1)
-
 
 @dataclass(frozen=True)
 class LfmPulse:
@@ -121,6 +118,18 @@ class LfmPulse:
             raise ValueError("bandwidth must be in (0, 2*center_frequency)")
         if not 0 < self.duration < np.inf:
             raise ValueError("duration must be finite and > 0")
+
+
+def map_rows(fn, n: int, threads: int = 1) -> list:
+    """[fn(0), ..., fn(n - 1)]: serially when threads <= 1, else on a pool of threads.
+
+    Rows are independent work units, so the thread count changes the
+    scheduling only; an exception raised in a row reaches the caller.
+    """
+    if threads <= 1:
+        return [fn(i) for i in range(n)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, range(n)))
 
 
 def travel_times(px, py, c: float, geom: ArrayGeometry) -> np.ndarray:

@@ -34,7 +34,8 @@ def _sample_at_times(cube: BasebandCube, t: np.ndarray):
     stencil leaves the record are zero; returns (values, valid)."""
     pos = (t - cube.time_origin) * cube.sample_rate
     values, valid = sample_rows(cube.samples, pos)
-    values = values * np.exp(1j * TWO_PI * cube.carrier * t)
+    # invalid times (out of record, nan or inf) rotate by 1: their samples are zeroed
+    values = values * np.exp(1j * TWO_PI * cube.carrier * np.where(valid, t, 0.0))
     return np.where(valid, values, 0.0), valid
 
 

@@ -11,19 +11,17 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ArrayGeometry, LfmPulse, TWO_PI
+from .core import ArrayGeometry, LfmPulse, TWO_PI, map_rows
 from .cube import RawDataCube
 from .interp import place_fractional
 
 DIRECT = "direct"
 SURFACE = "surface_bounce"
 BOTTOM = "bottom_bounce"
-PATH_KINDS = (DIRECT, SURFACE, BOTTOM)
 
 
 class SimulationWarning(UserWarning):
@@ -109,10 +107,6 @@ class PathArrival:
     rx_kind: str
     delay: float        # s
     amplitude: float    # linear
-
-    @property
-    def kind(self) -> str:
-        return f"{self.tx_kind}/{self.rx_kind}"
 
 
 @dataclass(frozen=True)
@@ -259,9 +253,9 @@ def synthesize_rx(targets, geom: ArrayGeometry, pulse: LfmPulse,
     Per sensor: the sum over targets and round-trip paths of amplitude-scaled,
     sub-sample-delayed pulse replicas, plus white Gaussian noise. Noise is
     drawn from an independent counter-based stream per sensor (Philox keyed by
-    (seed, sensor)). Each sensor row is an independent work unit; with
-    threads > 1 the rows are spread over a thread pool, which changes the
-    scheduling only, so serial and parallel synthesis agree bit-for-bit.
+    (seed, sensor)). Each sensor row is one work unit of core.map_rows, so the
+    thread count changes the scheduling only and serial and parallel
+    synthesis agree bit-for-bit.
     """
     fs = cfg.sample_rate
     n_samples = cfg.n_samples
@@ -289,12 +283,7 @@ def synthesize_rx(targets, geom: ArrayGeometry, pulse: LfmPulse,
         row += noise
         return dropped
 
-    sensors = range(geom.n_sensors)
-    if threads <= 1:
-        dropped = sum(map(run_sensor, sensors))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            dropped = sum(pool.map(run_sensor, sensors))
+    dropped = sum(map_rows(run_sensor, geom.n_sensors, threads))
     if dropped:
         warnings.warn(f"{dropped} arrivals fell outside the {cfg.record_duration} s record "
                       "and were dropped", SimulationWarning)

@@ -249,6 +249,32 @@ class TestPosteriorWeights:
         u = np.exp(self.LOG_U)
         np.testing.assert_allclose(w, u / u.sum(), rtol=1e-12)
 
+    @given(n_quad=st.integers(1, MAX_NODES), rows=st.integers(1, 6),
+           exponent=st.integers(-300, 300), seed=st.integers(0, 2 ** 32 - 1))
+    def test_property_simplex_at_any_finite_scale(self, n_quad, rows, exponent, seed):
+        # log likelihoods up to about 1e300 in magnitude, of either sign
+        log_u = np.log(gauss_hermite(n_quad).weights)
+        ll = np.random.default_rng(seed).standard_normal((rows, n_quad)) * 10.0 ** exponent
+        w, fb = posterior_weights(log_u, ll)
+        assert not fb.any()
+        assert (w >= 0).all()
+        np.testing.assert_allclose(w.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+
+    @given(n_quad=st.integers(1, MAX_NODES), rows=st.integers(1, 6),
+           seed=st.integers(0, 2 ** 32 - 1),
+           bad_value=st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_property_non_finite_row_is_exactly_the_prior(self, n_quad, rows, seed,
+                                                          bad_value):
+        rng = np.random.default_rng(seed)
+        log_u = np.log(gauss_hermite(n_quad).weights)
+        ll = rng.standard_normal((rows, n_quad)) * 10.0 ** rng.integers(-3, 4)
+        bad = rng.random(rows) < 0.5
+        ll[bad, rng.integers(n_quad, size=rows)[bad]] = bad_value
+        w, fb = posterior_weights(log_u, ll)
+        np.testing.assert_array_equal(fb, bad)
+        u = np.exp(log_u - log_u.max())
+        np.testing.assert_array_equal(w[bad], np.broadcast_to(u / u.sum(), w[bad].shape))
+
 
 class TestSosPosterior:
     def test_collapsed_prior_recovers_prior_weights(self, baseband):
@@ -433,11 +459,13 @@ class TestBeamformImage:
         # beamform_points rejects such pixels; the engine under it must not
         # turn them into valid nan samples either
         imager = _Imager(baseband, GEOM, _make_cfg(method="das"))
-        px = np.array([np.nan, 0.0, 0.0])
-        py = np.array([TARGET_RANGE, TARGET_RANGE, np.nan])
+        px = np.array([np.nan, np.inf, -np.inf, 0.0, 0.0, 0.0, 0.0])
+        py = np.array([TARGET_RANGE] * 4 + [np.nan, np.inf, -np.inf])
         snap, flags = imager.delayed_snapshots(px, py, 1519.0)
-        np.testing.assert_array_equal(flags, [FLAG_OUT_OF_RECORD, 0, FLAG_OUT_OF_RECORD])
-        np.testing.assert_array_equal(snap[[0, 2]], 0.0)
+        bad = [0, 1, 2, 4, 5, 6]
+        np.testing.assert_array_equal(flags[bad], FLAG_OUT_OF_RECORD)
+        assert flags[3] == 0
+        np.testing.assert_array_equal(snap[bad], 0.0)
         assert np.isfinite(snap).all()
 
     def test_das_noise_only_floor(self):

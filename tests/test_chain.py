@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import sosbeam
-from sosbeam.chain import (LOWPASS_TAPS, TVG_VARIANTS, _Convolver, _fft_length,
-                           _lowpass_taps, baseband_replica, demodulate, matched_filter,
-                           quantize, receive_chain, tvg)
+from sosbeam.chain import (LOWPASS_TAPS, TVG_VARIANTS, ChainConfig, _Convolver,
+                           _fft_length, _lowpass_taps, baseband_replica, demodulate,
+                           matched_filter, quantize, receive_chain, tvg)
 from sosbeam.core import LfmPulse
 from sosbeam.cube import BasebandCube, RawDataCube
 from sosbeam.simulate import lfm_pulse_samples
@@ -315,6 +315,12 @@ def composed_chain(cube, bits, variant, decim):
     return matched_filter(demodulate(c, PULSE.center_frequency, decim), PULSE)
 
 
+def chain_settings(bits, variant, decim):
+    """composed_chain's settings as the ChainConfig receive_chain takes."""
+    return ChainConfig(quantization_bits=bits, tvg_variant=variant, tvg_speed=1519.0,
+                       decimation=decim)
+
+
 def assert_same_baseband(got, want):
     np.testing.assert_array_equal(got.samples, want.samples)
     assert (got.sample_rate, got.carrier, got.decimation, got.time_origin) == (
@@ -328,25 +334,23 @@ class TestReceiveChain:
     def test_equals_the_composed_stages(self, variant, decim, threads):
         x = np.random.default_rng(decim).standard_normal((5, 4000))
         cube = raw(x.copy())
-        got = receive_chain(cube, PULSE, 16, 1519.0, variant, decim, threads=threads)
+        got = receive_chain(cube, PULSE, chain_settings(16, variant, decim), threads)
         assert_same_baseband(got, composed_chain(cube, 16, variant, decim))
         np.testing.assert_array_equal(cube.samples, x)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_all_zero_cube(self, threads):
         cube = raw(np.zeros((3, 2000)))
-        got = receive_chain(cube, PULSE, 12, 1519.0, "two_way", 4, threads=threads)
+        got = receive_chain(cube, PULSE, chain_settings(12, "two_way", 4), threads)
         assert_same_baseband(got, composed_chain(cube, 12, "two_way", 4))
         assert not got.samples.any()
 
     @pytest.mark.parametrize("kwargs, word", [
-        ({"bits": 1}, "bits"), ({"tvg_speed": float("nan")}, "speed"),
-        ({"tvg_variant": "cubic"}, "variant"), ({"decim": 0}, "decimation")])
+        ({"quantization_bits": 1}, "bits"), ({"tvg_speed": float("nan")}, "speed"),
+        ({"tvg_variant": "cubic"}, "variant"), ({"decimation": 0}, "decimation")])
     def test_bad_settings_rejected_as_by_the_stages(self, kwargs, word):
-        settings = {"bits": 16, "tvg_speed": 1519.0, "tvg_variant": "two_way", "decim": 4,
-                    **kwargs}
         with pytest.raises(ValueError, match=word):
-            receive_chain(raw(np.ones((2, 2000))), PULSE, **settings)
+            receive_chain(raw(np.ones((2, 2000))), PULSE, ChainConfig(**kwargs))
 
     @given(rows=st.integers(1, 5), n=st.integers(64, 3000), decim=st.integers(1, 6),
            bits=st.integers(2, 24), variant=st.sampled_from(TVG_VARIANTS),
@@ -355,13 +359,14 @@ class TestReceiveChain:
                                                  threads, seed):
         # a record too short for the replica is rejected by both, with the same message
         cube = raw(np.random.default_rng(seed).standard_normal((rows, n)))
+        settings = chain_settings(bits, variant, decim)
         try:
             want = composed_chain(cube, bits, variant, decim)
         except ValueError as exc:
             with pytest.raises(ValueError, match=re.escape(str(exc))):
-                receive_chain(cube, PULSE, bits, 1519.0, variant, decim, threads=threads)
+                receive_chain(cube, PULSE, settings, threads)
             return
-        got = receive_chain(cube, PULSE, bits, 1519.0, variant, decim, threads=threads)
+        got = receive_chain(cube, PULSE, settings, threads)
         assert_same_baseband(got, want)
 
 

@@ -27,6 +27,15 @@ def small_config(tmp_path):
     return path
 
 
+BAD_THREADS = ["0", "-1", "abc", "1.5"]
+
+
+def assert_names_threads_flag(err):
+    """argparse's usage error for --threads, not a traceback."""
+    assert "argument --threads: must be an integer >= 1" in err
+    assert "Traceback" not in err
+
+
 def test_init_config_round_trips(tmp_path):
     out = tmp_path / "default.json"
     assert main(["init-config", "--out", str(out)]) == 0
@@ -113,16 +122,15 @@ class TestBeamform:
         assert ((tmp_path / "serial.csv").read_bytes()
                 == (tmp_path / "par.csv").read_bytes())
 
-    def test_thread_count_env_override(self, small_config, cube_path, tmp_path,
-                                       monkeypatch):
-        monkeypatch.setenv("SOSBEAM_THREADS", "3")
-        main(["beamform", "--config", str(small_config), "--data", str(cube_path),
-              "--method", "das", "--out", str(tmp_path / "env")])
-        monkeypatch.delenv("SOSBEAM_THREADS")
-        main(["beamform", "--config", str(small_config), "--data", str(cube_path),
-              "--method", "das", "--out", str(tmp_path / "plain")])
-        assert ((tmp_path / "env.csv").read_bytes()
-                == (tmp_path / "plain.csv").read_bytes())
+    @pytest.mark.parametrize("threads", BAD_THREADS)
+    def test_bad_threads_exit_2_naming_the_flag(self, small_config, cube_path, tmp_path,
+                                                capsys, threads):
+        with pytest.raises(SystemExit) as info:
+            main(["beamform", "--config", str(small_config), "--data", str(cube_path),
+                  "--method", "das", "--threads", threads, "--out", str(tmp_path / "x")])
+        assert info.value.code == 2
+        assert_names_threads_flag(capsys.readouterr().err)
+        assert not list(tmp_path.glob("x*"))
 
     def test_pgm_peak_is_white(self, small_config, cube_path, tmp_path):
         prefix = tmp_path / "peak"
@@ -285,6 +293,21 @@ class TestAll:
         for name in names:
             assert ((tmp_path / "1" / name).read_bytes()
                     == (tmp_path / "2" / name).read_bytes()), name
+
+    @pytest.mark.parametrize("threads", BAD_THREADS)
+    def test_bad_threads_exit_2_before_any_work(self, small_config, tmp_path, capsys,
+                                                threads):
+        out_dir = tmp_path / "run"
+        with pytest.raises(SystemExit) as info:
+            main(["all", "--config", str(small_config), "--out-dir", str(out_dir),
+                  "--threads", threads])
+        assert info.value.code == 2
+        assert_names_threads_flag(capsys.readouterr().err)
+        assert not out_dir.exists()
+
+    def test_threads_default_to_one(self):
+        args = cli.build_parser().parse_args(["all", "--config", "c.json", "--out-dir", "d"])
+        assert args.threads == 1
 
     @pytest.mark.parametrize("field, value", [
         ("beamformers.bayes.mu_c_m_s", float("nan")),

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from sosbeam.beamform import BeamformerConfig, beamform_points
-from sosbeam.core import ArrayGeometry, LfmPulse, ScanGrid, hann_weights, travel_times
+from sosbeam.core import (ArrayGeometry, LfmPulse, ScanGrid, hann_weights, map_rows,
+                          travel_times)
 from sosbeam.cube import BasebandCube
 
 
@@ -145,3 +146,23 @@ class TestTypes:
             for n in range(4):
                 single = travel_times(float(px[i]), float(py[i]), 1500.0, geom)[n]
                 assert batch[i, n] == pytest.approx(single, rel=1e-15)
+
+
+class TestMapRows:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_results_in_row_order(self, threads):
+        assert map_rows(lambda i: i * i, 37, threads) == [i * i for i in range(37)]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_no_rows(self, threads):
+        assert map_rows(lambda i: i, 0, threads) == []
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_row_exception_reaches_the_caller(self, threads):
+        def fn(i):
+            if i == 5:
+                raise ValueError("row 5 failed")
+            return i
+
+        with pytest.raises(ValueError, match="row 5 failed"):
+            map_rows(fn, 9, threads)

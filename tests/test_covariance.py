@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sosbeam.beamform import FLAG_OUT_OF_RECORD, BeamformerConfig, _Imager
 from sosbeam.chain import demodulate, matched_filter
@@ -142,6 +143,19 @@ class TestUnitaryTransform:
         assert cov.dtype == float
         assert cov.shape == (4, length, length)
         np.testing.assert_allclose(cov, expected.real, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(expected.imag, 0.0, atol=1e-12)
+
+    @given(length=st.integers(1, 24), n_sub=st.integers(1, 20),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_property_covariance_is_q_h_fb_q(self, length, n_sub, seed):
+        rng = np.random.default_rng(seed)
+        shape = (2, length + n_sub - 1)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        snaps = subarray_snapshots(x, length)
+        q = unitary_matrix(length)
+        expected = q.conj().T @ forward_backward(sample_covariance(snaps)) @ q
+        np.testing.assert_allclose(sample_covariance(unitary_windows(snaps)), expected.real,
+                                   rtol=0, atol=1e-12)
         np.testing.assert_allclose(expected.imag, 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("length", [1, 15, 16])
