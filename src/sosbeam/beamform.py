@@ -183,6 +183,7 @@ class _Imager:
             self.eps = cfg.loading(self.n_sub)
             half, odd = divmod(cfg.subarray_length, 2)
             self.q = np.r_[np.full(half, np.sqrt(2.0)), np.ones(odd), np.zeros(half)]
+        if cfg.method == METHOD_BAYES:
             rule = gauss_hermite(cfg.n_quad)
             self.log_u = np.log(rule.weights)
             self.c_nodes = node_to_sos(rule.nodes, cfg.prior)

@@ -55,6 +55,8 @@ class _Quantizer:
         if not 2 <= bits <= 24:
             raise ValueError("bits must be in [2, 24]")
         full_scale = float(max(x.max(), -x.min()))
+        if not np.isfinite(full_scale):
+            raise ValueError("samples must be finite")
         self.step = 2.0 * full_scale / (2 ** bits)
         self.top = 2 ** (bits - 1) - 1
 
@@ -77,7 +79,8 @@ def quantize(cube: RawDataCube, bits: int) -> RawDataCube:
     2**(bits-1) - 1), so zero maps to zero and the quantization error is at
     most half an LSB except at the saturating positive rail, where it reaches
     one LSB. Output is rescaled back to the input's units in a new array; the
-    input cube is not written. An all-zero cube is returned unchanged.
+    input cube is not written. An all-zero cube is returned unchanged; a
+    non-finite sample raises ValueError.
     """
     x = cube.samples
     out = _Quantizer(x, bits)(x, np.empty_like(x))

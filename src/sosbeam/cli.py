@@ -2,10 +2,11 @@
 
 Each subcommand reads the same JSON run configuration; intermediate artifacts
 (raw cube, per-method images) are ordinary files so any stage can be re-run
-or inspected on its own.
+or inspected on its own. `all` runs the simulate, beamform and metrics steps
+in one process and evaluates the images it holds in memory.
 
-Exit codes: 0 success, 1 invalid configuration, 2 usage or missing file,
-3 data/config mismatch (cube header or image grids).
+Exit codes: 0 success, 1 invalid configuration, 2 usage, missing file or bad
+image CSV, 3 data/config mismatch (cube file, cube header or image grids).
 """
 
 from __future__ import annotations
@@ -13,14 +14,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import combinations
 from pathlib import Path
 
 from .beamform import METHOD_BAYES, METHOD_DAS, METHOD_MVDR, beamform_image
 from .chain import receive_chain
 from .config import ConfigError, RunConfig, default_config_dict, load_config
 from .cube import CubeFormatError, RawDataCube, read_cube, write_cube
-from .imaging_io import read_image_csv, write_image_csv, write_image_pgm
-from .metrics import MetricsReport, envelope_db, fwhm_of_image, pmal, rmse_db
+from .imaging_io import ImageFormatError, read_image_csv, write_image_csv, write_image_pgm
+from .metrics import DbImage, MetricsReport, envelope_db, fwhm_of_image, pmal, rmse_db
 from .simulate import enumerate_paths, synthesize_rx
 
 EXIT_OK = 0
@@ -40,15 +42,14 @@ def _thread_count(text: str) -> int:
     return n
 
 
-def _load_config_or_exit(path: str) -> RunConfig:
+class MismatchError(Exception):
+    """Inputs that do not fit the config or each other (exit 3)."""
+
+
+def _existing(path, kind: str):
     if not Path(path).is_file():
-        print(f"error: config file not found: {path}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    try:
-        return load_config(path)
-    except ConfigError as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_CONFIG)
+        raise FileNotFoundError(f"{kind} file not found: {path}")
+    return path
 
 
 def _print_arrival_table(cfg: RunConfig) -> None:
@@ -64,40 +65,36 @@ def _print_arrival_table(cfg: RunConfig) -> None:
                   f"{a.amplitude:>12.4e} {app_range:>15.2f}")
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_config_or_exit(args.config)
+def _simulate(cfg: RunConfig, path, threads: int = 1) -> RawDataCube:
+    """The simulate step: synthesize the raw cube, write it, print the arrivals."""
     cube = synthesize_rx(cfg.targets, cfg.geometry, cfg.pulse, cfg.environment,
-                         cfg.simulation)
-    write_cube(args.out, cube)
+                         cfg.simulation, threads=threads)
+    write_cube(path, cube)
     _print_arrival_table(cfg)
-    print(f"wrote {cube.n_sensors} x {cube.n_samples} raw cube to {args.out}")
-    return EXIT_OK
-
-
-def _load_cube_or_exit(cfg: RunConfig, path: str) -> RawDataCube:
-    if not Path(path).is_file():
-        print(f"error: data file not found: {path}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    try:
-        cube = read_cube(path)
-    except CubeFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_MISMATCH)
-    if not isinstance(cube, RawDataCube):
-        print(f"error: {path} is not a raw cube", file=sys.stderr)
-        raise SystemExit(EXIT_MISMATCH)
-    if cube.n_sensors != cfg.geometry.n_sensors:
-        print(f"error: cube holds {cube.n_sensors} sensors, config expects "
-              f"{cfg.geometry.n_sensors}", file=sys.stderr)
-        raise SystemExit(EXIT_MISMATCH)
-    if cube.sample_rate != cfg.simulation.sample_rate:
-        print(f"error: cube sample rate {cube.sample_rate} Hz, config expects "
-              f"{cfg.simulation.sample_rate} Hz", file=sys.stderr)
-        raise SystemExit(EXIT_MISMATCH)
+    print(f"wrote {cube.n_sensors} x {cube.n_samples} raw cube to {path}")
     return cube
 
 
-def _image_outputs(prefix: str, image, cfg: RunConfig) -> None:
+def cmd_simulate(args) -> int:
+    _simulate(load_config(_existing(args.config, "config")), args.out)
+    return EXIT_OK
+
+
+def _read_raw_cube(cfg: RunConfig, path) -> RawDataCube:
+    cube = read_cube(_existing(path, "data"))
+    if not isinstance(cube, RawDataCube):
+        raise MismatchError(f"{path} is not a raw cube")
+    if cube.n_sensors != cfg.geometry.n_sensors:
+        raise MismatchError(f"cube holds {cube.n_sensors} sensors, config expects "
+                            f"{cfg.geometry.n_sensors}")
+    if cube.sample_rate != cfg.simulation.sample_rate:
+        raise MismatchError(f"cube sample rate {cube.sample_rate} Hz, config expects "
+                            f"{cfg.simulation.sample_rate} Hz")
+    return cube
+
+
+def _image_outputs(prefix, image, cfg: RunConfig) -> DbImage:
+    """Write an image's dB CSV, PGM and flag summary; returns the dB image."""
     db_img = envelope_db(image.values, image.grid)
     write_image_csv(f"{prefix}.csv", db_img)
     write_image_pgm(f"{prefix}.pgm", db_img, cfg.dynamic_range_db)
@@ -105,42 +102,33 @@ def _image_outputs(prefix: str, image, cfg: RunConfig) -> None:
     with open(f"{prefix}_flags.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return db_img
+
+
+def _beamform(baseband, cfg: RunConfig, bf_cfg, prefix, threads: int) -> DbImage:
+    """The per-method step: image the baseband, write its outputs under prefix."""
+    image = beamform_image(baseband, cfg.grid, bf_cfg, cfg.geometry, threads=threads)
+    db_img = _image_outputs(prefix, image, cfg)
+    print(f"wrote {prefix}.csv / .pgm ({image.method}, "
+          f"{cfg.grid.n_y} x {cfg.grid.n_x} pixels)")
+    return db_img
 
 
 def cmd_beamform(args) -> int:
-    cfg = _load_config_or_exit(args.config)
-    raw = _load_cube_or_exit(cfg, args.data)
-    try:
-        bf_cfg = cfg.beamformer(args.method, n_quad=args.n_quad)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = load_config(_existing(args.config, "config"))
+    raw = _read_raw_cube(cfg, args.data)
+    bf_cfg = cfg.beamformer(args.method, n_quad=args.n_quad)
     baseband = receive_chain(raw, cfg.pulse, cfg.chain, threads=args.threads)
-    image = beamform_image(baseband, cfg.grid, bf_cfg, cfg.geometry, threads=args.threads)
-    _image_outputs(args.out, image, cfg)
-    print(f"wrote {args.out}.csv / .pgm ({image.method}, "
-          f"{cfg.grid.n_y} x {cfg.grid.n_x} pixels)")
+    _beamform(baseband, cfg, bf_cfg, args.out, args.threads)
     return EXIT_OK
 
 
-def cmd_metrics(args) -> int:
-    cfg = _load_config_or_exit(args.config)
-    images = {}
-    for path in args.images:
-        if not Path(path).is_file():
-            print(f"error: image file not found: {path}", file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            images[Path(path).stem] = read_image_csv(path)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    grids = {name: img.grid for name, img in images.items()}
-    first = next(iter(grids.values()))
-    for name, grid in grids.items():
-        if grid != first:
-            print(f"error: image {name} uses a different grid", file=sys.stderr)
-            return EXIT_MISMATCH
+def _evaluate(cfg: RunConfig, images: dict, out) -> None:
+    """The metrics step: FWHM and PMAL per image, RMSE per pair, written to out."""
+    grid = next(iter(images.values())).grid
+    for name, img in images.items():
+        if img.grid != grid:
+            raise MismatchError(f"image {name} uses a different grid")
     report = MetricsReport(boxes={"target_box": cfg.target_box.to_dict(),
                                   "artifact_box": cfg.artifact_box.to_dict()})
     for name, img in images.items():
@@ -151,50 +139,36 @@ def cmd_metrics(args) -> int:
             report.fwhm_m[name] = None
             print(f"warning: FWHM undefined for {name}: {exc}", file=sys.stderr)
         report.pmal_db[name] = pmal(img, cfg.target_box, cfg.artifact_box)
-    names = sorted(images)
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            report.rmse_db[f"{a}/{b}"] = rmse_db(images[a], images[b])
-    report.write(args.out)
+    for a, b in combinations(sorted(images), 2):
+        report.rmse_db[f"{a}/{b}"] = rmse_db(images[a], images[b])
+    report.write(out)
     print(report.to_json())
+
+
+def cmd_metrics(args) -> int:
+    cfg = load_config(_existing(args.config, "config"))
+    images = {Path(path).stem: read_image_csv(_existing(path, "image"))
+              for path in args.images}
+    _evaluate(cfg, images, args.out)
     return EXIT_OK
 
 
 def cmd_all(args) -> int:
-    cfg = _load_config_or_exit(args.config)
+    cfg = load_config(_existing(args.config, "config"))
+    jobs = {m: cfg.beamformer(m) for m in (METHOD_DAS, METHOD_MVDR) if m in cfg.beamformers}
+    if METHOD_BAYES in cfg.beamformers:
+        bayes = cfg.beamformer(METHOD_BAYES)
+        jobs[f"bayes_q{bayes.n_quad}"] = bayes
+        # and at 32 nodes, once when 32 is the configured count
+        jobs.setdefault("bayes_q32", cfg.beamformer(METHOD_BAYES, n_quad=32))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    cube_path = out_dir / "raw_cube.bin"
-    cube = synthesize_rx(cfg.targets, cfg.geometry, cfg.pulse, cfg.environment,
-                         cfg.simulation, threads=args.threads)
-    write_cube(cube_path, cube)
-    _print_arrival_table(cfg)
-
+    cube = _simulate(cfg, out_dir / "raw_cube.bin", args.threads)
     baseband = receive_chain(cube, cfg.pulse, cfg.chain, threads=args.threads)
-    jobs = []
-    if METHOD_DAS in cfg.beamformers:
-        jobs.append(("das", cfg.beamformer(METHOD_DAS)))
-    if METHOD_MVDR in cfg.beamformers:
-        jobs.append(("mvdr", cfg.beamformer(METHOD_MVDR)))
-    if METHOD_BAYES in cfg.beamformers:
-        base = cfg.beamformer(METHOD_BAYES)
-        jobs.append((f"bayes_q{base.n_quad}", base))
-        if base.n_quad != 32:
-            jobs.append(("bayes_q32", cfg.beamformer(METHOD_BAYES, n_quad=32)))
-
-    image_paths = []
-    for name, bf_cfg in jobs:
-        image = beamform_image(baseband, cfg.grid, bf_cfg, cfg.geometry,
-                               threads=args.threads)
-        prefix = out_dir / name
-        _image_outputs(str(prefix), image, cfg)
-        image_paths.append(str(prefix) + ".csv")
-        print(f"beamformed {name}")
-
-    metrics_args = argparse.Namespace(config=args.config, images=image_paths,
-                                      out=str(out_dir / "metrics.json"))
-    return cmd_metrics(metrics_args)
+    images = {name: _beamform(baseband, cfg, bf_cfg, out_dir / name, args.threads)
+              for name, bf_cfg in jobs.items()}
+    _evaluate(cfg, images, out_dir / "metrics.json")
+    return EXIT_OK
 
 
 def cmd_init_config(args) -> int:
@@ -247,8 +221,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. A handled failure prints `error: ...` to stderr and
+    returns its exit code; only argparse exits by itself (usage errors, 2)."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        code, message = EXIT_CONFIG, f"invalid config: {exc}"
+    except (FileNotFoundError, ImageFormatError) as exc:
+        code, message = EXIT_USAGE, exc
+    except (CubeFormatError, MismatchError) as exc:
+        code, message = EXIT_MISMATCH, exc
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -46,10 +46,6 @@ class RawDataCube:
     def n_samples(self) -> int:
         return self.samples.shape[1]
 
-    @property
-    def duration(self) -> float:
-        return self.n_samples / self.sample_rate
-
 
 @dataclass
 class BasebandCube:
@@ -130,6 +126,8 @@ def read_cube(path):
     if data.size != n_sens * n_samples:
         raise CubeFormatError(
             f"{path}: payload holds {data.size} samples, header promises {n_sens * n_samples}")
+    if not np.isfinite(data).all():
+        raise CubeFormatError(f"{path}: payload holds non-finite samples")
     samples = data.reshape(n_sens, n_samples)
     try:
         if fmt == _FORMAT_RAW:

@@ -8,6 +8,10 @@ from .core import ScanGrid
 from .metrics import DbImage
 
 
+class ImageFormatError(ValueError):
+    """Raised when a file is not an image CSV written by write_image_csv."""
+
+
 def write_image_csv(path, img: DbImage) -> None:
     """dB magnitudes as CSV: range rows by azimuth columns.
 
@@ -23,12 +27,13 @@ def write_image_csv(path, img: DbImage) -> None:
 def read_image_csv(path) -> DbImage:
     """Reload a dB image written by write_image_csv.
 
-    Any other file raises ValueError naming it and the missing or bad field.
+    Any other file raises ImageFormatError naming it and the missing or bad
+    field.
     """
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:  # undecodable bytes fail the checks below
         first = fh.readline()
     if not first.startswith("#"):
-        raise ValueError(f"{path}: missing grid metadata header")
+        raise ImageFormatError(f"{path}: missing grid metadata header")
     fields = dict(part.partition("=")[::2] for part in first[1:].split())
     grid = {}
     for key in ("x_min", "x_max", "y_min", "y_max", "n_x", "n_y"):
@@ -36,13 +41,13 @@ def read_image_csv(path) -> DbImage:
         try:
             grid[key] = kind(fields[key])
         except (KeyError, ValueError):
-            raise ValueError(f"{path}: grid header {key} is missing or not "
-                             f"a valid {kind.__name__}") from None
+            raise ImageFormatError(f"{path}: grid header {key} is missing or not "
+                                   f"a valid {kind.__name__}") from None
     try:
         pixels = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         return DbImage(pixels=pixels, grid=ScanGrid(**grid))
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ImageFormatError(f"{path}: {exc}") from None
 
 
 def write_image_pgm(path, img: DbImage, dynamic_range_db: float) -> None:

@@ -1,9 +1,9 @@
 """Gauss-Hermite quadrature and the Gaussian sound-speed prior.
 
-Physicists' convention: nodes/weights integrate against exp(-z**2), so the
-weights sum to sqrt(pi). The affine map node_to_sos places nodes in m/s
-under a normal prior; the rule is exact for polynomials of degree
-2n - 1 or less.
+The rule is numpy's hermgauss, in the physicists' convention: nodes/weights
+integrate against exp(-z**2), so the weights sum to sqrt(pi). The affine map
+node_to_sos places nodes in m/s under a normal prior; the rule is exact for
+polynomials of degree 2n - 1 or less.
 """
 
 from __future__ import annotations
@@ -32,10 +32,6 @@ class QuadratureRule:
         object.__setattr__(self, "nodes", z)
         object.__setattr__(self, "weights", u)
 
-    @property
-    def n(self) -> int:
-        return self.nodes.size
-
 
 @dataclass(frozen=True)
 class SosPrior:
@@ -52,36 +48,14 @@ class SosPrior:
 
 
 def gauss_hermite(n: int) -> QuadratureRule:
-    """Gauss-Hermite rule of order n via the Golub-Welsch eigenproblem.
+    """Gauss-Hermite rule of order n: numpy's hermgauss, 1 <= n <= MAX_NODES.
 
-    The Jacobi matrix for the Hermite recurrence has zero diagonal and
-    off-diagonals sqrt(k/2); its eigenvalues are the nodes. The matrix is at
-    most MAX_NODES x MAX_NODES, so it is solved densely with
-    np.linalg.eigvalsh. Weights come from the Christoffel identity
-    1 / sum_k p_k(x)^2 over the orthonormal Hermite polynomials, which stays
-    finite where the eigenvector first components underflow for large n.
-    Nodes and weights are symmetrized to kill rounding asymmetry.
+    numpy imports numpy.polynomial on first attribute access, so only a
+    caller that builds a rule loads it.
     """
     if not 1 <= n <= MAX_NODES:
         raise ValueError(f"node count must be in [1, {MAX_NODES}]")
-    if n == 1:
-        return QuadratureRule(nodes=np.zeros(1), weights=np.array([np.sqrt(np.pi)]))
-    off = np.sqrt(np.arange(1, n) / 2.0)
-    nodes = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
-    nodes = 0.5 * (nodes - nodes[::-1])
-
-    # orthonormal recurrence w.r.t. exp(-z^2): p0 = pi^(-1/4),
-    # sqrt((k+1)/2) p_{k+1} = z p_k - sqrt(k/2) p_{k-1}
-    prev = np.zeros_like(nodes)
-    cur = np.full_like(nodes, np.pi ** -0.25)
-    total = cur ** 2
-    for k in range(n - 1):
-        nxt = (nodes * cur - np.sqrt(k / 2.0) * prev) / np.sqrt((k + 1) / 2.0)
-        prev, cur = cur, nxt
-        total += cur ** 2
-    weights = 1.0 / total
-    weights = 0.5 * (weights + weights[::-1])
-    return QuadratureRule(nodes=nodes, weights=weights)
+    return QuadratureRule(*np.polynomial.hermite.hermgauss(n))
 
 
 def node_to_sos(z, prior: SosPrior):

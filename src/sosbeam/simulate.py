@@ -129,6 +129,8 @@ class SimConfig:
     def __post_init__(self):
         if not (0 < self.sample_rate < np.inf and 0 < self.record_duration < np.inf):
             raise ValueError("sample_rate and record_duration must be finite and > 0")
+        if not np.isfinite([self.noise_power_db, self.signal_power_db, self.ref_level_db]).all():
+            raise ValueError("noise, signal and reference levels must be finite")
 
     @property
     def n_samples(self) -> int:

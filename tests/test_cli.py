@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sosbeam import cli
@@ -65,19 +70,16 @@ class TestSimulate:
         assert cube.samples.shape == (30, 150000)
 
     def test_missing_config_exit_2(self, tmp_path):
-        with pytest.raises(SystemExit) as info:
-            main(["simulate", "--config", str(tmp_path / "nope.json"),
-                  "--out", str(tmp_path / "cube.bin")])
-        assert info.value.code == 2
+        assert main(["simulate", "--config", str(tmp_path / "nope.json"),
+                     "--out", str(tmp_path / "cube.bin")]) == 2
 
     def test_invalid_config_exit_1_with_field_path(self, tmp_path, capsys):
         doc = default_config_dict()
         doc["pulse"]["duration_s"] = -1.0
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(doc))
-        with pytest.raises(SystemExit) as info:
-            main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "c.bin")])
-        assert info.value.code == 1
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "c.bin")]) == 1
         assert "pulse" in capsys.readouterr().err
 
     def test_seed_determinism_bytes(self, small_config, tmp_path):
@@ -151,10 +153,8 @@ class TestBeamform:
         doc["simulation"]["sample_rate_hz"] = 250e3  # valid, but not the cube's
         other = tmp_path / "other.json"
         other.write_text(json.dumps(doc))
-        with pytest.raises(SystemExit) as info:
-            main(["beamform", "--config", str(other), "--data", str(cube_path),
-                  "--method", "das", "--out", str(tmp_path / "x")])
-        assert info.value.code == 3
+        assert main(["beamform", "--config", str(other), "--data", str(cube_path),
+                     "--method", "das", "--out", str(tmp_path / "x")]) == 3
 
     @pytest.mark.parametrize("fs", [0.0, float("nan")])
     def test_bad_cube_header_exit_3(self, small_config, cube_path, tmp_path, capsys, fs):
@@ -163,13 +163,25 @@ class TestBeamform:
         head[5] = fs  # the header's sample rate
         _HEADER.pack_into(data, 0, *head)
         cube_path.write_bytes(bytes(data))
-        with pytest.raises(SystemExit) as info:
-            main(["beamform", "--config", str(small_config), "--data", str(cube_path),
-                  "--method", "das", "--out", str(tmp_path / "x")])
-        assert info.value.code == 3
+        assert main(["beamform", "--config", str(small_config), "--data", str(cube_path),
+                     "--method", "das", "--out", str(tmp_path / "x")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(cube_path) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_cube_sample_exit_3(self, small_config, cube_path, tmp_path, capsys,
+                                           value):
+        n_samples = _HEADER.unpack_from(cube_path.read_bytes())[4]
+        with open(cube_path, "r+b") as fh:
+            fh.seek(_HEADER.size + 4 * (3 * n_samples + 1000))  # sample [3, 1000]
+            fh.write(np.float32(value).tobytes())
+        assert main(["beamform", "--config", str(small_config), "--data", str(cube_path),
+                     "--method", "das", "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(cube_path) in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("x*"))
 
     @pytest.mark.parametrize("n_quad", ["0", "-3", "500"])
     def test_bad_n_quad_exit_1_with_field_path(self, small_config, cube_path, tmp_path,
@@ -180,11 +192,9 @@ class TestBeamform:
         assert "beamformers.bayes.n_quad" in capsys.readouterr().err
 
     def test_missing_data_exit_2(self, small_config, tmp_path):
-        with pytest.raises(SystemExit) as info:
-            main(["beamform", "--config", str(small_config), "--data",
-                  str(tmp_path / "none.bin"), "--method", "das",
-                  "--out", str(tmp_path / "x")])
-        assert info.value.code == 2
+        assert main(["beamform", "--config", str(small_config), "--data",
+                     str(tmp_path / "none.bin"), "--method", "das",
+                     "--out", str(tmp_path / "x")]) == 2
 
 
 class TestMetricsCommand:
@@ -248,6 +258,15 @@ class TestMetricsCommand:
         assert str(bad) in err and field in err
         assert not (tmp_path / "r.json").exists()
 
+    def test_undecodable_image_exit_2(self, small_config, tmp_path, capsys):
+        bad = tmp_path / "binary.csv"
+        bad.write_bytes(b"\xff\xfe\x00 not text\n")
+        assert main(["metrics", "--config", str(small_config), str(bad),
+                     "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
+        assert "Traceback" not in err
+
 
 class TestAll:
     def test_pipeline_produces_all_artifacts(self, small_config, tmp_path):
@@ -294,6 +313,34 @@ class TestAll:
             assert ((tmp_path / "1" / name).read_bytes()
                     == (tmp_path / "2" / name).read_bytes()), name
 
+    def test_config_parsed_once_and_no_output_read_back(self, small_config, tmp_path,
+                                                         monkeypatch):
+        calls = Counter()
+
+        def counted(name):
+            real = getattr(cli, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        for name in ("load_config", "read_image_csv"):
+            monkeypatch.setattr(cli, name, counted(name))
+        assert main(["all", "--config", str(small_config),
+                     "--out-dir", str(tmp_path / "run")]) == 0
+        assert calls == {"load_config": 1}
+
+    def test_metrics_match_the_metrics_command(self, small_config, tmp_path):
+        out_dir = tmp_path / "run"
+        assert main(["all", "--config", str(small_config), "--out-dir", str(out_dir)]) == 0
+        images = [str(out_dir / f"{name}.csv") for name in ("das", "mvdr", "bayes_q8",
+                                                             "bayes_q32")]
+        report = tmp_path / "m.json"
+        assert main(["metrics", "--config", str(small_config), *images,
+                     "--out", str(report)]) == 0
+        assert report.read_bytes() == (out_dir / "metrics.json").read_bytes()
+
     @pytest.mark.parametrize("threads", BAD_THREADS)
     def test_bad_threads_exit_2_before_any_work(self, small_config, tmp_path, capsys,
                                                 threads):
@@ -333,10 +380,39 @@ class TestAll:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(doc))
         out_dir = tmp_path / "run"
-        with pytest.raises(SystemExit) as info:
-            main(["all", "--config", str(cfg), "--out-dir", str(out_dir)])
-        assert info.value.code == 1
+        assert main(["all", "--config", str(cfg), "--out-dir", str(out_dir)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: invalid config: ")
         assert key.split("_m_s")[0] in err
         assert not out_dir.exists()
+
+
+def test_process_exit_codes(small_config, tmp_path):
+    """The exit codes a shell sees, through the module entry point."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(*argv):
+        done = subprocess.run([sys.executable, "-m", "sosbeam.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert "Traceback" not in done.stderr
+        return done.returncode
+
+    cube = tmp_path / "cube.bin"
+    assert run("simulate", "--config", str(small_config), "--out", str(cube)) == 0
+    doc = json.loads(small_config.read_text())
+    doc["simulation"]["sample_rate_hz"] = 250e3
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(doc))
+    doc["pulse"]["duration_s"] = -1.0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run("simulate", "--config", str(tmp_path / "nope.json"),
+               "--out", str(tmp_path / "x.bin")) == 2
+    assert run("simulate", "--config", str(bad), "--out", str(tmp_path / "x.bin")) == 1
+    assert run("beamform", "--config", str(other), "--data", str(cube),
+               "--method", "das", "--out", str(tmp_path / "x")) == 3
+    assert run("all", "--config", str(small_config), "--out-dir", str(tmp_path / "run"),
+               "--threads", "0") == 2
+    assert not list(tmp_path.glob("x*"))

@@ -100,6 +100,23 @@ class TestFormatErrors:
             read_cube(path)
 
 
+    @pytest.mark.parametrize("dtype", ["<f4", "<c8"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload(self, tmp_path, dtype, value):
+        cube = (RawDataCube(samples=np.zeros((2, 10)), sample_rate=1e3) if dtype == "<f4"
+                else BasebandCube(samples=np.zeros((2, 10)), sample_rate=1e3, carrier=0.0))
+        path = tmp_path / "cube.bin"
+        write_cube(path, cube)
+        data = bytearray(path.read_bytes())
+        item = np.dtype(dtype).itemsize
+        data[_HEADER.size + 13 * item:_HEADER.size + 14 * item] = np.array(
+            [value], dtype=dtype).tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(CubeFormatError, match="non-finite") as info:
+            read_cube(path)
+        assert str(path) in str(info.value)
+
+
 class TestHeaderValues:
     @pytest.mark.parametrize("fs", [0.0, float("nan"), float("inf"), -1e3])
     def test_bad_raw_sample_rate(self, tmp_path, fs):

@@ -296,6 +296,12 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(rate, duration)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("level", ["noise_power_db", "signal_power_db", "ref_level_db"])
+    def test_non_finite_level_rejected(self, level, value):
+        with pytest.raises(ValueError, match="levels must be finite"):
+            SimConfig(500e3, 0.3, **{level: value})
+
 
 class TestEnvironmentValidation:
     def test_profile_depths_must_increase(self):
