@@ -6,7 +6,8 @@ or inspected on its own. `all` runs the simulate, beamform and metrics steps
 in one process and evaluates the images it holds in memory.
 
 Exit codes: 0 success, 1 invalid configuration, 2 usage, missing file or bad
-image CSV, 3 data/config mismatch (cube file, cube header or image grids).
+image CSV, 3 data/config mismatch (cube file, cube header, image grids, or a
+grid wholly past the record).
 """
 
 from __future__ import annotations
@@ -108,6 +109,9 @@ def _image_outputs(prefix, image, cfg: RunConfig) -> DbImage:
 def _beamform(baseband, cfg: RunConfig, bf_cfg, prefix, threads: int) -> DbImage:
     """The per-method step: image the baseband, write its outputs under prefix."""
     image = beamform_image(baseband, cfg.grid, bf_cfg, cfg.geometry, threads=threads)
+    if not image.values.any():
+        raise MismatchError(f"{image.method}: every pixel of the grid lies outside "
+                            "the record")
     db_img = _image_outputs(prefix, image, cfg)
     print(f"wrote {prefix}.csv / .pgm ({image.method}, "
           f"{cfg.grid.n_y} x {cfg.grid.n_x} pixels)")
@@ -161,6 +165,9 @@ def cmd_all(args) -> int:
         jobs[f"bayes_q{bayes.n_quad}"] = bayes
         # and at 32 nodes, once when 32 is the configured count
         jobs.setdefault("bayes_q32", cfg.beamformer(METHOD_BAYES, n_quad=32))
+    if not jobs:
+        raise ConfigError("beamformers", "'all' needs at least one of "
+                          f"{METHOD_DAS}, {METHOD_MVDR}, {METHOD_BAYES}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cube = _simulate(cfg, out_dir / "raw_cube.bin", args.threads)

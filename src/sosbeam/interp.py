@@ -81,21 +81,3 @@ def sample_rows(rows: np.ndarray, pos: np.ndarray):
     values = np.einsum("...t,...t->...", h, gathered)
     return np.where(valid, values, 0.0), valid
 
-
-def place_fractional(out: np.ndarray, waveform: np.ndarray, position: float,
-                     amplitude: float) -> bool:
-    """Add amplitude * waveform delayed by `position` samples into `out`.
-
-    The waveform's first sample lands at fractional index `position`. Returns
-    False (and writes nothing) when any part of the shifted waveform would
-    fall outside `out`.
-    """
-    base = int(np.floor(position))
-    frac = position - base
-    shifted = np.convolve(waveform, delay_kernel(frac))
-    start = base - (_HALF - 1)
-    stop = start + shifted.size
-    if start < 0 or stop > out.size:
-        return False
-    out[start:stop] += amplitude * shifted
-    return True

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import ArrayGeometry, LfmPulse, TWO_PI, map_rows
 from .cube import RawDataCube
-from .interp import place_fractional
+from .interp import TAPS, delay_kernel
 
 DIRECT = "direct"
 SURFACE = "surface_bounce"
@@ -100,7 +100,8 @@ class PathArrival:
     """One round-trip arrival: a transmit-leg path paired with a receive-leg path.
 
     amplitude is the linear gain including target reflectivity, boundary
-    reflection coefficients, and 1/r spreading per leg.
+    reflection coefficients, and 1/r spreading per leg. For an array of
+    receiver x positions, delay and amplitude are arrays over the receivers.
     """
 
     tx_kind: str
@@ -171,23 +172,25 @@ def depth_averaged_sos(env: Environment, z1: float, z2: float) -> float:
 def _leg_paths(a, b, env: Environment):
     """One-way image-source paths from point a to point b, each (kind, length, speed, coeff).
 
-    Points are (x, y, depth) triples. The path-averaged speed weights each
-    straight segment of the unfolded ray by its length; depth varies linearly
-    with arc length along a segment, so the segment average is the
-    depth-averaged profile speed between its endpoint depths.
+    Points are (x, y, depth) triples; an x may be an array, and the lengths
+    then broadcast over it. The path-averaged speed weights each straight
+    segment of the unfolded ray by its length; depth varies linearly with
+    arc length along a segment, so the segment average is the depth-averaged
+    profile speed between its endpoint depths. Speeds and coefficients
+    depend on the depths only.
     """
     ax, ay, az = a
     bx, by, bz = b
-    horiz = float(np.hypot(bx - ax, by - ay))
+    horiz = np.hypot(bx - ax, by - ay)
     out = []
 
-    length = float(np.hypot(horiz, bz - az))
-    if length <= 0:
+    length = np.hypot(horiz, bz - az)
+    if np.any(length <= 0):
         raise ValueError("degenerate zero-length propagation path")
     out.append((DIRECT, length, depth_averaged_sos(env, az, bz), 1.0))
 
     # surface bounce: mirror b across z=0; ray runs a -> surface -> b
-    length = float(np.hypot(horiz, -bz - az))
+    length = np.hypot(horiz, -bz - az)
     f = az / (az + bz) if az + bz > 0 else 0.5
     speed = (f * depth_averaged_sos(env, az, 0.0)
              + (1.0 - f) * depth_averaged_sos(env, 0.0, bz))
@@ -195,7 +198,7 @@ def _leg_paths(a, b, env: Environment):
 
     # bottom bounce: mirror b across z=bottom
     zb = env.bottom_depth
-    length = float(np.hypot(horiz, (2.0 * zb - bz) - az))
+    length = np.hypot(horiz, (2.0 * zb - bz) - az)
     da, db = zb - az, zb - bz
     f = da / (da + db) if da + db > 0 else 0.5
     speed = (f * depth_averaged_sos(env, az, zb)
@@ -207,28 +210,21 @@ def _leg_paths(a, b, env: Environment):
 def enumerate_paths(tx, target: Target, rx, env: Environment):
     """Round-trip arrivals from tx to the target and back to rx.
 
-    tx and rx are (x, y, depth) points inside the water column. Each leg
-    contributes direct, surface-bounce, and bottom-bounce paths; the nine
-    round trips combine delays additively and amplitudes multiplicatively,
-    with 1/length spreading per leg and the target reflectivity applied once.
+    tx and rx are (x, y, depth) points inside the water column; rx's x may
+    be an array of receiver positions, and each arrival's delay and
+    amplitude are then arrays over them. Each leg contributes direct,
+    surface-bounce, and bottom-bounce paths; the nine round trips combine
+    delays additively and amplitudes multiplicatively, with 1/length
+    spreading per leg and the target reflectivity applied once.
     """
     tpos = (target.x, target.y, target.depth)
     for name, point in (("tx", tx), ("rx", rx), ("target", tpos)):
         if not 0 <= point[2] <= env.bottom_depth:
             raise ValueError(f"{name} depth {point[2]} outside water column")
-    return _round_trips(target, _leg_paths(tx, tpos, env), _leg_paths(tpos, rx, env))
-
-
-def _round_trips(target: Target, tx_legs, rx_legs):
-    """enumerate_paths' arrivals from the transmit-leg and receive-leg paths."""
-    arrivals = []
-    for tx_kind, l1, c1, g1 in tx_legs:
-        for rx_kind, l2, c2, g2 in rx_legs:
-            delay = l1 / c1 + l2 / c2
-            amplitude = target.reflectivity * g1 * g2 / (l1 * l2)
-            arrivals.append(PathArrival(tx_kind=tx_kind, rx_kind=rx_kind,
-                                        delay=delay, amplitude=amplitude))
-    return arrivals
+    tx_legs, rx_legs = _leg_paths(tx, tpos, env), _leg_paths(tpos, rx, env)
+    return [PathArrival(tx_kind=tx_kind, rx_kind=rx_kind, delay=l1 / c1 + l2 / c2,
+                        amplitude=target.reflectivity * g1 * g2 / (l1 * l2))
+            for tx_kind, l1, c1, g1 in tx_legs for rx_kind, l2, c2, g2 in rx_legs]
 
 
 def lfm_pulse_samples(pulse: LfmPulse, fs: float) -> np.ndarray:
@@ -253,39 +249,46 @@ def synthesize_rx(targets, geom: ArrayGeometry, pulse: LfmPulse,
     """Synthesize the raw receive cube for a list of targets.
 
     Per sensor: the sum over targets and round-trip paths of amplitude-scaled,
-    sub-sample-delayed pulse replicas, plus white Gaussian noise. Noise is
+    sub-sample-delayed pulse replicas, plus white Gaussian noise. An echo
+    whose interpolated replica would leave the record is dropped. Noise is
     drawn from an independent counter-based stream per sensor (Philox keyed by
-    (seed, sensor)). Each sensor row is one work unit of core.map_rows, so the
-    thread count changes the scheduling only and serial and parallel
-    synthesis agree bit-for-bit.
+    (seed, sensor)). Each sensor row (its echo sum, then its noise) is one
+    work unit of core.map_rows, so the thread count changes the scheduling
+    only and serial and parallel synthesis agree bit-for-bit.
     """
     fs = cfg.sample_rate
     n_samples = cfg.n_samples
     pulse_wave = lfm_pulse_samples(pulse, fs) * cfg.signal_amplitude
+    # row t is the pulse delayed by t samples: taps @ shift is np.convolve(pulse_wave, taps)
+    width = pulse_wave.size + TAPS - 1
+    shift = np.zeros((TAPS, width))
+    for t in range(TAPS):
+        shift[t, t:t + pulse_wave.size] = pulse_wave
     tx = (geom.source_x, 0.0, geom.source_depth)
+    rx = (geom.sensor_x, 0.0, geom.array_depth)
+    arrivals = [a for t in targets for a in enumerate_paths(tx, t, rx, env)]
+    # (sensors, arrivals) positions of each replica's first sample, and gains
+    pos = np.reshape([a.delay for a in arrivals], (-1, geom.n_sensors)).T * fs
+    amplitude = np.reshape([a.amplitude for a in arrivals], (-1, geom.n_sensors)).T
+    base = np.floor(pos)
+    taps = delay_kernel(pos - base)
+    start = base.astype(np.int64) - (TAPS // 2 - 1)
+    kept = (start >= 0) & (start + width <= n_samples)
     samples = np.zeros((geom.n_sensors, n_samples))
-    # the transmit legs do not depend on the sensor: one set per target
-    tx_legs = [_leg_paths(tx, (t.x, t.y, t.depth), env) for t in targets]
 
-    def run_sensor(sensor: int) -> int:
-        """Fill one row; returns the number of arrivals dropped from it."""
-        rx = (float(geom.sensor_x[sensor]), 0.0, geom.array_depth)
+    def run_sensor(sensor: int) -> None:
         row = samples[sensor]
-        dropped = 0
-        for target, legs in zip(targets, tx_legs):
-            rx_legs = _leg_paths((target.x, target.y, target.depth), rx, env)
-            for arrival in _round_trips(target, legs, rx_legs):
-                ok = place_fractional(row, pulse_wave, arrival.delay * fs,
-                                      arrival.amplitude)
-                if not ok:
-                    dropped += 1
+        keep = kept[sensor]
+        echoes = amplitude[sensor, keep, None] * (taps[sensor, keep] @ shift)
+        for first, echo in zip(start[sensor, keep], echoes):
+            row[first:first + width] += echo
         rng = np.random.Generator(np.random.Philox(key=[cfg.rng_seed, sensor]))
         noise = rng.standard_normal(n_samples)
         noise *= cfg.noise_amplitude
         row += noise
-        return dropped
 
-    dropped = sum(map_rows(run_sensor, geom.n_sensors, threads))
+    map_rows(run_sensor, geom.n_sensors, threads)
+    dropped = np.count_nonzero(~kept)
     if dropped:
         warnings.warn(f"{dropped} arrivals fell outside the {cfg.record_duration} s record "
                       "and were dropped", SimulationWarning)

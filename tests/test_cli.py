@@ -386,6 +386,38 @@ class TestAll:
         assert key.split("_m_s")[0] in err
         assert not out_dir.exists()
 
+    def test_no_beamformer_exit_1_before_any_work(self, small_config, tmp_path, capsys):
+        doc = json.loads(small_config.read_text())
+        doc["beamformers"] = {}
+        cfg = tmp_path / "none.json"
+        cfg.write_text(json.dumps(doc))
+        out_dir = tmp_path / "run"
+        assert main(["all", "--config", str(cfg), "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: beamformers: ")
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+        # simulate needs no beamformer
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "cube.bin")]) == 0
+
+    def test_grid_past_the_record_exit_3_without_images(self, small_config, tmp_path,
+                                                        capsys):
+        # the 0.1 s record reaches about 75 m; the grid starts at 250 m
+        doc = json.loads(small_config.read_text())
+        doc["grid"].update(y_min_m=250.0, y_max_m=260.0)
+        doc["metrics"]["target_box"].update(y_min=251.0, y_max=255.0)
+        doc["metrics"]["artifact_box"].update(y_min=256.0, y_max=260.0)
+        cfg = tmp_path / "far.json"
+        cfg.write_text(json.dumps(doc))
+        out_dir = tmp_path / "run"
+        assert main(["all", "--config", str(cfg), "--out-dir", str(out_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: das: every pixel of the grid lies outside the record\n"
+        assert (out_dir / "raw_cube.bin").is_file()
+        assert not list(out_dir.glob("*.csv"))
+        assert not list(out_dir.glob("*.pgm"))
+
 
 def test_process_exit_codes(small_config, tmp_path):
     """The exit codes a shell sees, through the module entry point."""

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sosbeam.core import ArrayGeometry, LfmPulse
-from sosbeam.interp import TAPS
+from sosbeam.interp import TAPS, delay_kernel
 from sosbeam.simulate import (BOTTOM, DIRECT, SURFACE, Environment, SimConfig,
                               SimulationWarning, Target, depth_averaged_sos,
                               enumerate_paths, lfm_pulse_samples, synthesize_rx)
@@ -112,6 +112,28 @@ class TestEnumeratePaths:
         target = Target(x=0.0, y=10.0, depth=90.0)
         with pytest.raises(ValueError):
             enumerate_paths((0, 0, 120.0), target, (0, 0, 70.0), FLAT_ENV)
+
+    def test_array_receiver_matches_scalar_calls(self):
+        env = Environment(bottom_depth=100,
+                          sos_profile=((0, 1522), (50, 1520), (100, 1515)))
+        target = Target(x=0.4, y=28.0, depth=90.0, reflectivity=0.8)
+        xs = np.linspace(-0.5, 0.5, 7)
+        arrivals = enumerate_paths((0.0, 0.0, 70.0), target, (xs, 0.0, 71.0), env)
+        assert len(arrivals) == 9
+        for i, x in enumerate(xs):
+            scalar = enumerate_paths((0.0, 0.0, 70.0), target, (float(x), 0.0, 71.0), env)
+            assert [(a.tx_kind, a.rx_kind) for a in arrivals] == [
+                (a.tx_kind, a.rx_kind) for a in scalar]
+            for a, b in zip(arrivals, scalar):
+                assert a.delay.shape == a.amplitude.shape == xs.shape
+                assert a.delay[i] == pytest.approx(b.delay, rel=1e-15)
+                assert a.amplitude[i] == pytest.approx(b.amplitude, rel=1e-15)
+
+    def test_zero_length_at_one_receiver_rejected(self):
+        target = Target(x=0.0, y=0.0, depth=70.0)
+        with pytest.raises(ValueError, match="zero-length"):
+            enumerate_paths((0, 0, 70.0), target, (np.array([-0.5, 0.0, 0.5]), 0.0, 70.0),
+                            FLAT_ENV)
 
 
 class TestLfmPulse:
@@ -260,8 +282,69 @@ class TestSynthesizeRx:
         assert np.array_equal(serial.samples, parallel.samples)
 
     @pytest.mark.parametrize("threads", [1, 2])
+    def test_echoes_match_convolution_placement(self, threads):
+        # a 2 ms pulse (400 samples): the nearest target's direct echoes start
+        # within one pulse of the record start, the farthest target's direct
+        # echo at the first sensor ends on the record's last sample, and every
+        # surface bounce is dropped
+        geom = ArrayGeometry.uniform(4, 0.6, array_depth=70.0)
+        pulse = LfmPulse(center_frequency=30e3, bandwidth=20e3, duration=2e-3)
+        env = Environment(bottom_depth=100,
+                          sos_profile=((0, 1522), (50, 1520), (100, 1515)))
+        cfg = SimConfig(sample_rate=200e3, record_duration=0.05874, rng_seed=5,
+                        noise_power_db=-60.0, signal_power_db=0.0, ref_level_db=0.0)
+        targets = [Target(x=0.1, y=0.8, depth=70.5),
+                   Target(x=-0.2, y=9.0, depth=72.0, reflectivity=0.7),
+                   Target(x=0.3, y=43.0, depth=72.0, reflectivity=1.5)]
+        expected, starts, stops = self._placed_by_convolution(targets, geom, pulse, env, cfg)
+        wave_size = lfm_pulse_samples(pulse, cfg.sample_rate).size
+        kept = (starts >= 0) & (stops <= cfg.n_samples)
+        assert 0 < np.count_nonzero(kept) < kept.size
+        assert (starts[kept] < wave_size).any()
+        assert (stops[kept] == cfg.n_samples).any()
+
+        def run(targets):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                cube = synthesize_rx(targets, geom, pulse, env, cfg, threads=threads)
+            sim = [str(w.message) for w in caught if issubclass(w.category, SimulationWarning)]
+            return cube.samples, sim
+
+        samples, messages = run(targets)
+        noise, no_messages = run([])
+        assert no_messages == []
+        assert messages == [f"{kept.size - np.count_nonzero(kept)} arrivals fell outside "
+                            f"the {cfg.record_duration} s record and were dropped"]
+        err = np.abs((samples - noise) - expected).max()
+        assert err <= 1e-12 * np.abs(expected).max()
+
+    @staticmethod
+    def _placed_by_convolution(targets, geom, pulse, env, cfg):
+        """Echo rows placed one arrival at a time: np.convolve(pulse, taps) added
+        from floor(position) - 3, or dropped when any of it leaves the row.
+        Also returns each arrival's first and past-the-end sample."""
+        fs = cfg.sample_rate
+        wave = lfm_pulse_samples(pulse, fs) * cfg.signal_amplitude
+        rows = np.zeros((geom.n_sensors, cfg.n_samples))
+        starts, stops = [], []
+        tx = (geom.source_x, 0.0, geom.source_depth)
+        for row, x_n in zip(rows, geom.sensor_x):
+            for target in targets:
+                for a in enumerate_paths(tx, target, (float(x_n), 0.0, geom.array_depth),
+                                         env):
+                    base = int(np.floor(a.delay * fs))
+                    echo = np.convolve(wave, delay_kernel(a.delay * fs - base))
+                    start = base - (TAPS // 2 - 1)
+                    stop = start + echo.size
+                    starts.append(start)
+                    stops.append(stop)
+                    if start >= 0 and stop <= row.size:
+                        row[start:stop] += a.amplitude * echo
+        return rows, np.array(starts), np.array(stops)
+
+    @pytest.mark.parametrize("threads", [1, 2])
     def test_transmit_legs_computed_once_per_target(self, monkeypatch, threads):
-        # one transmit leg per target, then one receive leg per target and sensor
+        # one transmit leg and one receive leg (over all sensors) per target
         import sosbeam.simulate as simulate
         calls = []
         leg_paths = simulate._leg_paths
@@ -275,7 +358,7 @@ class TestSynthesizeRx:
         targets = [Target(x=0.0, y=30.0, depth=90.0), Target(x=0.2, y=20.0, depth=80.0),
                    Target(x=-0.3, y=25.0, depth=85.0)]
         synthesize_rx(targets, self.GEOM, self.PULSE, FLAT_ENV, cfg, threads=threads)
-        assert len(calls) == len(targets) * (1 + self.GEOM.n_sensors)
+        assert len(calls) == 2 * len(targets)
         tx = (self.GEOM.source_x, 0.0, self.GEOM.source_depth)
         assert sum(a == tx for a, _ in calls) == len(targets)
 
