@@ -156,6 +156,13 @@ def _gamma_batch(px, py, cfg: BeamformerConfig, geom: ArrayGeometry):
     Converts the range-dependent noise level and SNR models (in dB, driven by
     the TVG the chain applied at a single reference speed) to linear and
     combines them; strictly positive for any pixel.
+
+    Units, as computed: nl = 10**(dB / 10) is a power and snr is
+    dimensionless, so gamma = (n_sub / nl**2) * n_sub*snr / (1 + n_sub*snr)
+    has units of 1/power**2. The log likelihood n_sub * gamma * P_s, with
+    P_s the Capon power of the cube, then has units of 1/power rather than
+    none: scaling the cube by k scales the exponent by k**2, which
+    test_linear_in_data_power pins. A unit-free form is ROADMAP open item 2.
     """
     r_p = focal_range(px, py, geom)
     if np.any(r_p <= 0):
@@ -173,6 +180,9 @@ class _Imager:
     """Batched pixel engine; one instance per (cube, geometry, config)."""
 
     def __init__(self, cube: BasebandCube, geom: ArrayGeometry, cfg: BeamformerConfig):
+        if cube.n_sensors != geom.n_sensors:
+            raise ValueError(f"cube holds {cube.n_sensors} sensors, geometry has "
+                             f"{geom.n_sensors}")
         self.cube = cube
         self.geom = geom
         self.cfg = cfg
@@ -184,9 +194,9 @@ class _Imager:
             half, odd = divmod(cfg.subarray_length, 2)
             self.q = np.r_[np.full(half, np.sqrt(2.0)), np.ones(odd), np.zeros(half)]
         if cfg.method == METHOD_BAYES:
-            rule = gauss_hermite(cfg.n_quad)
-            self.log_u = np.log(rule.weights)
-            self.c_nodes = node_to_sos(rule.nodes, cfg.prior)
+            nodes, weights = gauss_hermite(cfg.n_quad)
+            self.log_u = np.log(weights)
+            self.c_nodes = node_to_sos(nodes, cfg.prior)
 
     # -- per-batch primitives ------------------------------------------------
 
@@ -218,12 +228,8 @@ class _Imager:
         values = (re + 1j * im) / (np.sqrt(2.0) * denom)
         return np.where(good, values, 0.0), power, flags
 
-    def bayes(self, px, py):
-        """Posterior-averaged MVDR over the quadrature nodes.
-
-        Returns (values, flags, log_v, weights); the latter two have shape
-        (P, n_quad).
-        """
+    def bayes(self, px, py) -> PointsResult:
+        """Posterior-averaged MVDR over the quadrature nodes, with the posterior."""
         shape = np.broadcast_shapes(np.shape(px), np.shape(py))
         nq = self.cfg.n_quad
         node_values = np.empty(shape + (nq,), dtype=complex)
@@ -240,17 +246,16 @@ class _Imager:
         w, fallback = posterior_weights(self.log_u, log_lik)
         flags = flags | np.where(fallback, FLAG_POSTERIOR_FALLBACK, 0).astype(np.uint8)
         values = np.einsum("...n,...n->...", w, node_values)
-        return values, flags, log_v, w
+        return PointsResult(values, flags, self.c_nodes, log_v, w)
 
-    def row(self, px, py):
-        """One grid row with the configured method: (values, flags)."""
+    def row(self, px, py) -> PointsResult:
+        """A batch of pixels, a grid row for images, with the configured method."""
         if self.cfg.method == METHOD_DAS:
-            return self.das(px, py)
+            return PointsResult(*self.das(px, py))
         if self.cfg.method == METHOD_MVDR:
             values, _, flags = self.mvdr_node(px, py, self.cfg.c_fixed)
-            return values, flags
-        values, flags, _, _ = self.bayes(px, py)
-        return values, flags
+            return PointsResult(values, flags)
+        return self.bayes(px, py)
 
 
 def beamform_points(cube: BasebandCube, px, py, cfg: BeamformerConfig,
@@ -269,11 +274,7 @@ def beamform_points(cube: BasebandCube, px, py, cfg: BeamformerConfig,
         raise ValueError("pixel azimuth px must be finite")
     if not ((py > 0) & (py < np.inf)).all():
         raise ValueError("pixel range py must be finite and > 0")
-    imager = _Imager(cube, geom, cfg)
-    if cfg.method != METHOD_BAYES:
-        return PointsResult(*imager.row(px, py))
-    values, flags, log_v, weights = imager.bayes(px, py)
-    return PointsResult(values, flags, imager.c_nodes, log_v, weights)
+    return _Imager(cube, geom, cfg).row(px, py)
 
 
 def beamform_image(cube: BasebandCube, grid: ScanGrid, cfg: BeamformerConfig,
@@ -291,8 +292,8 @@ def beamform_image(cube: BasebandCube, grid: ScanGrid, cfg: BeamformerConfig,
     flags = np.empty((grid.n_y, grid.n_x), dtype=np.uint8)
 
     def run_row(iy: int):
-        py = np.full(grid.n_x, ys[iy])
-        values[iy], flags[iy] = imager.row(xs, py)
+        result = imager.row(xs, np.full(grid.n_x, ys[iy]))
+        values[iy], flags[iy] = result.values, result.flags
 
     map_rows(run_row, grid.n_y, threads)
     return ImageResult(values=values, flags=flags, grid=grid, method=cfg.method)

@@ -43,6 +43,10 @@ def _thread_count(text: str) -> int:
     return n
 
 
+class UsageError(Exception):
+    """Arguments that parse but cannot be run together (exit 2)."""
+
+
 class MismatchError(Exception):
     """Inputs that do not fit the config or each other (exit 3)."""
 
@@ -151,8 +155,14 @@ def _evaluate(cfg: RunConfig, images: dict, out) -> None:
 
 def cmd_metrics(args) -> int:
     cfg = load_config(_existing(args.config, "config"))
-    images = {Path(path).stem: read_image_csv(_existing(path, "image"))
-              for path in args.images}
+    # the report keys images by file stem, so two files must not share one
+    paths = {}
+    for path in args.images:
+        stem = Path(path).stem
+        if stem in paths:
+            raise UsageError(f"images {paths[stem]} and {path} share the name {stem!r}")
+        paths[stem] = path
+    images = {stem: read_image_csv(_existing(path, "image")) for stem, path in paths.items()}
     _evaluate(cfg, images, args.out)
     return EXIT_OK
 
@@ -235,7 +245,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         code, message = EXIT_CONFIG, f"invalid config: {exc}"
-    except (FileNotFoundError, ImageFormatError) as exc:
+    except (FileNotFoundError, ImageFormatError, UsageError) as exc:
         code, message = EXIT_USAGE, exc
     except (CubeFormatError, MismatchError) as exc:
         code, message = EXIT_MISMATCH, exc

@@ -34,9 +34,9 @@ def _sample_at_times(cube: BasebandCube, t: np.ndarray):
     stencil leaves the record are zero; returns (values, valid)."""
     pos = (t - cube.time_origin) * cube.sample_rate
     values, valid = sample_rows(cube.samples, pos)
-    # invalid times (out of record, nan or inf) rotate by 1: their samples are zeroed
-    values = values * np.exp(1j * TWO_PI * cube.carrier * np.where(valid, t, 0.0))
-    return np.where(valid, values, 0.0), valid
+    # sample_rows zeroes invalid samples (out of record, nan or inf times);
+    # rotating them by exp(0) = 1 keeps them zero
+    return values * np.exp(1j * TWO_PI * cube.carrier * np.where(valid, t, 0.0)), valid
 
 
 def subarray_snapshots(x: np.ndarray, length: int) -> np.ndarray:

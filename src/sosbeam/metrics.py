@@ -30,6 +30,10 @@ class DbImage:
         p = np.asarray(self.pixels, dtype=float)
         if p.shape != (self.grid.n_y, self.grid.n_x):
             raise ValueError("pixel array does not match the grid")
+        # false for a nan or +inf pixel; -inf, a zero pixel's level, passes
+        if p.max() != 0.0:
+            raise ValueError(f"peak must be exactly 0 dB with no pixel above it, "
+                             f"got max {p.max()}")
         object.__setattr__(self, "pixels", p)
 
 

@@ -16,24 +16,6 @@ MAX_NODES = 128
 
 
 @dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Hermite nodes (symmetric about 0) and positive weights."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        z = np.asarray(self.nodes, dtype=float)
-        u = np.asarray(self.weights, dtype=float)
-        if z.shape != u.shape or z.ndim != 1:
-            raise ValueError("nodes and weights must be matching 1-D arrays")
-        if np.any(u <= 0):
-            raise ValueError("weights must be positive")
-        object.__setattr__(self, "nodes", z)
-        object.__setattr__(self, "weights", u)
-
-
-@dataclass(frozen=True)
 class SosPrior:
     """Normal prior on the sound speed: mean mu_c, standard deviation sigma_c (m/s)."""
 
@@ -47,15 +29,17 @@ class SosPrior:
             raise ValueError("sigma_c must be finite and >= 0")
 
 
-def gauss_hermite(n: int) -> QuadratureRule:
-    """Gauss-Hermite rule of order n: numpy's hermgauss, 1 <= n <= MAX_NODES.
+def gauss_hermite(n: int):
+    """Gauss-Hermite rule of order n, 1 <= n <= MAX_NODES: numpy's hermgauss
+    pair (nodes, weights), nodes ascending and symmetric about 0, weights
+    positive.
 
     numpy imports numpy.polynomial on first attribute access, so only a
     caller that builds a rule loads it.
     """
     if not 1 <= n <= MAX_NODES:
         raise ValueError(f"node count must be in [1, {MAX_NODES}]")
-    return QuadratureRule(*np.polynomial.hermite.hermgauss(n))
+    return np.polynomial.hermite.hermgauss(n)
 
 
 def node_to_sos(z, prior: SosPrior):

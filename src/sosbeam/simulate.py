@@ -189,21 +189,17 @@ def _leg_paths(a, b, env: Environment):
         raise ValueError("degenerate zero-length propagation path")
     out.append((DIRECT, length, depth_averaged_sos(env, az, bz), 1.0))
 
-    # surface bounce: mirror b across z=0; ray runs a -> surface -> b
-    length = np.hypot(horiz, -bz - az)
-    f = az / (az + bz) if az + bz > 0 else 0.5
-    speed = (f * depth_averaged_sos(env, az, 0.0)
-             + (1.0 - f) * depth_averaged_sos(env, 0.0, bz))
-    out.append((SURFACE, length, speed, env.surface_reflectivity))
-
-    # bottom bounce: mirror b across z=bottom
+    # one bounce off a boundary at depth zs: mirror b across it, so the ray
+    # runs a -> boundary -> b and splits at the fraction f of its depth span
     zb = env.bottom_depth
-    length = np.hypot(horiz, (2.0 * zb - bz) - az)
-    da, db = zb - az, zb - bz
-    f = da / (da + db) if da + db > 0 else 0.5
-    speed = (f * depth_averaged_sos(env, az, zb)
-             + (1.0 - f) * depth_averaged_sos(env, zb, bz))
-    out.append((BOTTOM, length, speed, env.bottom_reflectivity))
+    for kind, zs, mirror, coeff in ((SURFACE, 0.0, -bz, env.surface_reflectivity),
+                                    (BOTTOM, zb, 2.0 * zb - bz, env.bottom_reflectivity)):
+        length = np.hypot(horiz, mirror - az)
+        da, db = abs(zs - az), abs(zs - bz)
+        f = da / (da + db) if da + db > 0 else 0.5
+        speed = (f * depth_averaged_sos(env, az, zs)
+                 + (1.0 - f) * depth_averaged_sos(env, zs, bz))
+        out.append((kind, length, speed, coeff))
     return out
 
 

@@ -38,7 +38,8 @@ def _log_likelihood(cube, x, y, cfg, c):
     """n_sub * gamma * P_s at speed c: single-node Bayes on a collapsed prior at c."""
     cfg = replace(cfg, method="bayes", prior=SosPrior(c, 0.0), n_quad=1)
     log_v = beamform_points(cube, x, y, cfg, GEOM).log_v
-    return float(log_v[..., 0] - np.log(gauss_hermite(1).weights[0]))
+    _, weights = gauss_hermite(1)
+    return float(log_v[..., 0] - np.log(weights[0]))
 
 
 def _capon_weights(cov):
@@ -215,7 +216,7 @@ class TestLogLikelihood:
 
 
 class TestPosteriorWeights:
-    LOG_U = np.log(gauss_hermite(8).weights)
+    LOG_U = np.log(gauss_hermite(8)[1])  # the log weights
 
     def test_flat_likelihood_recovers_prior(self):
         w, fb = posterior_weights(self.LOG_U, np.zeros(8))
@@ -253,7 +254,8 @@ class TestPosteriorWeights:
            exponent=st.integers(-300, 300), seed=st.integers(0, 2 ** 32 - 1))
     def test_property_simplex_at_any_finite_scale(self, n_quad, rows, exponent, seed):
         # log likelihoods up to about 1e300 in magnitude, of either sign
-        log_u = np.log(gauss_hermite(n_quad).weights)
+        _, weights = gauss_hermite(n_quad)
+        log_u = np.log(weights)
         ll = np.random.default_rng(seed).standard_normal((rows, n_quad)) * 10.0 ** exponent
         w, fb = posterior_weights(log_u, ll)
         assert not fb.any()
@@ -266,7 +268,8 @@ class TestPosteriorWeights:
     def test_property_non_finite_row_is_exactly_the_prior(self, n_quad, rows, seed,
                                                           bad_value):
         rng = np.random.default_rng(seed)
-        log_u = np.log(gauss_hermite(n_quad).weights)
+        _, weights = gauss_hermite(n_quad)
+        log_u = np.log(weights)
         ll = rng.standard_normal((rows, n_quad)) * 10.0 ** rng.integers(-3, 4)
         bad = rng.random(rows) < 0.5
         ll[bad, rng.integers(n_quad, size=rows)[bad]] = bad_value
@@ -280,7 +283,7 @@ class TestSosPosterior:
     def test_collapsed_prior_recovers_prior_weights(self, baseband):
         cfg = _make_cfg(prior=SosPrior(1519.0, 0.0))
         post = beamform_points(baseband, 0.0, TARGET_RANGE, cfg, GEOM)
-        u = gauss_hermite(8).weights
+        _, u = gauss_hermite(8)
         np.testing.assert_allclose(post.weights, u / u.sum(), rtol=1e-10)
 
     def test_weights_form_simplex(self, baseband):
@@ -293,8 +296,8 @@ class TestSosPosterior:
     def test_nodes_follow_prior_map(self, baseband):
         cfg = _make_cfg()
         post = beamform_points(baseband, 0.0, TARGET_RANGE, cfg, GEOM)
-        np.testing.assert_allclose(post.nodes,
-                                   node_to_sos(gauss_hermite(8).nodes, cfg.prior))
+        nodes, _ = gauss_hermite(8)
+        np.testing.assert_allclose(post.nodes, node_to_sos(nodes, cfg.prior))
 
 
 class TestPixels:
@@ -524,6 +527,39 @@ class TestBeamformPoints:
                     np.testing.assert_allclose(batch.log_v[i, j], one.log_v, rtol=1e-12)
                     np.testing.assert_allclose(batch.weights[i, j], one.weights, rtol=1e-12)
 
+    @given(method=st.sampled_from(METHODS), n_quad=st.integers(1, 12), n_x=st.integers(1, 6),
+           n_y=st.integers(1, 4), x_min=st.floats(-2.0, 1.0), width=st.floats(0.01, 2.0),
+           y_min=st.floats(TARGET_RANGE - 2.0, TARGET_RANGE + 1.0),
+           depth=st.floats(0.01, 2.0), iy=st.integers(0, 3))
+    def test_property_image_row_is_the_pixel_call_bitwise(self, baseband, method, n_quad,
+                                                          n_x, n_y, x_min, width, y_min,
+                                                          depth, iy):
+        grid = ScanGrid(x_min, x_min + width, y_min, y_min + depth, n_x, n_y)
+        cfg = _make_cfg(method=method, n_quad=n_quad)
+        img = beamform_image(baseband, grid, cfg, GEOM)
+        iy = min(iy, n_y - 1)
+        xs = grid.x_values()
+        row = beamform_points(baseband, xs, np.full(n_x, grid.y_values()[iy]), cfg, GEOM)
+        np.testing.assert_array_equal(row.values, img.values[iy])
+        np.testing.assert_array_equal(row.flags, img.flags[iy])
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("n_geom, sub_len", [(1, 1), (12, 6)])
+    @pytest.mark.parametrize("entry", ["points", "image"])
+    def test_cube_and_geometry_sensor_counts_must_agree(self, method, n_geom, sub_len, entry):
+        rng = np.random.default_rng(4)
+        cube = BasebandCube(samples=rng.standard_normal((30, 2048))
+                            + 1j * rng.standard_normal((30, 2048)),
+                            sample_rate=125e3, carrier=30e3, decimation=4, time_origin=0.0)
+        geom = ArrayGeometry.uniform(n_geom, 1.0)
+        cfg = _make_cfg(method=method, subarray_length=sub_len)
+        message = f"cube holds 30 sensors, geometry has {n_geom}"
+        with pytest.raises(ValueError, match=message):
+            if entry == "points":
+                beamform_points(cube, np.zeros(2), np.full(2, 5.0), cfg, geom)
+            else:
+                beamform_image(cube, ScanGrid(-1.0, 1.0, 4.0, 6.0, 3, 2), cfg, geom)
+
     @given(mu_c=st.floats(1517.0, 1521.0), n_quad=st.integers(1, 16),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_property_collapsed_prior_is_mvdr_at_mean(self, baseband, mu_c, n_quad, seed):
@@ -546,5 +582,5 @@ class TestBeamformPoints:
         post = beamform_points(baseband, px, py, cfg, GEOM)
         assert (post.weights >= 0).all()
         np.testing.assert_allclose(post.weights.sum(axis=-1), 1.0, rtol=0, atol=1e-10)
-        np.testing.assert_array_equal(post.nodes,
-                                      node_to_sos(gauss_hermite(n_quad).nodes, cfg.prior))
+        nodes, _ = gauss_hermite(n_quad)
+        np.testing.assert_array_equal(post.nodes, node_to_sos(nodes, cfg.prior))

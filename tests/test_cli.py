@@ -258,6 +258,34 @@ class TestMetricsCommand:
         assert str(bad) in err and field in err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("bad", ["nan", "5.0"])
+    def test_pixel_not_peak_normalized_exit_2(self, small_config, images, tmp_path, capsys,
+                                              bad):
+        lines = Path(images[0]).read_text().splitlines()
+        row = lines[3].split(",")
+        row[2] = bad
+        lines[3] = ",".join(row)
+        edited = tmp_path / "edited.csv"
+        edited.write_text("\n".join(lines) + "\n")
+        report = tmp_path / "r.json"
+        assert main(["metrics", "--config", str(small_config), str(edited),
+                     "--out", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(edited) in err and "peak" in err
+        assert not report.exists()
+
+    def test_repeated_file_stem_exit_2_naming_both(self, small_config, images, tmp_path,
+                                                   capsys):
+        other = tmp_path / "run" / "das.csv"
+        other.parent.mkdir()
+        other.write_bytes(Path(images[0]).read_bytes())
+        report = tmp_path / "r.json"
+        assert main(["metrics", "--config", str(small_config), images[0], str(other),
+                     "--out", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and images[0] in err and str(other) in err
+        assert not report.exists()
+
     def test_undecodable_image_exit_2(self, small_config, tmp_path, capsys):
         bad = tmp_path / "binary.csv"
         bad.write_bytes(b"\xff\xfe\x00 not text\n")

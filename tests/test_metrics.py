@@ -12,6 +12,25 @@ def db_image(pixels, grid=GRID):
     return DbImage(pixels=pixels, grid=grid)
 
 
+class TestDbImage:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 5.0, 1e-300])
+    def test_pixel_above_or_without_a_zero_db_peak_rejected(self, bad):
+        pixels = np.full((41, 41), -10.0)
+        pixels[0, 0] = 0.0
+        pixels[3, 4] = bad
+        with pytest.raises(ValueError, match="peak"):
+            db_image(pixels)
+
+    def test_peak_below_zero_db_rejected(self):
+        with pytest.raises(ValueError, match="peak"):
+            db_image(np.full((41, 41), -1.0))
+
+    def test_zero_pixels_at_minus_inf_accepted(self):
+        pixels = np.full((41, 41), -np.inf)
+        pixels[3, 4] = 0.0
+        assert db_image(pixels).pixels.max() == 0.0
+
+
 class TestEnvelopeDb:
     def test_peak_is_zero_db(self):
         img = np.zeros((41, 41), dtype=complex)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sosbeam.quadrature import QuadratureRule, SosPrior, gauss_hermite, node_to_sos
+from sosbeam.quadrature import MAX_NODES, SosPrior, gauss_hermite, node_to_sos
 
 
 def gaussian_moment(k: int) -> float:
@@ -17,48 +17,48 @@ def gaussian_moment(k: int) -> float:
 
 class TestGaussHermite:
     def test_single_node(self):
-        rule = gauss_hermite(1)
-        np.testing.assert_allclose(rule.nodes, [0.0])
-        np.testing.assert_allclose(rule.weights, [np.sqrt(np.pi)], rtol=1e-15)
+        nodes, weights = gauss_hermite(1)
+        np.testing.assert_allclose(nodes, [0.0])
+        np.testing.assert_allclose(weights, [np.sqrt(np.pi)], rtol=1e-15)
 
     def test_two_nodes(self):
-        rule = gauss_hermite(2)
-        np.testing.assert_allclose(sorted(rule.nodes), [-1 / np.sqrt(2), 1 / np.sqrt(2)],
+        nodes, weights = gauss_hermite(2)
+        np.testing.assert_allclose(sorted(nodes), [-1 / np.sqrt(2), 1 / np.sqrt(2)],
                                    rtol=1e-12)
-        np.testing.assert_allclose(rule.weights, [np.sqrt(np.pi) / 2] * 2, rtol=1e-12)
+        np.testing.assert_allclose(weights, [np.sqrt(np.pi) / 2] * 2, rtol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 8, 32])
     def test_moments_exact_to_degree(self, n):
-        rule = gauss_hermite(n)
+        nodes, weights = gauss_hermite(n)
         for k in range(0, 2 * n - 1):
-            got = float((rule.weights * rule.nodes ** k).sum())
+            got = float((weights * nodes ** k).sum())
             want = gaussian_moment(k)
             if want == 0.0:
                 # odd moments cancel; compare against the summand magnitude
-                scale = float((rule.weights * np.abs(rule.nodes) ** k).sum())
+                scale = float((weights * np.abs(nodes) ** k).sum())
                 assert abs(got) <= 1e-10 * max(scale, 1.0)
             else:
                 assert got == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("n", [3, 8, 16, 64, 128])
     def test_weight_sum_and_symmetry(self, n):
-        rule = gauss_hermite(n)
-        assert rule.weights.sum() == pytest.approx(np.sqrt(np.pi), rel=1e-12)
-        np.testing.assert_allclose(rule.nodes, -rule.nodes[::-1], atol=1e-12)
-        np.testing.assert_allclose(rule.weights, rule.weights[::-1], rtol=1e-10)
+        nodes, weights = gauss_hermite(n)
+        assert weights.sum() == pytest.approx(np.sqrt(np.pi), rel=1e-12)
+        np.testing.assert_allclose(nodes, -nodes[::-1], atol=1e-12)
+        np.testing.assert_allclose(weights, weights[::-1], rtol=1e-10)
 
     def test_second_moment_any_n(self):
         for n in (2, 5, 9, 33, 64, 128):
-            rule = gauss_hermite(n)
-            assert (rule.weights * rule.nodes ** 2).sum() == pytest.approx(
+            nodes, weights = gauss_hermite(n)
+            assert (weights * nodes ** 2).sum() == pytest.approx(
                 np.sqrt(np.pi) / 2, rel=1e-12)
 
     def test_converges_to_trapezoid_oracle_for_cosine(self):
         # dense trapezoid evaluation of integral exp(-z^2) cos(z) dz
         z = np.linspace(-12.0, 12.0, 1_000_001)
         oracle = np.trapezoid(np.exp(-z ** 2) * np.cos(z), z)
-        rule = gauss_hermite(8)
-        got = float((rule.weights * np.cos(rule.nodes)).sum())
+        nodes, weights = gauss_hermite(8)
+        got = float((weights * np.cos(nodes)).sum())
         assert got == pytest.approx(oracle, abs=1e-8)
 
     def test_out_of_range_rejected(self):
@@ -67,9 +67,12 @@ class TestGaussHermite:
         with pytest.raises(ValueError):
             gauss_hermite(129)
 
-    def test_rule_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureRule(nodes=np.array([0.0]), weights=np.array([-1.0]))
+    @pytest.mark.parametrize("n", [1, 2, 8, 32, MAX_NODES])
+    def test_is_numpy_hermgauss_pair(self, n):
+        nodes, weights = gauss_hermite(n)
+        want_nodes, want_weights = np.polynomial.hermite.hermgauss(n)
+        np.testing.assert_array_equal(nodes, want_nodes)
+        np.testing.assert_array_equal(weights, want_weights)
 
 
 class TestSosPrior:
@@ -101,8 +104,8 @@ class TestNodeToSos:
 
     def test_affine_preserves_node_order(self):
         prior = SosPrior(1500.0, 2.0)
-        rule = gauss_hermite(16)
-        cs = node_to_sos(rule.nodes, prior)
+        nodes, _ = gauss_hermite(16)
+        cs = node_to_sos(nodes, prior)
         assert np.all(np.diff(cs) > 0)
 
     def test_prior_validation(self):
