@@ -5,9 +5,9 @@ Each subcommand reads the same JSON run configuration; intermediate artifacts
 or inspected on its own. `all` runs the simulate, beamform and metrics steps
 in one process and evaluates the images it holds in memory.
 
-Exit codes: 0 success, 1 invalid configuration, 2 usage, missing file or bad
-image CSV, 3 data/config mismatch (cube file, cube header, image grids, or a
-grid wholly past the record).
+Exit codes: 0 success, 1 invalid configuration, 2 usage, a file that cannot
+be read or written, or a bad image CSV, 3 data/config mismatch (cube file,
+cube header, image grids, or a grid wholly past the record).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .chain import receive_chain
 from .config import ConfigError, RunConfig, default_config_dict, load_config
 from .cube import CubeFormatError, RawDataCube, read_cube, write_cube
 from .imaging_io import ImageFormatError, read_image_csv, write_image_csv, write_image_pgm
-from .metrics import DbImage, MetricsReport, envelope_db, fwhm_of_image, pmal, rmse_db
+from .metrics import DbImage, envelope_db, fwhm_of_image, pmal, rmse_db
 from .simulate import enumerate_paths, synthesize_rx
 
 EXIT_OK = 0
@@ -87,8 +87,6 @@ def cmd_simulate(args) -> int:
 
 def _read_raw_cube(cfg: RunConfig, path) -> RawDataCube:
     cube = read_cube(_existing(path, "data"))
-    if not isinstance(cube, RawDataCube):
-        raise MismatchError(f"{path} is not a raw cube")
     if cube.n_sensors != cfg.geometry.n_sensors:
         raise MismatchError(f"cube holds {cube.n_sensors} sensors, config expects "
                             f"{cfg.geometry.n_sensors}")
@@ -123,6 +121,8 @@ def _beamform(baseband, cfg: RunConfig, bf_cfg, prefix, threads: int) -> DbImage
 
 
 def cmd_beamform(args) -> int:
+    if args.n_quad is not None and args.method != METHOD_BAYES:
+        raise UsageError(f"--n-quad applies to --method {METHOD_BAYES} only")
     cfg = load_config(_existing(args.config, "config"))
     raw = _read_raw_cube(cfg, args.data)
     bf_cfg = cfg.beamformer(args.method, n_quad=args.n_quad)
@@ -137,20 +137,22 @@ def _evaluate(cfg: RunConfig, images: dict, out) -> None:
     for name, img in images.items():
         if img.grid != grid:
             raise MismatchError(f"image {name} uses a different grid")
-    report = MetricsReport(boxes={"target_box": cfg.target_box.to_dict(),
-                                  "artifact_box": cfg.artifact_box.to_dict()})
+    fwhm_m, pmal_db = {}, {}
     for name, img in images.items():
         try:
-            report.fwhm_m[name] = fwhm_of_image(img, cfg.target_box,
-                                                cfg.fwhm_convention)
+            fwhm_m[name] = fwhm_of_image(img, cfg.target_box, cfg.fwhm_convention)
         except ValueError as exc:
-            report.fwhm_m[name] = None
+            fwhm_m[name] = None
             print(f"warning: FWHM undefined for {name}: {exc}", file=sys.stderr)
-        report.pmal_db[name] = pmal(img, cfg.target_box, cfg.artifact_box)
-    for a, b in combinations(sorted(images), 2):
-        report.rmse_db[f"{a}/{b}"] = rmse_db(images[a], images[b])
-    report.write(out)
-    print(report.to_json())
+        pmal_db[name] = pmal(img, cfg.target_box, cfg.artifact_box)
+    report = {"boxes": {"target_box": cfg.target_box.to_dict(),
+                        "artifact_box": cfg.artifact_box.to_dict()},
+              "fwhm_m": fwhm_m, "pmal_db": pmal_db, "method": sorted(images),
+              "rmse_db": {f"{a}/{b}": rmse_db(images[a], images[b])
+                          for a, b in combinations(sorted(images), 2)}}
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    Path(out).write_text(text)
+    print(text, end="")
 
 
 def cmd_metrics(args) -> int:
@@ -213,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True,
                    choices=[METHOD_DAS, METHOD_MVDR, METHOD_BAYES])
     p.add_argument("--n-quad", type=int, default=None,
-                   help="override the configured quadrature node count (bayes)")
+                   help="override the configured quadrature node count (bayes only)")
     p.add_argument("--out", required=True, help="output path prefix")
     p.add_argument("--threads", type=_thread_count, default=1)
     p.set_defaults(func=cmd_beamform)
@@ -245,7 +247,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         code, message = EXIT_CONFIG, f"invalid config: {exc}"
-    except (FileNotFoundError, ImageFormatError, UsageError) as exc:
+    except (OSError, ImageFormatError, UsageError) as exc:
         code, message = EXIT_USAGE, exc
     except (CubeFormatError, MismatchError) as exc:
         code, message = EXIT_MISMATCH, exc

@@ -2,8 +2,9 @@
 invariant before any computation starts.
 
 Each section is read through a table of JSON key -> (constructor parameter,
-kind); an omitted key takes the constructor's own default. Unknown keys, bools
-and non-finite numbers are rejected. Errors carry the dotted path of the
+kind); an omitted key takes the constructor's own default. A beamformer section
+takes only the keys its method reads (METHOD_KEYS). Unknown keys, bools and
+non-finite numbers are rejected. Errors carry the dotted path of the
 offending field, so a bad config is rejected with a pointer, not a stack trace.
 """
 
@@ -14,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-from .beamform import BeamformerConfig, METHOD_DAS, METHODS
+from .beamform import BeamformerConfig, METHOD_BAYES, METHOD_DAS, METHOD_MVDR
 from .chain import ChainConfig, TVG_VARIANTS
 from .core import ArrayGeometry, LfmPulse, ScanGrid
 from .metrics import Box, FWHM_AMPLITUDE, FWHM_INTENSITY
@@ -88,9 +89,8 @@ def default_config_dict() -> dict:
         "beamformers": {
             "das": {"c_fixed_m_s": 1519.0},
             "mvdr": {"c_fixed_m_s": 1519.0, "subarray_length": 16},
-            "bayes": {"c_fixed_m_s": 1519.0, "subarray_length": 16,
-                      "mu_c_m_s": 1519.0, "sigma_c_m_s": 0.3, "n_quad": 8,
-                      "snr0_db": 15.0, "dr_db": 96.0},
+            "bayes": {"subarray_length": 16, "mu_c_m_s": 1519.0, "sigma_c_m_s": 0.3,
+                      "n_quad": 8, "snr0_db": 15.0, "dr_db": 96.0},
         },
         "grid": {"x_min_m": -6.0, "x_max_m": 6.0, "y_min_m": 28.0, "y_max_m": 42.0,
                  "n_x": 256, "n_y": 512},
@@ -199,6 +199,13 @@ BEAMFORMER = (BeamformerConfig, {
     "c_fixed_m_s": ("c_fixed", float), "subarray_length": ("subarray_length", int),
     "n_quad": ("n_quad", int), "snr0_db": ("snr0_db", float), "dr_db": ("dr_db", float),
     "loading_factor": ("loading_factor", float)})
+# the PRIOR and BEAMFORMER keys each method reads; any other key is rejected
+METHOD_KEYS = {
+    METHOD_DAS: {"c_fixed_m_s"},
+    METHOD_MVDR: {"c_fixed_m_s", "subarray_length", "loading_factor"},
+    METHOD_BAYES: {"subarray_length", "loading_factor", "n_quad", "snr0_db", "dr_db",
+                   "mu_c_m_s", "sigma_c_m_s"},
+}
 GRID = (ScanGrid, {"x_min_m": ("x_min", float), "x_max_m": ("x_max", float),
                    "y_min_m": ("y_min", float), "y_max_m": ("y_max", float),
                    "n_x": ("n_x", int), "n_y": ("n_y", int)})
@@ -244,6 +251,9 @@ def parse_config(doc: dict) -> RunConfig:
     if simulation.sample_rate <= 2.0 * f_top:
         raise ConfigError("simulation.sample_rate_hz",
                           f"must exceed twice the pulse top frequency ({2 * f_top:g} Hz)")
+    if round(pulse.duration * simulation.sample_rate) < 1:
+        raise ConfigError("pulse.duration_s", "shorter than one sample at "
+                          f"{simulation.sample_rate:g} Hz")
 
     chain = _make(_section(doc, "chain"), "chain", CHAIN)
     if not 2 <= chain.quantization_bits <= 24:
@@ -256,21 +266,20 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError("chain.decimation", "must be >= 1")
 
     beamformers = {}
-    known = {**PRIOR[1], **BEAMFORMER[1]}
     for method, bf in _section(doc, "beamformers").items():
         bpath = f"beamformers.{method}"
-        if method not in METHODS:
-            raise ConfigError(bpath, f"unknown method; expected one of {METHODS}")
+        if method not in METHOD_KEYS:
+            raise ConfigError(bpath, f"unknown method; expected one of {tuple(METHOD_KEYS)}")
+        known = METHOD_KEYS[method]
         prior = _build(bpath, SosPrior, **_read(_value(bf, bpath, dict), bpath, PRIOR, known))
         args = _read(bf, bpath, BEAMFORMER, known)
         args.setdefault("subarray_length", geometry.n_sensors // 2 + 1)  # derived fallback
         cfg = _build(bpath, BeamformerConfig, method=method, prior=prior,
                      tvg_variant=chain.tvg_variant, **args)
-        if method != METHOD_DAS:
-            try:
-                cfg.n_subarrays(geometry.n_sensors)
-            except ValueError as exc:
-                raise ConfigError(f"{bpath}.subarray_length", str(exc)) from None
+        try:
+            cfg.n_subarrays(geometry.n_sensors)
+        except ValueError as exc:
+            raise ConfigError(f"{bpath}.subarray_length", str(exc)) from None
         beamformers[method] = cfg
 
     grid = _make(_section(doc, "grid"), "grid", GRID)

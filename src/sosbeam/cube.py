@@ -1,9 +1,9 @@
-"""Sensor data cubes and their on-disk formats.
+"""Sensor data cubes and the raw cube file format.
 
-The binary cube file is little-endian: a fixed header followed by the
-sample payload, sensor-major. Raw cubes store float32 samples; baseband
-cubes store complex64 (interleaved re/im) plus carrier, decimation, and
-time-origin metadata.
+The binary cube file holds one raw cube, little-endian: a fixed header
+followed by float32 samples, sensor-major. The header's carrier, time-origin
+and decimation fields are 0, 0 and 1. BasebandCube is in-memory only: the
+receive chain makes it from a raw cube and the beamformers read it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 
 MAGIC = b"SSBC"
 _FORMAT_RAW = 0
-_FORMAT_BASEBAND = 1
 _HEADER = struct.Struct("<4sHHIQdddI")  # magic, version, format, n_sens, n_samples, fs, carrier, t0, decim
 
 
@@ -87,53 +86,39 @@ class BasebandCube:
         return self.sample_rate * self.decimation
 
 
-def write_cube(path, cube) -> None:
-    """Write a RawDataCube or BasebandCube to the binary cube format."""
-    if isinstance(cube, RawDataCube):
-        fmt = _FORMAT_RAW
-        carrier, t0, decim = 0.0, 0.0, 1
-        payload = cube.samples.astype("<f4", order="C")
-    elif isinstance(cube, BasebandCube):
-        fmt = _FORMAT_BASEBAND
-        carrier, t0, decim = cube.carrier, cube.time_origin, cube.decimation
-        payload = cube.samples.astype("<c8", order="C")
-    else:
-        raise TypeError(f"unsupported cube type {type(cube).__name__}")
-    header = _HEADER.pack(MAGIC, 1, fmt, cube.n_sensors, cube.n_samples,
-                          cube.sample_rate, carrier, t0, decim)
+def write_cube(path, cube: RawDataCube) -> None:
+    """Write a RawDataCube to the binary cube format."""
+    if not isinstance(cube, RawDataCube):
+        raise TypeError(f"only raw cubes are written, got {type(cube).__name__}")
+    header = _HEADER.pack(MAGIC, 1, _FORMAT_RAW, cube.n_sensors, cube.n_samples,
+                          cube.sample_rate, 0.0, 0.0, 1)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)  # through the buffer protocol: no bytes copy of the payload
+        # through the buffer protocol: no bytes copy of the payload
+        fh.write(cube.samples.astype("<f4", order="C"))
 
 
-def read_cube(path):
-    """Read a cube file; returns RawDataCube or BasebandCube per its format tag."""
+def read_cube(path) -> RawDataCube:
+    """Read a raw cube file; any other format tag is a CubeFormatError."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) != _HEADER.size:
             raise CubeFormatError(f"{path}: truncated header")
-        magic, version, fmt, n_sens, n_samples, fs, carrier, t0, decim = _HEADER.unpack(head)
+        magic, version, fmt, n_sens, n_samples, fs, *_ = _HEADER.unpack(head)
         if magic != MAGIC:
             raise CubeFormatError(f"{path}: bad magic {magic!r}")
         if version != 1:
             raise CubeFormatError(f"{path}: unsupported version {version}")
-        if fmt == _FORMAT_RAW:
-            data = np.frombuffer(fh.read(), dtype="<f4")
-        elif fmt == _FORMAT_BASEBAND:
-            data = np.frombuffer(fh.read(), dtype="<c8")
-        else:
-            raise CubeFormatError(f"{path}: unknown format tag {fmt}")
+        if fmt != _FORMAT_RAW:
+            raise CubeFormatError(f"{path}: format tag {fmt} is not a raw cube")
+        data = np.frombuffer(fh.read(), dtype="<f4")
     if data.size != n_sens * n_samples:
         raise CubeFormatError(
             f"{path}: payload holds {data.size} samples, header promises {n_sens * n_samples}")
     if not np.isfinite(data).all():
         raise CubeFormatError(f"{path}: payload holds non-finite samples")
-    samples = data.reshape(n_sens, n_samples)
     try:
-        if fmt == _FORMAT_RAW:
-            return RawDataCube(samples=samples.astype(float), sample_rate=fs)
-        return BasebandCube(samples=samples.astype(complex), sample_rate=fs,
-                            carrier=carrier, decimation=decim, time_origin=t0)
+        return RawDataCube(samples=data.reshape(n_sens, n_samples).astype(float),
+                           sample_rate=fs)
     except ValueError as exc:
         raise CubeFormatError(f"{path}: bad header: {exc}") from exc
-

@@ -6,8 +6,7 @@ grid meters and resolved to pixel index ranges.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,28 +148,3 @@ def rmse_db(a: DbImage, b: DbImage) -> float:
     if rms <= 10.0 ** (RMSE_FLOOR_DB / 20.0):
         return RMSE_FLOOR_DB
     return 20.0 * np.log10(rms)
-
-
-@dataclass
-class MetricsReport:
-    """Evaluation summary serialized as JSON with fixed field names."""
-
-    fwhm_m: dict = field(default_factory=dict)       # method -> meters
-    pmal_db: dict = field(default_factory=dict)      # method -> dB
-    rmse_db: dict = field(default_factory=dict)      # "methodA/methodB" -> dB
-    boxes: dict = field(default_factory=dict)
-
-    @property
-    def method(self) -> list:
-        return sorted(set(self.fwhm_m) | set(self.pmal_db))
-
-    def to_json(self) -> str:
-        return json.dumps({"fwhm_m": self.fwhm_m, "pmal_db": self.pmal_db,
-                           "rmse_db": self.rmse_db, "method": self.method,
-                           "boxes": self.boxes},
-                          indent=2, sort_keys=True)
-
-    def write(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
-            fh.write("\n")

@@ -227,12 +227,14 @@ def lfm_pulse_samples(pulse: LfmPulse, fs: float) -> np.ndarray:
     """Real LFM chirp samples at rate fs with unit peak amplitude.
 
     Instantaneous frequency sweeps center - bw/2 to center + bw/2 over the
-    pulse duration.
+    pulse duration, which must round to at least one sample.
     """
     f_top = pulse.center_frequency + 0.5 * pulse.bandwidth
     if fs <= 2.0 * f_top:
         raise ValueError(f"sample rate {fs} undersamples pulse (needs > {2 * f_top})")
     n = int(round(pulse.duration * fs))
+    if n < 1:
+        raise ValueError(f"pulse of {pulse.duration:g} s is shorter than one sample at {fs:g} Hz")
     t = np.arange(n) / fs
     f0 = pulse.center_frequency - 0.5 * pulse.bandwidth
     rate = pulse.bandwidth / pulse.duration

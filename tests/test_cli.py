@@ -73,6 +73,11 @@ class TestSimulate:
         assert main(["simulate", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "cube.bin")]) == 2
 
+    def test_out_is_a_directory_exit_2(self, small_config, tmp_path, capsys):
+        assert main(["simulate", "--config", str(small_config), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+
     def test_invalid_config_exit_1_with_field_path(self, tmp_path, capsys):
         doc = default_config_dict()
         doc["pulse"]["duration_s"] = -1.0
@@ -190,6 +195,14 @@ class TestBeamform:
                      "--method", "bayes", "--n-quad", n_quad,
                      "--out", str(tmp_path / "x")]) == 1
         assert "beamformers.bayes.n_quad" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["das", "mvdr"])
+    def test_n_quad_without_bayes_exit_2(self, small_config, cube_path, tmp_path, capsys,
+                                         method):
+        assert main(["beamform", "--config", str(small_config), "--data", str(cube_path),
+                     "--method", method, "--n-quad", "8", "--out", str(tmp_path / "x")]) == 2
+        assert "--n-quad applies to --method bayes only" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x*"))
 
     def test_missing_data_exit_2(self, small_config, tmp_path):
         assert main(["beamform", "--config", str(small_config), "--data",
@@ -380,6 +393,16 @@ class TestAll:
         assert_names_threads_flag(capsys.readouterr().err)
         assert not out_dir.exists()
 
+    def test_out_dir_is_a_file_exit_2_writing_nothing(self, small_config, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        out_dir.write_text("not a directory")
+        before = sorted(tmp_path.iterdir())
+        assert main(["all", "--config", str(small_config), "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out_dir) in err
+        assert sorted(tmp_path.iterdir()) == before
+        assert out_dir.read_text() == "not a directory"
+
     def test_threads_default_to_one(self):
         args = cli.build_parser().parse_args(["all", "--config", "c.json", "--out-dir", "d"])
         assert args.threads == 1
@@ -397,6 +420,8 @@ class TestAll:
         ("beamformers.bayes.n_quad", 500),
         ("simulation.rng_seed", 2 ** 70),
         ("chain.decimaton", 4),
+        ("pulse.duration_s", 1e-9),
+        ("beamformers.das.n_quad", 8),
     ])
     def test_bad_config_exit_1_before_any_work(self, tmp_path, capsys, field, value):
         doc = default_config_dict()

@@ -3,11 +3,16 @@ import json
 import re
 from dataclasses import fields
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sosbeam import config
+from sosbeam.beamform import beamform_points
+from sosbeam.chain import receive_chain
 from sosbeam.config import (ConfigError, default_config_dict, load_config,
                             parse_config)
+from sosbeam.simulate import synthesize_rx
 
 
 @pytest.fixture
@@ -71,6 +76,11 @@ class TestRejection:
         del doc["scene"]["targets"][0]["range_m"]
         assert self.error_path(doc) == "scene.targets[0]"
 
+    @pytest.mark.parametrize("duration", [1e-9, 1e-6])  # 0.0005 and 0.5 samples
+    def test_pulse_shorter_than_one_sample(self, doc, duration):
+        doc["pulse"]["duration_s"] = duration
+        assert self.error_path(doc) == "pulse.duration_s"
+
     def test_nyquist_enforced(self, doc):
         doc["simulation"]["sample_rate_hz"] = 60e3
         assert self.error_path(doc) == "simulation.sample_rate_hz"
@@ -114,8 +124,7 @@ class TestRejection:
             load_config(path)
 
     def test_n_quad_override(self, doc):
-        doc["beamformers"]["bayes"].update(loading_factor=0.002, subarray_length=12,
-                                           c_fixed_m_s=1500.0)
+        doc["beamformers"]["bayes"].update(loading_factor=0.002, subarray_length=12)
         doc["chain"]["tvg_variant"] = "pi_range"
         cfg = parse_config(doc)
         base = cfg.beamformer("bayes")
@@ -126,9 +135,9 @@ class TestRejection:
             if f.name != "n_quad":
                 assert getattr(override, f.name) == getattr(base, f.name), f.name
 
-    def test_das_subarray_length_not_checked(self, doc):
+    def test_das_subarray_length_rejected(self, doc):
         doc["beamformers"]["das"]["subarray_length"] = 31
-        assert parse_config(doc).beamformers["das"].subarray_length == 31
+        assert self.error_path(doc) == "beamformers.das.subarray_length"
 
     def test_negative_loading_factor_rejected(self, doc):
         doc["beamformers"]["mvdr"]["loading_factor"] = -1.0
@@ -188,6 +197,12 @@ def node(doc, path):
     return doc
 
 
+def only(spec, keys):
+    """spec with its key table cut down to keys."""
+    factory, table = spec
+    return factory, {key: entry for key, entry in table.items() if key in keys}
+
+
 # (field path, key table, the object the table builds)
 TABLES = [
     ("array", config.ARRAY, lambda c: c.geometry),
@@ -199,7 +214,11 @@ TABLES = [
     ("simulation", config.SIMULATION, lambda c: c.simulation),
     ("chain", config.CHAIN, lambda c: c.chain),
     ("beamformers.bayes", config.PRIOR, lambda c: c.beamformers["bayes"].prior),
-    ("beamformers.bayes", config.BEAMFORMER, lambda c: c.beamformers["bayes"]),
+    ("beamformers.bayes", only(config.BEAMFORMER, config.METHOD_KEYS["bayes"]),
+     lambda c: c.beamformers["bayes"]),
+    # the one BEAMFORMER key that Bayes does not read
+    ("beamformers.mvdr", only(config.BEAMFORMER, {"c_fixed_m_s"}),
+     lambda c: c.beamformers["mvdr"]),
     ("grid", config.GRID, lambda c: c.grid),
     ("metrics.target_box", config.BOX, lambda c: c.target_box),
     ("metrics", config.METRICS, lambda c: c),
@@ -330,3 +349,58 @@ class TestRangeChecks:
         with pytest.raises(ConfigError) as info:
             load_config(path)
         assert info.value.path == "beamformers.bayes.mu_c_m_s"
+
+
+# a changed value for each beamformer key, valid for every method that reads it
+CHANGED = {"c_fixed_m_s": 1500.0, "subarray_length": 12, "loading_factor": 0.01,
+           "n_quad": 16, "snr0_db": 5.0, "dr_db": 80.0, "mu_c_m_s": 1510.0,
+           "sigma_c_m_s": 2.0}
+ACCEPTED = [(method, key) for method, keys in config.METHOD_KEYS.items()
+            for key in sorted(keys)]
+FOREIGN = [(method, key) for method, keys in config.METHOD_KEYS.items()
+           for key in sorted(set(CHANGED) - keys)]
+
+
+def short_doc():
+    """The default scene with one target and a record that ends past it."""
+    doc = default_config_dict()
+    doc["simulation"]["record_duration_s"] = 0.1
+    doc["scene"]["targets"] = doc["scene"]["targets"][:1]
+    return doc
+
+
+class TestMethodKeys:
+    @pytest.fixture(scope="class")
+    def scene(self):
+        cfg = parse_config(short_doc())
+        raw = synthesize_rx(cfg.targets, cfg.geometry, cfg.pulse, cfg.environment,
+                            cfg.simulation)
+        px, py = np.meshgrid(np.linspace(-0.4, 0.4, 3), np.linspace(31.8, 32.2, 3))
+        return receive_chain(raw, cfg.pulse, cfg.chain), cfg.geometry, px, py
+
+    def test_keys_are_the_beamformer_tables(self):
+        assert set(CHANGED) == set(config.PRIOR[1]) | set(config.BEAMFORMER[1])
+        assert set().union(*config.METHOD_KEYS.values()) == set(CHANGED)
+        assert len(ACCEPTED) == 11 and len(FOREIGN) == 13
+
+    @pytest.mark.parametrize("method, key", ACCEPTED)
+    def test_every_accepted_key_changes_the_pixels(self, scene, method, key):
+        baseband, geom, px, py = scene
+        doc = short_doc()
+        base = beamform_points(baseband, px, py, parse_config(doc).beamformers[method], geom)
+        assert doc["beamformers"][method].get(key) != CHANGED[key]
+        doc["beamformers"][method][key] = CHANGED[key]
+        changed = beamform_points(baseband, px, py, parse_config(doc).beamformers[method],
+                                  geom)
+        assert not np.array_equal(changed.values, base.values)
+
+    @given(pair=st.sampled_from(FOREIGN),
+           value=st.one_of(st.integers(-5, 64), st.floats(), st.booleans(), st.none(),
+                           st.text(max_size=3)))
+    def test_property_other_methods_keys_rejected(self, pair, value):
+        method, key = pair
+        doc = default_config_dict()
+        doc["beamformers"][method][key] = value
+        with pytest.raises(ConfigError, match="unknown field") as info:
+            parse_config(doc)
+        assert info.value.path == f"beamformers.{method}.{key}"

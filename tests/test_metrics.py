@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from sosbeam.core import ScanGrid
-from sosbeam.metrics import (Box, DbImage, MetricsReport, envelope_db, fwhm,
-                             fwhm_of_image, pmal, rmse_db)
+from sosbeam.metrics import (Box, DbImage, envelope_db, fwhm, fwhm_of_image, pmal,
+                             rmse_db)
 
 GRID = ScanGrid(-2.0, 2.0, 10.0, 14.0, 41, 41)
 
@@ -197,18 +197,3 @@ class TestRmseDb:
         b = DbImage(pixels=np.zeros((40, 41)), grid=other)
         with pytest.raises(ValueError):
             rmse_db(a, b)
-
-
-class TestMetricsReport:
-    def test_json_round_trip(self, tmp_path):
-        import json
-        report = MetricsReport(fwhm_m={"das": 2.31}, pmal_db={"das": -9.97},
-                               rmse_db={"bayes_q8/bayes_q32": -39.1},
-                               boxes={"target_box": Box(-3, 3, 29, 35).to_dict()})
-        path = tmp_path / "report.json"
-        report.write(path)
-        doc = json.loads(path.read_text())
-        assert set(doc) == {"fwhm_m", "pmal_db", "rmse_db", "method", "boxes"}
-        assert doc["method"] == ["das"]
-        assert doc["fwhm_m"]["das"] == 2.31
-        assert doc["boxes"]["target_box"]["x_min"] == -3

@@ -183,6 +183,12 @@ class TestLfmPulse:
         with pytest.raises(ValueError):
             lfm_pulse_samples(self.PULSE, 79e3)
 
+    @pytest.mark.parametrize("duration", [1e-9, 0.9e-6])  # 0.0005 and 0.45 samples
+    def test_pulse_shorter_than_one_sample_rejected(self, duration):
+        pulse = LfmPulse(center_frequency=30e3, bandwidth=20e3, duration=duration)
+        with pytest.raises(ValueError, match="shorter than one sample"):
+            lfm_pulse_samples(pulse, 500e3)
+
 
 class TestSynthesizeRx:
     GEOM = ArrayGeometry.uniform(4, 0.6, array_depth=70.0)
