@@ -13,7 +13,8 @@ per focal point (so the steering vector is all ones), then:
 Pixels are independent. beamform_points runs one batch of pixels of any
 shape and, for Bayes, also returns the per-pixel sound-speed posterior;
 beamform_image runs the same engine row by row on core.map_rows, with
-identical per-row arithmetic at any thread count.
+identical per-row arithmetic at any thread count. record_span gives the
+round-trip times an image reads, the span the receive chain must cover.
 """
 
 from __future__ import annotations
@@ -275,6 +276,24 @@ def beamform_points(cube: BasebandCube, px, py, cfg: BeamformerConfig,
     if not ((py > 0) & (py < np.inf)).all():
         raise ValueError("pixel range py must be finite and > 0")
     return _Imager(cube, geom, cfg).row(px, py)
+
+
+def record_span(grid: ScanGrid, geom: ArrayGeometry, cfgs) -> tuple:
+    """(t_first, t_last): the earliest and latest round trip that any pixel of
+    grid is focused at by any of the configs cfgs, in seconds.
+
+    The speeds are c_fixed for DAS and MVDR and the quadrature node speeds
+    for Bayes. r_tx + r_rx grows with range at every azimuth, so the
+    earliest trip is on the first grid row at the fastest speed and the
+    latest on the last row at the slowest.
+    """
+    speeds = np.concatenate([
+        node_to_sos(gauss_hermite(cfg.n_quad)[0], cfg.prior) if cfg.method == METHOD_BAYES
+        else [cfg.c_fixed] for cfg in cfgs])
+    xs, ys = grid.x_values(), grid.y_values()
+    t_first = travel_times(xs, ys[0], speeds.max(), geom).min()
+    t_last = travel_times(xs, ys[-1], speeds.min(), geom).max()
+    return float(t_first), float(t_last)
 
 
 def beamform_image(cube: BasebandCube, grid: ScanGrid, cfg: BeamformerConfig,

@@ -19,16 +19,33 @@ spectrum, and the decimation is done by folding that spectrum before a
 short inverse FFT, so only the kept samples are ever formed. The matched
 filter is a full linear convolution along each sensor row, done by FFT
 (`_Convolver`: one numpy forward/inverse pair at a 5-smooth length).
+
+Given a span (t_first, t_last) of round-trip times, `receive_chain` runs
+only over the raw samples that can reach the baseband samples read in that
+span, which `beamform.record_span` gives for an image. The span is widened
+by TAPS + 1 baseband samples (the interpolation stencil) and LOWPASS_TAPS
+raw samples on both sides, and by the matched-filter replica at the end
+(the filter looks forward); the first raw sample is rounded down to a
+multiple of the decimation, so the kept samples fall on the whole-record
+chain's sampling grid, and the window is clipped to the record. What does
+not depend on the window still comes from the whole record: the quantizer
+full scale (the whole cube), the TVG gain (absolute sample times) and the
+mixing phase (absolute sample indices). The result keeps the whole-record
+chain's time origin and counts its first sample from the record's first
+(BasebandCube.sample_offset), so it equals that chain over the span to
+rounding, read at the same interpolation positions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import LfmPulse, TWO_PI, map_rows
 from .cube import BasebandCube, RawDataCube
+from .interp import TAPS
 from .simulate import lfm_pulse_samples
 
 LOWPASS_TAPS = 64
@@ -95,11 +112,12 @@ def tvg_range(r, variant: str):
     return r if variant == TVG_TWO_WAY else TWO_PI * r
 
 
-def _tvg_gain(n: int, fs: float, c: float, variant: str, t_min: float) -> np.ndarray:
-    """tvg's linear gain for samples 0 .. n-1 at rate fs."""
+def _tvg_gain(n: int, fs: float, c: float, variant: str, t_min: float,
+              start: int = 0) -> np.ndarray:
+    """tvg's linear gain for samples start .. start + n - 1 at rate fs."""
     if not 0 < c < np.inf:
         raise ValueError("propagation speed must be finite and > 0")
-    t = np.arange(n) / fs
+    t = np.arange(start, start + n) / fs
     t_floor = max(t_min, 1.0 / fs)
     t = np.maximum(t, t_floor)
     return tvg_range(0.5 * c * t, variant)
@@ -166,14 +184,17 @@ def _lowpass_taps(fs: float, carrier: float, decim: int) -> np.ndarray:
 
 
 class _Demodulator:
-    """demodulate for real n-sample rows; calling it demodulates one row.
+    """demodulate for real n-sample rows that begin at raw sample `start` of
+    the record; calling it demodulates one row.
 
     The result is y[n] = e^{-jw0 n} (x * g)[n] at n = shift + m*decim, with
     g[k] = 2 h[k] e^{jw0 k} the low-pass h moved up to the carrier: the same
     numbers as mixing with 2 e^{-jw0 n}, filtering with h and keeping every
     decim-th sample. The filter's 31.5-sample group delay is compensated by a
     32-sample shift, applied as a circular rotation of g; the residual half
-    raw sample is reported through the time origin.
+    raw sample is reported through the time origin. The mixing phase
+    e^{-jw0 n} counts n from the start of the record, so a row cut out of it
+    at a multiple of decim demodulates to the whole record's numbers.
 
     x * g is a circular convolution of length N = decim * M (M 5-smooth and
     long enough that nothing wraps). Its every decim-th sample is the length-M
@@ -183,7 +204,7 @@ class _Demodulator:
     spectrum of g and the output rotation e^{-jw0 n}/decim are set up once.
     """
 
-    def __init__(self, n: int, fs: float, carrier: float, decim: int):
+    def __init__(self, n: int, fs: float, carrier: float, decim: int, start: int = 0):
         if decim < 1:
             raise ValueError("decimation must be >= 1")
         if not 0 < carrier < fs / 2:
@@ -203,7 +224,8 @@ class _Demodulator:
         g[k - shift] = 2.0 * _lowpass_taps(fs, carrier, decim) * np.exp(1j * phase(k))
         self.g_spectrum = np.fft.fft(g)
         self.n_keep = -(-n // decim)
-        self.rotation = np.exp(-1j * phase(shift + decim * np.arange(self.n_keep))) / decim
+        n_mix = start + shift + decim * np.arange(self.n_keep)
+        self.rotation = np.exp(-1j * phase(n_mix)) / decim
         self.time_origin = (shift - (LOWPASS_TAPS - 1) / 2.0) / fs
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -236,6 +258,12 @@ def demodulate(cube: RawDataCube, carrier: float, decim: int) -> BasebandCube:
                         decimation=decim, time_origin=demod.time_origin)
 
 
+def replica_length(pulse: LfmPulse, fs: float) -> int:
+    """Raw samples of the matched-filter replica before demodulation: the
+    pulse and 2 * LOWPASS_TAPS zeros. A record must be at least this long."""
+    return lfm_pulse_samples(pulse, fs).size + 2 * LOWPASS_TAPS
+
+
 def baseband_replica(pulse: LfmPulse, fs: float, carrier: float,
                      decim: int) -> BasebandCube:
     """The transmit pulse pushed through the same demodulation as the data.
@@ -244,7 +272,7 @@ def baseband_replica(pulse: LfmPulse, fs: float, carrier: float,
     replica's sample 0 corresponds to the pulse leading edge at t = 0.
     """
     wave = lfm_pulse_samples(pulse, fs)
-    padded = np.zeros(wave.size + 2 * LOWPASS_TAPS)
+    padded = np.zeros(replica_length(pulse, fs))
     padded[:wave.size] = wave
     demod = _Demodulator(padded.size, fs, carrier, decim)
     return BasebandCube(samples=demod(padded)[None, :], sample_rate=fs / decim,
@@ -288,11 +316,29 @@ def matched_filter(cube: BasebandCube, pulse: LfmPulse) -> BasebandCube:
         y[:] = mf(x)
     return BasebandCube(samples=out, sample_rate=cube.sample_rate,
                         carrier=cube.carrier, decimation=cube.decimation,
-                        time_origin=cube.time_origin - mf.time_shift)
+                        time_origin=cube.time_origin - mf.time_shift,
+                        sample_offset=cube.sample_offset)
+
+
+def _record_window(span, n: int, fs: float, decim: int, replica: int) -> tuple:
+    """The raw samples [start, stop) of an n-sample record that receive_chain
+    runs over for span = (t_first, t_last): the span, widened as the module
+    docstring says, start a multiple of decim, clipped to the record. A span
+    near or past the record's end keeps the last `replica` samples, the
+    shortest window the matched filter takes."""
+    t_first, t_last = map(float, span)
+    if not (math.isfinite(t_first) and math.isfinite(t_last) and t_first <= t_last):
+        raise ValueError(f"span must be finite with t_first <= t_last, got {span!r}")
+    if decim < 1:
+        raise ValueError("decimation must be >= 1")
+    margin = decim * (TAPS + 1) + LOWPASS_TAPS
+    stop = min(n, math.ceil(t_last * fs) + margin + replica)
+    start = min(math.floor(t_first * fs) - margin, stop - replica)
+    return max(start - start % decim, 0), stop
 
 
 def receive_chain(cube: RawDataCube, pulse: LfmPulse, settings: ChainConfig,
-                  threads: int = 1) -> BasebandCube:
+                  threads: int = 1, span=None) -> BasebandCube:
     """quantize → tvg → demodulate → matched_filter, one sensor row at a time.
 
     The bits, TVG law and decimation come from settings; the TVG floor is one
@@ -300,23 +346,36 @@ def receive_chain(cube: RawDataCube, pulse: LfmPulse, settings: ChainConfig,
     is one work unit of core.map_rows, so the thread count changes the
     scheduling only and the result equals the four-stage composition
     bit-for-bit at any thread count. The input cube is not written.
+
+    span=None runs the whole record. A span (t_first, t_last) in seconds runs
+    only the raw samples that the baseband read at those times depends on:
+    the span widened by TAPS + 1 baseband and LOWPASS_TAPS raw samples on
+    both sides and by the replica at the end, starting at a multiple of the
+    decimation, clipped to the record. The quantizer full scale, the TVG
+    gain and the mixing phase still come from the whole record, so every
+    baseband sample the interpolation stencil reads at a time in the span
+    equals the whole-record one to rounding; sample_offset places the first.
     """
     x = cube.samples
     fs = cube.sample_rate
     carrier = pulse.center_frequency
     decim = settings.decimation
     quantizer = _Quantizer(x, settings.quantization_bits)
-    gain = _tvg_gain(cube.n_samples, fs, settings.tvg_speed, settings.tvg_variant,
-                     pulse.duration)
-    demod = _Demodulator(cube.n_samples, fs, carrier, decim)
+    start, stop = 0, cube.n_samples
+    if span is not None:
+        start, stop = _record_window(span, stop, fs, decim, replica_length(pulse, fs))
+    n = stop - start
+    gain = _tvg_gain(n, fs, settings.tvg_speed, settings.tvg_variant, pulse.duration, start)
+    demod = _Demodulator(n, fs, carrier, decim, start)
     mf = _MatchedFilter(pulse, fs, carrier, decim, demod.n_keep)
     out = np.empty((cube.n_sensors, demod.n_keep), dtype=complex)
 
     def run_row(i: int) -> None:
-        row = quantizer(x[i], np.empty(cube.n_samples))
+        row = quantizer(x[i, start:stop], np.empty(n))
         row *= gain
         out[i] = mf(demod(row))
 
     map_rows(run_row, cube.n_sensors, threads)
     return BasebandCube(samples=out, sample_rate=fs / decim, carrier=carrier,
-                        decimation=decim, time_origin=demod.time_origin - mf.time_shift)
+                        decimation=decim, time_origin=demod.time_origin - mf.time_shift,
+                        sample_offset=start // decim)

@@ -3,7 +3,9 @@
 Each subcommand reads the same JSON run configuration; intermediate artifacts
 (raw cube, per-method images) are ordinary files so any stage can be re-run
 or inspected on its own. `all` runs the simulate, beamform and metrics steps
-in one process and evaluates the images it holds in memory.
+in one process and evaluates the images it holds in memory. `all` and
+`beamform` run the receive chain only over the part of the record their
+images read (`beamform.record_span`).
 
 Exit codes: 0 success, 1 invalid configuration, 2 usage, a file that cannot
 be read or written, or a bad image CSV, 3 data/config mismatch (cube file,
@@ -18,7 +20,7 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
-from .beamform import METHOD_BAYES, METHOD_DAS, METHOD_MVDR, beamform_image
+from .beamform import METHOD_BAYES, METHOD_DAS, METHOD_MVDR, beamform_image, record_span
 from .chain import receive_chain
 from .config import ConfigError, RunConfig, default_config_dict, load_config
 from .cube import CubeFormatError, RawDataCube, read_cube, write_cube
@@ -126,7 +128,8 @@ def cmd_beamform(args) -> int:
     cfg = load_config(_existing(args.config, "config"))
     raw = _read_raw_cube(cfg, args.data)
     bf_cfg = cfg.beamformer(args.method, n_quad=args.n_quad)
-    baseband = receive_chain(raw, cfg.pulse, cfg.chain, threads=args.threads)
+    span = record_span(cfg.grid, cfg.geometry, [bf_cfg])
+    baseband = receive_chain(raw, cfg.pulse, cfg.chain, threads=args.threads, span=span)
     _beamform(baseband, cfg, bf_cfg, args.out, args.threads)
     return EXIT_OK
 
@@ -183,7 +186,8 @@ def cmd_all(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cube = _simulate(cfg, out_dir / "raw_cube.bin", args.threads)
-    baseband = receive_chain(cube, cfg.pulse, cfg.chain, threads=args.threads)
+    span = record_span(cfg.grid, cfg.geometry, jobs.values())
+    baseband = receive_chain(cube, cfg.pulse, cfg.chain, threads=args.threads, span=span)
     images = {name: _beamform(baseband, cfg, bf_cfg, out_dir / name, args.threads)
               for name, bf_cfg in jobs.items()}
     _evaluate(cfg, images, out_dir / "metrics.json")

@@ -16,8 +16,9 @@ import math
 from dataclasses import dataclass, replace
 
 from .beamform import BeamformerConfig, METHOD_BAYES, METHOD_DAS, METHOD_MVDR
-from .chain import ChainConfig, TVG_VARIANTS
+from .chain import ChainConfig, TVG_VARIANTS, replica_length
 from .core import ArrayGeometry, LfmPulse, ScanGrid
+from .interp import TAPS
 from .metrics import Box, FWHM_AMPLITUDE, FWHM_INTENSITY
 from .quadrature import SosPrior
 from .simulate import Environment, SimConfig, Target
@@ -254,6 +255,11 @@ def parse_config(doc: dict) -> RunConfig:
     if round(pulse.duration * simulation.sample_rate) < 1:
         raise ConfigError("pulse.duration_s", "shorter than one sample at "
                           f"{simulation.sample_rate:g} Hz")
+    replica = replica_length(pulse, simulation.sample_rate)
+    if simulation.n_samples < replica:
+        raise ConfigError("simulation.record_duration_s",
+                          f"{simulation.n_samples} samples, shorter than the {replica}-sample "
+                          "matched-filter replica")
 
     chain = _make(_section(doc, "chain"), "chain", CHAIN)
     if not 2 <= chain.quantization_bits <= 24:
@@ -264,6 +270,9 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError("chain.tvg_speed_m_s", "must be > 0")
     if chain.decimation < 1:
         raise ConfigError("chain.decimation", "must be >= 1")
+    if -(-simulation.n_samples // chain.decimation) < TAPS:
+        raise ConfigError("chain.decimation", f"leaves fewer than the {TAPS} baseband "
+                          "samples the interpolation stencil reads")
 
     beamformers = {}
     for method, bf in _section(doc, "beamformers").items():

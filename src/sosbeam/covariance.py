@@ -32,7 +32,7 @@ def _sample_at_times(cube: BasebandCube, t: np.ndarray):
     exp(+j*2*pi*carrier*t) to strip the residual carrier phase, so a matched
     echo yields a phase-aligned (all-ones steering) snapshot. Samples whose
     stencil leaves the record are zero; returns (values, valid)."""
-    pos = (t - cube.time_origin) * cube.sample_rate
+    pos = (t - cube.time_origin) * cube.sample_rate - cube.sample_offset
     values, valid = sample_rows(cube.samples, pos)
     # sample_rows zeroes invalid samples (out of record, nan or inf times);
     # rotating them by exp(0) = 1 keeps them zero

@@ -51,7 +51,11 @@ class BasebandCube:
     """Complex baseband samples after demodulation (and optionally matched filtering).
 
     sample_rate is the post-decimation rate; sample m of any sensor
-    corresponds to time time_origin + m / sample_rate.
+    corresponds to time time_origin + (sample_offset + m) / sample_rate. A
+    cube that holds only part of a record (receive_chain with a span) keeps
+    the whole record's time_origin and counts its first sample from the
+    record's first, so interpolation positions are the whole record's minus
+    an integer, exactly.
     """
 
     samples: np.ndarray
@@ -59,6 +63,7 @@ class BasebandCube:
     carrier: float       # Hz
     decimation: int = 1
     time_origin: float = 0.0  # s
+    sample_offset: int = 0
 
     def __post_init__(self):
         self.samples = np.ascontiguousarray(self.samples, dtype=complex)
@@ -72,6 +77,8 @@ class BasebandCube:
             raise ValueError("decimation must be >= 1")
         if not (math.isfinite(self.carrier) and math.isfinite(self.time_origin)):
             raise ValueError("carrier and time_origin must be finite")
+        if self.sample_offset < 0:
+            raise ValueError("sample_offset must be >= 0")
 
     @property
     def n_sensors(self) -> int:

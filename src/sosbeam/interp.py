@@ -67,16 +67,19 @@ def sample_rows(rows: np.ndarray, pos: np.ndarray):
 
     Returns:
         (values, valid): values has pos.shape, zero where the interpolation
-        stencil would leave [0, m); valid is the matching boolean mask.
+        stencil would leave [0, m); valid is the matching boolean mask. Rows
+        shorter than the stencil (m < TAPS) give every position invalid.
     """
     n_rows, m = rows.shape
+    if m < TAPS:
+        return np.zeros(np.shape(pos), np.result_type(rows, 0.0)), np.zeros(np.shape(pos), bool)
     with np.errstate(invalid="ignore"):
         # a non-finite position casts to INT64_MIN, which the bound test rejects
         base = np.floor(pos).astype(np.int64)
     frac = pos - base
     h = tabulated_kernel(frac)
     valid = (base >= _HALF - 1) & (base <= m - 1 - _HALF)
-    start = np.clip(base - (_HALF - 1), 0, max(m - TAPS, 0)) + np.arange(n_rows) * m
+    start = np.clip(base - (_HALF - 1), 0, m - TAPS) + np.arange(n_rows) * m
     gathered = rows.reshape(-1).take(start[..., None] + np.arange(TAPS))
     values = np.einsum("...t,...t->...", h, gathered)
     return np.where(valid, values, 0.0), valid

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sosbeam.beamform import (FLAG_OUT_OF_RECORD, METHODS, BeamformerConfig, _gamma_batch,
-                              _Imager, beamform_image, beamform_points, posterior_weights)
+                              _Imager, beamform_image, beamform_points, posterior_weights,
+                              record_span)
 from sosbeam.chain import demodulate, matched_filter, quantize, tvg
 from sosbeam.core import ArrayGeometry, LfmPulse, ScanGrid, travel_times
 from sosbeam.covariance import _sample_at_times, capon_solve
@@ -584,3 +585,31 @@ class TestBeamformPoints:
         np.testing.assert_allclose(post.weights.sum(axis=-1), 1.0, rtol=0, atol=1e-10)
         nodes, _ = gauss_hermite(n_quad)
         np.testing.assert_array_equal(post.nodes, node_to_sos(nodes, cfg.prior))
+
+
+class TestRecordSpan:
+    GRID = ScanGrid(x_min=-3.0, x_max=4.0, y_min=20.0, y_max=30.0, n_x=7, n_y=5)
+
+    def brute_force(self, grid, speeds):
+        """Min and max round trip over every pixel, sensor and speed."""
+        px, py = np.meshgrid(grid.x_values(), grid.y_values())
+        times = np.stack([travel_times(px, py, c, GEOM) for c in speeds])
+        return times.min(), times.max()
+
+    @pytest.mark.parametrize("method", ["das", "mvdr"])
+    def test_fixed_speed_is_the_extreme_pixels(self, method):
+        cfg = _make_cfg(method=method, c_fixed=1490.0)
+        assert record_span(self.GRID, GEOM, [cfg]) == self.brute_force(self.GRID, [1490.0])
+
+    def test_bayes_covers_every_node_and_the_union_every_config(self):
+        bayes = _make_cfg(n_quad=32, prior=SosPrior(1519.0, 2.0))
+        nodes = node_to_sos(gauss_hermite(32)[0], bayes.prior)
+        assert record_span(self.GRID, GEOM, [bayes]) == self.brute_force(self.GRID, nodes)
+        das = _make_cfg(method="das", c_fixed=1600.0)
+        assert record_span(self.GRID, GEOM, [bayes, das]) == self.brute_force(
+            self.GRID, [*nodes, 1600.0])
+
+    def test_single_row_grid_is_its_middle_range(self):
+        grid = replace(self.GRID, n_y=1)
+        cfg = _make_cfg(method="das")
+        assert record_span(grid, GEOM, [cfg]) == self.brute_force(grid, [cfg.c_fixed])

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -11,9 +12,10 @@ from hypothesis import given, strategies as st
 import sosbeam
 from sosbeam.chain import (LOWPASS_TAPS, TVG_VARIANTS, ChainConfig, _Convolver,
                            _fft_length, _lowpass_taps, baseband_replica, demodulate,
-                           matched_filter, quantize, receive_chain, tvg)
+                           matched_filter, quantize, receive_chain, replica_length, tvg)
 from sosbeam.core import LfmPulse
 from sosbeam.cube import BasebandCube, RawDataCube
+from sosbeam.interp import TAPS
 from sosbeam.simulate import lfm_pulse_samples
 
 FS = 500e3
@@ -429,3 +431,60 @@ class TestNumpyOnly:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": path}, timeout=60, check=True)
         assert out.stdout.split() == ["[]", "False"]
+
+
+class TestReceiveChainSpan:
+    @staticmethod
+    def read_indices(cube, span):
+        """Whole-record baseband indices [lo, hi) that the interpolation stencil
+        reads at a time in span, clipped to the cube's record."""
+        pos = [(t - cube.time_origin) * cube.sample_rate for t in span]
+        lo = max(math.floor(pos[0]) - (TAPS // 2 - 1), 0)
+        hi = min(math.floor(pos[1]) + TAPS // 2 + 1, cube.n_samples)
+        return lo, hi
+
+    @given(n=st.integers(200, 3000), decim=st.integers(1, 6), bits=st.integers(2, 24),
+           variant=st.sampled_from(TVG_VARIANTS), first=st.floats(-0.1, 1.2),
+           width=st.floats(0.0, 0.6), seed=st.integers(0, 2 ** 32 - 1))
+    def test_property_equals_the_whole_record_in_the_span(self, n, decim, bits, variant,
+                                                          first, width, seed):
+        cube = raw(np.random.default_rng(seed).standard_normal((2, n)))
+        span = (first * n / FS, (first + width) * n / FS)
+        settings = chain_settings(bits, variant, decim)
+        whole = receive_chain(cube, PULSE, settings)
+        part = receive_chain(cube, PULSE, settings, span=span)
+        assert (part.sample_rate, part.carrier, part.decimation, part.time_origin) == (
+            whole.sample_rate, whole.carrier, whole.decimation, whole.time_origin)
+        k = part.sample_offset
+        assert k + part.n_samples <= whole.n_samples
+        lo, hi = self.read_indices(whole, span)
+        if lo < hi:
+            assert k <= lo and hi <= k + part.n_samples
+            err = np.abs(part.samples[:, lo - k:hi - k] - whole.samples[:, lo:hi])
+            assert np.all(err.max(axis=1) <= 1e-12 * np.abs(whole.samples).max(axis=1))
+
+    @pytest.mark.parametrize("decim", [1, 3, 4])
+    def test_runs_a_short_window_on_the_record_sample_grid(self, decim):
+        cube = raw(np.random.default_rng(decim).standard_normal((3, 60000)))
+        settings = chain_settings(16, "two_way", decim)
+        part = receive_chain(cube, PULSE, settings, span=(0.05, 0.052))
+        whole = receive_chain(cube, PULSE, settings)
+        assert part.n_samples < whole.n_samples // 20
+        assert 0 < part.sample_offset <= 0.05 * FS / decim
+        lo, hi = self.read_indices(whole, (0.05, 0.052))
+        k = part.sample_offset
+        np.testing.assert_allclose(part.samples[:, lo - k:hi - k], whole.samples[:, lo:hi],
+                                   rtol=0, atol=1e-12 * np.abs(whole.samples).max())
+
+    def test_span_past_the_record_keeps_its_last_replica(self):
+        cube = raw(np.random.default_rng(2).standard_normal((2, 5000)))
+        whole = receive_chain(cube, PULSE, chain_settings(16, "two_way", 4))
+        part = receive_chain(cube, PULSE, chain_settings(16, "two_way", 4), span=(1.0, 2.0))
+        assert part.sample_offset + part.n_samples == whole.n_samples
+        assert part.n_samples * 4 >= replica_length(PULSE, FS)
+
+    @pytest.mark.parametrize("span", [(float("nan"), 0.01), (0.0, float("inf")),
+                                      (0.02, 0.01)])
+    def test_bad_span_rejected(self, span):
+        with pytest.raises(ValueError, match="span"):
+            receive_chain(raw(np.ones((2, 2000))), PULSE, ChainConfig(), span=span)

@@ -422,6 +422,8 @@ class TestAll:
         ("chain.decimaton", 4),
         ("pulse.duration_s", 1e-9),
         ("beamformers.das.n_quad", 8),
+        ("simulation.record_duration_s", 2e-5),
+        ("chain.decimation", 100000),
     ])
     def test_bad_config_exit_1_before_any_work(self, tmp_path, capsys, field, value):
         doc = default_config_dict()
@@ -470,6 +472,83 @@ class TestAll:
         assert (out_dir / "raw_cube.bin").is_file()
         assert not list(out_dir.glob("*.csv"))
         assert not list(out_dir.glob("*.pgm"))
+
+
+class TestAllSpan:
+    """`all` runs the receive chain over its grid's span of the record only."""
+
+    def run_all(self, cfg, out_dir, monkeypatch, whole_record):
+        """Run `all`; returns the basebands and images it made, in call order."""
+        basebands, images = [], []
+        real_chain, real_image = cli.receive_chain, cli.beamform_image
+
+        def chain(*args, span=None, **kwargs):
+            basebands.append(real_chain(*args, span=None if whole_record else span, **kwargs))
+            return basebands[-1]
+
+        def image(*args, **kwargs):
+            images.append(real_image(*args, **kwargs))
+            return images[-1]
+
+        monkeypatch.setattr(cli, "receive_chain", chain)
+        monkeypatch.setattr(cli, "beamform_image", image)
+        assert main(["all", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
+        monkeypatch.undo()
+        return basebands, images
+
+    # the 0.1 s record ends near 76 m of range
+    @pytest.mark.parametrize("grid, target, artifact, where", [
+        ((29.5, 33.0), (30.0, 32.0), (32.5, 33.0), "inside"),
+        ((0.05, 3.0), (0.5, 1.5), (2.0, 3.0), "start"),
+        ((70.0, 80.0), (71.0, 74.0), (75.0, 80.0), "end")])
+    def test_same_flags_and_images_as_the_whole_record(self, small_config, tmp_path,
+                                                       monkeypatch, grid, target,
+                                                       artifact, where):
+        doc = json.loads(small_config.read_text())
+        doc["grid"].update(y_min_m=grid[0], y_max_m=grid[1])
+        doc["metrics"]["target_box"].update(y_min=target[0], y_max=target[1])
+        doc["metrics"]["artifact_box"].update(y_min=artifact[0], y_max=artifact[1])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        (span_bb,), span_images = self.run_all(cfg, tmp_path / "span", monkeypatch, False)
+        (whole_bb,), whole_images = self.run_all(cfg, tmp_path / "whole", monkeypatch, True)
+        assert span_bb.n_samples < whole_bb.n_samples
+        assert (span_bb.sample_offset == 0) == (where == "start")
+        end = span_bb.sample_offset + span_bb.n_samples
+        assert (end == whole_bb.n_samples) == (where == "end")
+        assert [image.method for image in span_images] == ["das", "mvdr", "bayes", "bayes"]
+        for image, whole in zip(span_images, whole_images):
+            np.testing.assert_array_equal(image.flags, whole.flags)
+            peak = np.abs(whole.values).max()
+            assert np.abs(image.values - whole.values).max() <= 1e-12 * peak, image.method
+            assert (image.flag_summary()["out_of_record"] > 0) == (where == "end")
+        flags = sorted((tmp_path / "whole").glob("*_flags.json"))
+        assert len(flags) == 4
+        for path in flags:
+            assert path.read_bytes() == (tmp_path / "span" / path.name).read_bytes()
+
+    def test_beamform_runs_its_own_method_span(self, small_config, tmp_path, monkeypatch):
+        spans = []
+        real = cli.receive_chain
+
+        def chain(*args, span=None, **kwargs):
+            spans.append(span)
+            return real(*args, span=span, **kwargs)
+
+        monkeypatch.setattr(cli, "receive_chain", chain)
+        assert main(["all", "--config", str(small_config), "--out-dir",
+                     str(tmp_path / "run")]) == 0
+        for method in ("das", "bayes"):
+            assert main(["beamform", "--config", str(small_config), "--data",
+                         str(tmp_path / "run" / "raw_cube.bin"), "--method", method,
+                         "--out", str(tmp_path / method)]) == 0
+        all_span, das_span, bayes_span = spans
+        # Bayes' nodes spread around the fixed speed, and all covers Bayes-32's
+        assert all_span[0] < bayes_span[0] < das_span[0]
+        assert das_span[1] < bayes_span[1] < all_span[1]
+        for name in ("das.pgm", "das_flags.json"):
+            assert ((tmp_path / name).read_bytes()
+                    == (tmp_path / "run" / name).read_bytes())
 
 
 def test_process_exit_codes(small_config, tmp_path):

@@ -81,6 +81,25 @@ class TestRejection:
         doc["pulse"]["duration_s"] = duration
         assert self.error_path(doc) == "pulse.duration_s"
 
+    @pytest.mark.parametrize("duration", [2e-5, 3.04e-4])  # 10 and 152 samples
+    def test_record_shorter_than_the_replica(self, doc, duration):
+        # the 50 us pulse at 500 kHz is 25 samples, its replica 25 + 2 * 64
+        doc["simulation"]["record_duration_s"] = duration
+        assert self.error_path(doc) == "simulation.record_duration_s"
+
+    def test_record_as_long_as_the_replica_parses(self, doc):
+        doc["simulation"]["record_duration_s"] = 3.06e-4  # 153 samples
+        assert parse_config(doc).simulation.n_samples == 153
+
+    @pytest.mark.parametrize("decimation", [100000, 21429])  # 2 and 7 baseband samples
+    def test_decimation_leaving_less_than_the_stencil(self, doc, decimation):
+        doc["chain"]["decimation"] = decimation
+        assert self.error_path(doc) == "chain.decimation"
+
+    def test_decimation_leaving_the_stencil_parses(self, doc):
+        doc["chain"]["decimation"] = 21428  # 8 baseband samples
+        assert parse_config(doc).chain.decimation == 21428
+
     def test_nyquist_enforced(self, doc):
         doc["simulation"]["sample_rate_hz"] = 60e3
         assert self.error_path(doc) == "simulation.sample_rate_hz"

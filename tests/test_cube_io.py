@@ -126,3 +126,8 @@ class TestHeaderValues:
         with pytest.raises(ValueError):
             BasebandCube(samples=np.zeros((1, 4)), sample_rate=1e3, **kwargs)
 
+
+    def test_baseband_rejects_negative_sample_offset(self):
+        with pytest.raises(ValueError, match="sample_offset"):
+            BasebandCube(samples=np.zeros((1, 4)), sample_rate=1e3, carrier=30e3,
+                         sample_offset=-1)

@@ -75,3 +75,18 @@ class TestSampleRows:
         np.testing.assert_array_equal(valid, [[False, True, False], [False, False, True]])
         np.testing.assert_array_equal(values[~valid], 0.0)
         assert np.isfinite(values).all()
+
+    @pytest.mark.parametrize("m", [1, TAPS - 1])
+    def test_rows_shorter_than_the_stencil_all_invalid(self, m):
+        # no stencil fits in the row, and none reads into the next row
+        rows = np.arange(3 * m, dtype=complex).reshape(3, m) + 1.0
+        pos = np.array([[0.0, m / 2, m - 1.0], [3.0, 3.5, 1e9]])
+        values, valid = sample_rows(rows, pos)
+        assert not valid.any()
+        np.testing.assert_array_equal(values, 0.0)
+        assert values.dtype == complex
+
+    def test_row_as_long_as_the_stencil_has_one_valid_base(self):
+        values, valid = sample_rows(self.rows()[:, :TAPS], np.array([2.9, 3.0, 3.5]))
+        np.testing.assert_array_equal(valid, [False, True, True])
+        assert values[1] == self.rows()[1, 3]
