@@ -12,9 +12,11 @@ per focal point (so the steering vector is all ones), then:
 
 Pixels are independent. beamform_points runs one batch of pixels of any
 shape and, for Bayes, also returns the per-pixel sound-speed posterior;
-beamform_image runs the same engine row by row on core.map_rows, with
-identical per-row arithmetic at any thread count. record_span gives the
-round-trip times an image reads, the span the receive chain must cover.
+beamform_image runs the same engine on blocks of whole grid rows on
+core.map_rows. A pixel's bits depend neither on the thread count nor on
+the size of the batch it is in (save for DAS when the batch's pixel axis
+has length 1: matmul takes another path for one row). record_span gives
+the round-trip times an image reads, the span the receive chain must cover.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import TVG_TWO_WAY, TVG_VARIANTS, tvg_range
-from .core import ArrayGeometry, ScanGrid, hann_weights, map_rows, travel_times
+from .core import ArrayGeometry, ScanGrid, hann_weights, map_rows, path_lengths, travel_times
 from .covariance import (_sample_at_times, capon_solve, diagonal_load, replace_degenerate,
                          sample_covariance, subarray_snapshots, unitary_windows)
 from .cube import BasebandCube
@@ -40,6 +42,11 @@ METHODS = (METHOD_DAS, METHOD_MVDR, METHOD_BAYES)
 FLAG_OUT_OF_RECORD = 1
 FLAG_SINGULAR = 2
 FLAG_POSTERIOR_FALLBACK = 4
+
+# beamform_image's work unit: whole grid rows, as many as fit in this many
+# pixels (one row if the grid is wider). Larger batches amortize numpy's
+# per-call overhead over more pixels; the bits do not depend on the size.
+BLOCK_PIXELS = 512
 
 
 @dataclass(frozen=True)
@@ -90,6 +97,22 @@ class BeamformerConfig:
         if self.loading_factor is not None:
             return self.loading_factor
         return 1e-3 / n_sub
+
+    def speeds(self) -> np.ndarray:
+        """The sound speeds the method focuses at, m/s: c_fixed for DAS and
+        MVDR, the quadrature node speeds for Bayes.
+
+        A prior so wide that a node lands at or below 0 m/s is a ValueError.
+        The check is here, where the nodes are built, because building them
+        loads numpy.polynomial, which config parsing does not need.
+        """
+        if self.method != METHOD_BAYES:
+            return np.array([self.c_fixed])
+        speeds = node_to_sos(gauss_hermite(self.n_quad)[0], self.prior)
+        if speeds.min() <= 0:
+            raise ValueError(f"the {self.n_quad}-node rule puts a node at "
+                             f"{speeds.min():.6g} m/s; node speeds must be > 0")
+        return speeds
 
 
 @dataclass(frozen=True)
@@ -195,29 +218,28 @@ class _Imager:
             half, odd = divmod(cfg.subarray_length, 2)
             self.q = np.r_[np.full(half, np.sqrt(2.0)), np.ones(odd), np.zeros(half)]
         if cfg.method == METHOD_BAYES:
-            nodes, weights = gauss_hermite(cfg.n_quad)
-            self.log_u = np.log(weights)
-            self.c_nodes = node_to_sos(nodes, cfg.prior)
+            self.log_u = np.log(gauss_hermite(cfg.n_quad)[1])
+            self.c_nodes = cfg.speeds()
 
     # -- per-batch primitives ------------------------------------------------
 
-    def delayed_snapshots(self, px, py, c):
-        """Phase-aligned snapshots for a pixel batch: (P, n_sensors) + flags."""
-        t = travel_times(px, py, c, self.geom)
+    def delayed_snapshots(self, t):
+        """Phase-aligned snapshots at round-trip times t (P, n_sensors): values + flags."""
         values, valid = _sample_at_times(self.cube, t)
         flags = np.where(valid.all(axis=-1), 0, FLAG_OUT_OF_RECORD).astype(np.uint8)
         return values, flags
 
     def das(self, px, py):
-        snap, flags = self.delayed_snapshots(px, py, self.cfg.c_fixed)
+        snap, flags = self.delayed_snapshots(travel_times(px, py, self.cfg.c_fixed, self.geom))
         return snap @ self.hann, flags
 
-    def mvdr_node(self, px, py, c):
-        """MVDR output and Capon power at one speed: (values, power, flags).
+    def mvdr_node(self, t):
+        """MVDR output and Capon power at the round-trip times t of one
+        speed: (values, power, flags).
 
         With y = C^-1 q in the unitary domain, the output is y^T Q^H m / q^T y
         for the window mean m."""
-        snap, flags = self.delayed_snapshots(px, py, c)
+        snap, flags = self.delayed_snapshots(t)
         snaps = subarray_snapshots(snap, self.cfg.subarray_length)
         cov = diagonal_load(sample_covariance(unitary_windows(snaps)), self.eps)
         cov, degenerate = replace_degenerate(cov)
@@ -236,8 +258,10 @@ class _Imager:
         node_values = np.empty(shape + (nq,), dtype=complex)
         node_power = np.empty(shape + (nq,))
         flags = np.zeros(shape, dtype=np.uint8)
+        # each node's travel_times, from path lengths taken once per batch
+        paths = path_lengths(px, py, self.geom)
         for i, c_n in enumerate(self.c_nodes):
-            v, p_s, f = self.mvdr_node(px, py, float(c_n))
+            v, p_s, f = self.mvdr_node(paths / c_n)
             node_values[..., i] = v
             node_power[..., i] = p_s
             flags = flags | f
@@ -250,11 +274,11 @@ class _Imager:
         return PointsResult(values, flags, self.c_nodes, log_v, w)
 
     def row(self, px, py) -> PointsResult:
-        """A batch of pixels, a grid row for images, with the configured method."""
+        """A batch of pixels, a block of grid rows for images, with the configured method."""
         if self.cfg.method == METHOD_DAS:
             return PointsResult(*self.das(px, py))
         if self.cfg.method == METHOD_MVDR:
-            values, _, flags = self.mvdr_node(px, py, self.cfg.c_fixed)
+            values, _, flags = self.mvdr_node(travel_times(px, py, self.cfg.c_fixed, self.geom))
             return PointsResult(values, flags)
         return self.bayes(px, py)
 
@@ -287,9 +311,7 @@ def record_span(grid: ScanGrid, geom: ArrayGeometry, cfgs) -> tuple:
     earliest trip is on the first grid row at the fastest speed and the
     latest on the last row at the slowest.
     """
-    speeds = np.concatenate([
-        node_to_sos(gauss_hermite(cfg.n_quad)[0], cfg.prior) if cfg.method == METHOD_BAYES
-        else [cfg.c_fixed] for cfg in cfgs])
+    speeds = np.concatenate([cfg.speeds() for cfg in cfgs])
     xs, ys = grid.x_values(), grid.y_values()
     t_first = travel_times(xs, ys[0], speeds.max(), geom).min()
     t_last = travel_times(xs, ys[-1], speeds.min(), geom).max()
@@ -300,8 +322,9 @@ def beamform_image(cube: BasebandCube, grid: ScanGrid, cfg: BeamformerConfig,
                    geom: ArrayGeometry, threads: int = 1) -> ImageResult:
     """Beamform the full scan grid; rows are range, columns azimuth.
 
-    Rows are independent work units, so the thread count changes scheduling
-    only, never the per-row arithmetic or the assembled image. Per-pixel
+    The work units are blocks of whole rows, BLOCK_PIXELS pixels or one row
+    if the grid is wider. They are independent, so the thread count changes
+    scheduling only, never the arithmetic or the assembled image. Per-pixel
     problems are collected into flags rather than raised.
     """
     imager = _Imager(cube, geom, cfg)
@@ -309,10 +332,12 @@ def beamform_image(cube: BasebandCube, grid: ScanGrid, cfg: BeamformerConfig,
     ys = grid.y_values()
     values = np.empty((grid.n_y, grid.n_x), dtype=complex)
     flags = np.empty((grid.n_y, grid.n_x), dtype=np.uint8)
+    rows = max(1, BLOCK_PIXELS // grid.n_x)
 
-    def run_row(iy: int):
-        result = imager.row(xs, np.full(grid.n_x, ys[iy]))
-        values[iy], flags[iy] = result.values, result.flags
+    def run_block(i: int):
+        block = slice(i * rows, (i + 1) * rows)
+        result = imager.row(xs, ys[block, None])
+        values[block], flags[block] = result.values, result.flags
 
-    map_rows(run_row, grid.n_y, threads)
+    map_rows(run_block, -(-grid.n_y // rows), threads)
     return ImageResult(values=values, flags=flags, grid=grid, method=cfg.method)

@@ -55,6 +55,8 @@ class RunConfig:
         cfg = self.beamformers[method]
         if n_quad is not None and n_quad != cfg.n_quad:
             cfg = _build(f"beamformers.{method}.n_quad", replace, cfg, n_quad=n_quad)
+        if method == METHOD_BAYES:  # here, as parse_config loads no quadrature rule
+            _build(f"beamformers.{method}.sigma_c_m_s", cfg.speeds)
         return cfg
 
 

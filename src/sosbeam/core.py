@@ -132,6 +132,20 @@ def map_rows(fn, n: int, threads: int = 1) -> list:
         return list(pool.map(fn, range(n)))
 
 
+def path_lengths(px, py, geom: ArrayGeometry) -> np.ndarray:
+    """Source-to-focal-point-to-sensor path lengths r_tx + r_rx in meters,
+    shaped broadcast(px, py).shape + (n_sensors,).
+
+    travel_times divides them by one speed; a caller that focuses the same
+    pixels at several speeds takes them once.
+    """
+    px = np.asarray(px, dtype=float)[..., None]
+    py = np.asarray(py, dtype=float)[..., None]
+    r_tx = np.hypot(px - geom.source_x, py)
+    r_rx = np.hypot(px - geom.sensor_x, py)
+    return r_tx + r_rx
+
+
 def travel_times(px, py, c: float, geom: ArrayGeometry) -> np.ndarray:
     """Round-trip times from the source, via focal points, to every sensor.
 
@@ -140,11 +154,7 @@ def travel_times(px, py, c: float, geom: ArrayGeometry) -> np.ndarray:
     """
     if not 0 < c < np.inf:
         raise ValueError("propagation speed must be finite and > 0")
-    px = np.asarray(px, dtype=float)[..., None]
-    py = np.asarray(py, dtype=float)[..., None]
-    r_tx = np.hypot(px - geom.source_x, py)
-    r_rx = np.hypot(px - geom.sensor_x, py)
-    return (r_tx + r_rx) / c
+    return path_lengths(px, py, geom) / c
 
 
 def hann_weights(n: int) -> np.ndarray:

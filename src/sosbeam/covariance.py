@@ -14,7 +14,7 @@ forward_backward on complex windows are the forms it is tested against.
 The kernels take and return plain ndarrays with any leading batch axes: a
 snapshot stack (..., N) gives subarray windows (..., n_sub, L) and
 covariances (..., L, L). The beamformers call them on one batch of pixels
-at a time, a grid row for images.
+at a time, a block of grid rows for images.
 """
 
 from __future__ import annotations
@@ -35,8 +35,11 @@ def _sample_at_times(cube: BasebandCube, t: np.ndarray):
     pos = (t - cube.time_origin) * cube.sample_rate - cube.sample_offset
     values, valid = sample_rows(cube.samples, pos)
     # sample_rows zeroes invalid samples (out of record, nan or inf times);
-    # rotating them by exp(0) = 1 keeps them zero
-    return values * np.exp(1j * TWO_PI * cube.carrier * np.where(valid, t, 0.0)), valid
+    # rotating them by exp(0) = 1 keeps them zero. In place on sample_rows'
+    # fresh output: `values * exp(...)` lets numpy reuse the exp temporary
+    # above 256 KiB and swap the operands, which changes the product's bits
+    values *= np.exp(1j * TWO_PI * cube.carrier * np.where(valid, t, 0.0))
+    return values, valid
 
 
 def subarray_snapshots(x: np.ndarray, length: int) -> np.ndarray:

@@ -1,14 +1,16 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from sosbeam import beamform
 from sosbeam.beamform import (FLAG_OUT_OF_RECORD, METHODS, BeamformerConfig, _gamma_batch,
                               _Imager, beamform_image, beamform_points, posterior_weights,
                               record_span)
 from sosbeam.chain import demodulate, matched_filter, quantize, tvg
-from sosbeam.core import ArrayGeometry, LfmPulse, ScanGrid, travel_times
+from sosbeam.core import ArrayGeometry, LfmPulse, ScanGrid, map_rows, travel_times
 from sosbeam.covariance import _sample_at_times, capon_solve
 from sosbeam.cube import BasebandCube
 from sosbeam.quadrature import MAX_NODES, SosPrior, gauss_hermite, node_to_sos
@@ -88,6 +90,24 @@ class TestConfigChecks:
 
     def test_default_prior_is_the_sos_prior_default(self):
         assert BeamformerConfig().prior == SosPrior()
+
+    def test_speeds_are_c_fixed_or_the_nodes(self):
+        for method in ("das", "mvdr"):
+            np.testing.assert_array_equal(_make_cfg(method=method, c_fixed=1490.0).speeds(),
+                                          [1490.0])
+        cfg = _make_cfg(n_quad=5, prior=SosPrior(1500.0, 4.0))
+        np.testing.assert_array_equal(cfg.speeds(), node_to_sos(gauss_hermite(5)[0], cfg.prior))
+
+    @pytest.mark.parametrize("sigma_c, n_quad", [(1000.0, 8), (200.0, 32), (100.0, MAX_NODES)])
+    def test_prior_with_a_node_at_or_below_zero_rejected(self, baseband, sigma_c, n_quad):
+        # 1519 m/s less sqrt(2) sigma_c times the rule's largest node is < 0;
+        # the two narrower priors are fine at 8 nodes
+        cfg = _make_cfg(prior=SosPrior(1519.0, sigma_c), n_quad=n_quad)
+        assert n_quad == 8 or replace(cfg, n_quad=8).speeds().min() > 0
+        with pytest.raises(ValueError, match=f"the {n_quad}-node rule puts a node at -"):
+            cfg.speeds()
+        with pytest.raises(ValueError, match="node speeds must be > 0"):
+            beamform_points(baseband, 0.0, TARGET_RANGE, cfg, GEOM)
 
 
 class TestMvdrWeights:
@@ -184,7 +204,7 @@ class TestLogLikelihood:
         cfg = _make_cfg()
         got = _log_likelihood(baseband, 0.0, TARGET_RANGE, cfg, 1519.0)
         imager = _Imager(baseband, GEOM, cfg)
-        _, power, _ = imager.mvdr_node(np.asarray(0.0), np.asarray(TARGET_RANGE), 1519.0)
+        _, power, _ = imager.mvdr_node(travel_times(0.0, TARGET_RANGE, 1519.0, GEOM))
         expected = imager.n_sub * float(_gamma_batch(0.0, TARGET_RANGE, cfg, GEOM)) * float(power)
         assert got == pytest.approx(expected, rel=1e-12)
 
@@ -377,8 +397,8 @@ class TestMvdrNode:
         for length in (7, 1, 6, 12):
             cfg = _make_cfg(method="mvdr", subarray_length=length)
             imager = _Imager(baseband, GEOM, cfg)
-            value, power, flags = imager.mvdr_node(np.asarray(0.2), np.asarray(TARGET_RANGE),
-                                                   1519.0)
+            value, power, flags = imager.mvdr_node(travel_times(0.2, TARGET_RANGE, 1519.0,
+                                                                GEOM))
             snaps = subarray_snapshots(snap, cfg.subarray_length)
             cov = diagonal_load(forward_backward(sample_covariance(snaps)), imager.eps)
             assert flags == 0
@@ -391,8 +411,8 @@ class TestMvdrNode:
         bb = BasebandCube(samples=np.zeros((12, 4096), dtype=complex), sample_rate=125e3,
                           carrier=30e3, decimation=4, time_origin=0.0)
         imager = _Imager(bb, GEOM, _make_cfg(method="mvdr"))
-        value, power, flags = imager.mvdr_node(np.array([0.0, 0.5]), np.array([2.0, 2.0]),
-                                               1500.0)
+        value, power, flags = imager.mvdr_node(travel_times(np.array([0.0, 0.5]), 2.0,
+                                                            1500.0, GEOM))
         np.testing.assert_array_equal(flags, FLAG_SINGULAR)
         np.testing.assert_array_equal(value, 0.0)
         # the all-zero covariance is solved as the identity
@@ -446,16 +466,44 @@ class TestBeamformImage:
         assert (img.flags & FLAG_OUT_OF_RECORD).all()
         np.testing.assert_array_equal(img.values, np.zeros((3, 3), dtype=complex))
 
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("block, n_x, tasks", [
+        (10, 5, 4),    # 2 rows a block, the last block 1 row
+        (15, 5, 3),    # 3 rows a block, the last block 1 row
+        (3, 5, 7),     # a grid wider than a block: one row a task
+        (512, 5, 1),   # the whole grid in one block
+    ])
+    def test_tasks_are_blocks_of_whole_rows(self, baseband, monkeypatch, method, block, n_x,
+                                            tasks):
+        monkeypatch.setattr(beamform, "BLOCK_PIXELS", block)
+        counts = []
+
+        def counting_map_rows(fn, n, threads):
+            counts.append(n)
+            return map_rows(fn, n, threads)
+
+        monkeypatch.setattr(beamform, "map_rows", counting_map_rows)
+        grid = ScanGrid(-0.5, 0.5, TARGET_RANGE - 0.5, TARGET_RANGE + 0.5, n_x, 7)
+        cfg = _make_cfg(method=method)
+        img = beamform_image(baseband, grid, cfg, GEOM, threads=2)
+        assert counts == [tasks]
+        # any batching of the pixels gives the same bits
+        whole = beamform_points(baseband, grid.x_values(), grid.y_values()[:, None], cfg, GEOM)
+        np.testing.assert_array_equal(img.values, whole.values)
+        np.testing.assert_array_equal(img.flags, whole.flags)
+
     @given(method=st.sampled_from(METHODS), n_x=st.integers(1, 6), n_y=st.integers(1, 5),
-           x_min=st.floats(-2.0, 1.0), width=st.floats(0.01, 2.0),
+           block=st.integers(1, 12), x_min=st.floats(-2.0, 1.0), width=st.floats(0.01, 2.0),
            y_min=st.floats(TARGET_RANGE - 2.0, TARGET_RANGE + 1.0),
            depth=st.floats(0.01, 2.0))
-    def test_property_threads_1_and_2_bit_identical(self, baseband, method, n_x, n_y, x_min,
-                                                    width, y_min, depth):
+    def test_property_threads_1_and_2_bit_identical(self, baseband, method, n_x, n_y, block,
+                                                    x_min, width, y_min, depth):
+        # small blocks: several tasks, a partial last block, or n_x > BLOCK_PIXELS
         grid = ScanGrid(x_min, x_min + width, y_min, y_min + depth, n_x, n_y)
         cfg = _make_cfg(method=method, n_quad=8)
-        one = beamform_image(baseband, grid, cfg, GEOM, threads=1)
-        two = beamform_image(baseband, grid, cfg, GEOM, threads=2)
+        with mock.patch.object(beamform, "BLOCK_PIXELS", block):
+            one = beamform_image(baseband, grid, cfg, GEOM, threads=1)
+            two = beamform_image(baseband, grid, cfg, GEOM, threads=2)
         np.testing.assert_array_equal(one.values, two.values)
         np.testing.assert_array_equal(one.flags, two.flags)
 
@@ -465,7 +513,7 @@ class TestBeamformImage:
         imager = _Imager(baseband, GEOM, _make_cfg(method="das"))
         px = np.array([np.nan, np.inf, -np.inf, 0.0, 0.0, 0.0, 0.0])
         py = np.array([TARGET_RANGE] * 4 + [np.nan, np.inf, -np.inf])
-        snap, flags = imager.delayed_snapshots(px, py, 1519.0)
+        snap, flags = imager.delayed_snapshots(travel_times(px, py, 1519.0, GEOM))
         bad = [0, 1, 2, 4, 5, 6]
         np.testing.assert_array_equal(flags[bad], FLAG_OUT_OF_RECORD)
         assert flags[3] == 0
@@ -529,20 +577,46 @@ class TestBeamformPoints:
                     np.testing.assert_allclose(batch.weights[i, j], one.weights, rtol=1e-12)
 
     @given(method=st.sampled_from(METHODS), n_quad=st.integers(1, 12), n_x=st.integers(1, 6),
-           n_y=st.integers(1, 4), x_min=st.floats(-2.0, 1.0), width=st.floats(0.01, 2.0),
-           y_min=st.floats(TARGET_RANGE - 2.0, TARGET_RANGE + 1.0),
+           n_y=st.integers(1, 4), block=st.integers(1, 12), x_min=st.floats(-2.0, 1.0),
+           width=st.floats(0.01, 2.0), y_min=st.floats(TARGET_RANGE - 2.0, TARGET_RANGE + 1.0),
            depth=st.floats(0.01, 2.0), iy=st.integers(0, 3))
     def test_property_image_row_is_the_pixel_call_bitwise(self, baseband, method, n_quad,
-                                                          n_x, n_y, x_min, width, y_min,
-                                                          depth, iy):
+                                                          n_x, n_y, block, x_min, width,
+                                                          y_min, depth, iy):
         grid = ScanGrid(x_min, x_min + width, y_min, y_min + depth, n_x, n_y)
         cfg = _make_cfg(method=method, n_quad=n_quad)
-        img = beamform_image(baseband, grid, cfg, GEOM)
+        with mock.patch.object(beamform, "BLOCK_PIXELS", block):
+            img = beamform_image(baseband, grid, cfg, GEOM)
         iy = min(iy, n_y - 1)
         xs = grid.x_values()
         row = beamform_points(baseband, xs, np.full(n_x, grid.y_values()[iy]), cfg, GEOM)
         np.testing.assert_array_equal(row.values, img.values[iy])
         np.testing.assert_array_equal(row.flags, img.flags[iy])
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_bits_do_not_depend_on_batch_size(self, method):
+        # 600 pixels at 30 sensors are 281 KiB of complex snapshots, past
+        # numpy's 256 KiB temporary-elision threshold; batches of 7 (the last
+        # of 5) are far below it. A one-pixel DAS batch is another matter:
+        # matmul takes a different path for a single-row matrix.
+        geom = ArrayGeometry.uniform(30, 1.0)
+        rng = np.random.default_rng(8)
+        cube = BasebandCube(samples=rng.standard_normal((30, 4096))
+                            + 1j * rng.standard_normal((30, 4096)),
+                            sample_rate=125e3, carrier=30e3, decimation=4, time_origin=0.0)
+        # the record reaches about 25 m, so some pixels are out of it
+        px, py = rng.uniform(-3.0, 3.0, 600), rng.uniform(4.0, 28.0, 600)
+        cfg = _make_cfg(method=method, subarray_length=16, prior=SosPrior(1519.0, 2.0),
+                        n_quad=4)
+        whole = beamform_points(cube, px, py, cfg, geom)
+        parts = [beamform_points(cube, px[i:i + 7], py[i:i + 7], cfg, geom)
+                 for i in range(0, 600, 7)]
+        assert 0 < np.count_nonzero(whole.flags & FLAG_OUT_OF_RECORD) < 600
+        fields = ("values", "flags") + (("log_v", "weights") if method == "bayes" else ())
+        for name in fields:
+            np.testing.assert_array_equal(
+                getattr(whole, name), np.concatenate([getattr(p, name) for p in parts]),
+                err_msg=name)
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("n_geom, sub_len", [(1, 1), (12, 6)])

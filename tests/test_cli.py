@@ -196,6 +196,24 @@ class TestBeamform:
                      "--out", str(tmp_path / "x")]) == 1
         assert "beamformers.bayes.n_quad" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sigma_c, n_quad", [(1000.0, None), (100.0, "128")])
+    def test_node_at_or_below_zero_exit_1_before_any_work(self, small_config, cube_path,
+                                                          tmp_path, capsys, sigma_c, n_quad):
+        # 100 m/s is a valid prior at the configured 8 nodes, not at 128
+        doc = json.loads(Path(small_config).read_text())
+        doc["beamformers"]["bayes"]["sigma_c_m_s"] = sigma_c
+        cfg = tmp_path / "wide.json"
+        cfg.write_text(json.dumps(doc))
+        argv = ["beamform", "--config", str(cfg), "--data", str(cube_path),
+                "--method", "bayes", "--out", str(tmp_path / "x")]
+        assert main(argv + (["--n-quad", n_quad] if n_quad else [])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: beamformers.bayes.sigma_c_m_s: ")
+        assert "node speeds must be > 0" in err
+        assert not list(tmp_path.glob("x*"))
+        if n_quad:
+            assert main(argv) == 0
+
     @pytest.mark.parametrize("method", ["das", "mvdr"])
     def test_n_quad_without_bayes_exit_2(self, small_config, cube_path, tmp_path, capsys,
                                          method):
@@ -422,6 +440,9 @@ class TestAll:
         ("chain.decimaton", 4),
         ("pulse.duration_s", 1e-9),
         ("beamformers.das.n_quad", 8),
+        # a node at or below 0 m/s: the configured 8 nodes, or only all's 32
+        ("beamformers.bayes.sigma_c_m_s", 1000.0),
+        ("beamformers.bayes.sigma_c_m_s", 200.0),
         ("simulation.record_duration_s", 2e-5),
         ("chain.decimation", 100000),
     ])

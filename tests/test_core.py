@@ -3,7 +3,7 @@ import pytest
 
 from sosbeam.beamform import BeamformerConfig, beamform_points
 from sosbeam.core import (ArrayGeometry, LfmPulse, ScanGrid, hann_weights, map_rows,
-                          travel_times)
+                          path_lengths, travel_times)
 from sosbeam.cube import BasebandCube
 
 
@@ -35,6 +35,15 @@ class TestRoundTripTime:
             n = int(rng.integers(0, 5))
             r = np.hypot(x - geom.source_x, y) + np.hypot(x - geom.sensor_x[n], y)
             assert travel_times(x, y, c, geom)[n] * c == pytest.approx(r, rel=1e-12)
+
+    def test_is_the_path_lengths_over_c_bitwise(self, collinear_geom):
+        assert path_lengths(0.0, 36.0, collinear_geom)[0] == 72.0
+        geom = ArrayGeometry.uniform(5, 1.0, source_x=0.3)
+        px, py = np.array([[-2.0], [0.5]]), np.array([10.0, 20.0, 30.0])
+        paths = path_lengths(px, py, geom)
+        assert paths.shape == (2, 3, 5)
+        for c in (1400.0, 1519.0, 1600.3):
+            np.testing.assert_array_equal(travel_times(px, py, c, geom), paths / c)
 
     def test_monotone_decreasing_in_c(self, collinear_geom):
         times = [travel_times(1.0, 20.0, c, collinear_geom)[0]
