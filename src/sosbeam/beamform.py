@@ -10,6 +10,10 @@ per focal point (so the steering vector is all ones), then:
          averaged under the per-pixel posterior; the likelihood couples the
          Capon power through the range-dependent strength constant gamma.
 
+Under a weak posterior (weights equal to the prior's) Bayes is MVDR times
+the range taper e^{-a^2/2}, a = 2*pi*f_c*d*sigma_c/c^2 for a round-trip
+path d: the prior's Gaussian average of the carrier phase 2*pi*f_c*d/c.
+
 Pixels are independent. beamform_points runs one batch of pixels of any
 shape and, for Bayes, also returns the per-pixel sound-speed posterior;
 beamform_image runs the same engine on blocks of whole grid rows on

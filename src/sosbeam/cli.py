@@ -9,7 +9,7 @@ images read (`beamform.record_span`).
 
 Exit codes: 0 success, 1 invalid configuration, 2 usage, a file that cannot
 be read or written, or a bad image CSV, 3 data/config mismatch (cube file,
-cube header, image grids, or a grid wholly past the record).
+cube header, image grids, boxes off the images' grid, or a grid past the record).
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def _existing(path, kind: str):
 
 def _print_arrival_table(cfg: RunConfig) -> None:
     geom = cfg.geometry
-    tx = (geom.source_x, 0.0, geom.source_depth)
+    tx = (geom.source_x, 0.0, geom.array_depth)
     rx = (geom.center_x, 0.0, geom.array_depth)
     print(f"{'target':>8} {'tx path':>16} {'rx path':>16} {'delay [ms]':>12} "
           f"{'amplitude':>12} {'app. range [m]':>15}")
@@ -140,10 +140,15 @@ def _evaluate(cfg: RunConfig, images: dict, out) -> None:
     for name, img in images.items():
         if img.grid != grid:
             raise MismatchError(f"image {name} uses a different grid")
+    for key in ("target_box", "artifact_box"):
+        try:
+            getattr(cfg, key).indices(grid)
+        except ValueError as exc:
+            raise MismatchError(f"metrics.{key}: {exc} of the images") from None
     fwhm_m, pmal_db = {}, {}
     for name, img in images.items():
         try:
-            fwhm_m[name] = fwhm_of_image(img, cfg.target_box, cfg.fwhm_convention)
+            fwhm_m[name] = fwhm_of_image(img, cfg.target_box)
         except ValueError as exc:
             fwhm_m[name] = None
             print(f"warning: FWHM undefined for {name}: {exc}", file=sys.stderr)

@@ -3,9 +3,11 @@ invariant before any computation starts.
 
 Each section is read through a table of JSON key -> (constructor parameter,
 kind); an omitted key takes the constructor's own default. A beamformer section
-takes only the keys its method reads (METHOD_KEYS). Unknown keys, bools and
-non-finite numbers are rejected. Errors carry the dotted path of the
-offending field, so a bad config is rejected with a pointer, not a stack trace.
+takes only the keys its method reads (METHOD_KEYS). Unknown keys, bools, strings
+for numbers and non-finite numbers are rejected. Errors carry the dotted path of
+the offending field, so a bad config is rejected with a pointer, not a stack trace.
+Targets are placed by slant range only (`range_m`); the projector depth and
+the FWHM level have no key (the array depth, half amplitude).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .beamform import BeamformerConfig, METHOD_BAYES, METHOD_DAS, METHOD_MVDR
 from .chain import ChainConfig, TVG_VARIANTS, replica_length
 from .core import ArrayGeometry, LfmPulse, ScanGrid
 from .interp import TAPS
-from .metrics import Box, FWHM_AMPLITUDE, FWHM_INTENSITY
+from .metrics import Box
 from .quadrature import SosPrior
 from .simulate import Environment, SimConfig, Target
 
@@ -46,7 +48,6 @@ class RunConfig:
     grid: ScanGrid
     target_box: Box
     artifact_box: Box
-    fwhm_convention: str = FWHM_AMPLITUDE
     dynamic_range_db: float = 60.0
 
     def beamformer(self, method: str, n_quad: int | None = None) -> BeamformerConfig:
@@ -100,15 +101,14 @@ def default_config_dict() -> dict:
         "metrics": {
             "target_box": {"x_min": -3.0, "x_max": 3.0, "y_min": 29.0, "y_max": 35.0},
             "artifact_box": {"x_min": -3.0, "x_max": 3.0, "y_min": 37.0, "y_max": 42.0},
-            "fwhm_convention": "amplitude",
         },
         "output": {"dynamic_range_db": 60.0},
     }
 
 
 def _value(value, path: str, kind):
-    """One JSON value as int, float or str (no bools, no nan/inf), as a checked
-    list or dict, or through a function (value, path) -> value."""
+    """One JSON value as int, float or str (no bools or nan/inf, a string only
+    as str), as a checked list or dict, or through a function (value, path) -> value."""
     if kind in (list, dict):
         if not isinstance(value, kind):
             raise ConfigError(path, f"expected a JSON {'array' if kind is list else 'object'}")
@@ -116,7 +116,7 @@ def _value(value, path: str, kind):
     if kind not in (int, float, str):
         return kind(value, path)
     try:
-        if isinstance(value, bool):  # JSON true/false is not a number or a name
+        if isinstance(value, bool) or isinstance(value, str) != (kind is str):
             raise TypeError
         if kind is int and isinstance(value, float) and not value.is_integer():
             raise ValueError
@@ -183,11 +183,9 @@ ENVIRONMENT = (Environment, {
     "bottom_depth_m": ("bottom_depth", float), "sos_profile": ("sos_profile", _profile),
     "surface_reflectivity": ("surface_reflectivity", float),
     "bottom_reflectivity": ("bottom_reflectivity", float)})
-SLANT_TARGET = (Target.at_slant_range, {
+TARGET = (Target.at_slant_range, {
     "x_m": ("x", float), "range_m": ("slant_range", float), "depth_m": ("depth", float),
     "reflectivity": ("reflectivity", float)})
-TARGET = (Target, {"x_m": ("x", float), "y_m": ("y", float), "depth_m": ("depth", float),
-                   "reflectivity": ("reflectivity", float)})
 PULSE = (LfmPulse, {"center_frequency_hz": ("center_frequency", float),
                     "bandwidth_hz": ("bandwidth", float), "duration_s": ("duration", float)})
 SIMULATION = (SimConfig, {
@@ -215,8 +213,7 @@ GRID = (ScanGrid, {"x_min_m": ("x_min", float), "x_max_m": ("x_max", float),
 BOX = (Box, {key: (key, float) for key in ("x_min", "x_max", "y_min", "y_max")})
 SCENE = (RunConfig, {"targets": ("targets", list)})
 METRICS = (RunConfig, {"target_box": ("target_box", _box),
-                       "artifact_box": ("artifact_box", _box),
-                       "fwhm_convention": ("fwhm_convention", str)})
+                       "artifact_box": ("artifact_box", _box)})
 OUTPUT = (RunConfig, {"dynamic_range_db": ("dynamic_range_db", float)})
 SECTIONS = ("array", "environment", "scene", "pulse", "simulation", "chain",
             "beamformers", "grid", "metrics", "output")
@@ -235,16 +232,11 @@ def parse_config(doc: dict) -> RunConfig:
     targets = []
     for i, t in enumerate(_read(_section(doc, "scene"), "scene", SCENE)["targets"]):
         tpath = f"scene.targets[{i}]"
-        if "range_m" in _value(t, tpath, dict):
-            spec, extra = SLANT_TARGET, {"array_depth": geometry.array_depth}
-        elif "y_m" in t:
-            spec, extra = TARGET, {}
-        else:
-            raise ConfigError(tpath, "need either range_m (slant) or y_m (horizontal)")
-        args = _read(t, tpath, spec)
+        args = _read(_value(t, tpath, dict), tpath, TARGET)
         if not 0 <= args["depth"] <= environment.bottom_depth:
             raise ConfigError(f"{tpath}.depth_m", "target depth outside water column")
-        targets.append(_build(tpath, spec[0], **args, **extra))
+        targets.append(_build(tpath, Target.at_slant_range, **args,
+                              array_depth=geometry.array_depth))
 
     pulse = _make(_section(doc, "pulse"), "pulse", PULSE)
     simulation = _make(_section(doc, "simulation"), "simulation", SIMULATION)
@@ -303,9 +295,6 @@ def parse_config(doc: dict) -> RunConfig:
         _build(f"metrics.{key}", getattr(run, key).indices, grid)
     if run.target_box.overlaps(run.artifact_box):
         raise ConfigError("metrics.artifact_box", "overlaps metrics.target_box")
-    if run.fwhm_convention not in (FWHM_AMPLITUDE, FWHM_INTENSITY):
-        raise ConfigError("metrics.fwhm_convention",
-                          f"must be {FWHM_AMPLITUDE!r} or {FWHM_INTENSITY!r}")
     if run.dynamic_range_db <= 0:
         raise ConfigError("output.dynamic_range_db", "must be > 0")
     return run

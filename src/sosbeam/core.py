@@ -22,15 +22,13 @@ class ArrayGeometry:
 
     Attributes:
         sensor_x: per-sensor azimuth positions in meters, strictly increasing
-        array_depth: receiver depth in meters (simulator only)
+        array_depth: receiver and projector depth in meters (simulator only)
         source_x: projector azimuth position in meters
-        source_depth: projector depth in meters; defaults to array_depth
     """
 
     sensor_x: np.ndarray
     array_depth: float = 0.0
     source_x: float = 0.0
-    source_depth: float | None = None
 
     def __post_init__(self):
         sx = np.atleast_1d(np.asarray(self.sensor_x, dtype=float))
@@ -41,10 +39,8 @@ class ArrayGeometry:
         if sx.size > 1 and not np.all(np.diff(sx) > 0):
             raise ValueError("sensor_x must be strictly increasing")
         object.__setattr__(self, "sensor_x", sx)
-        if self.source_depth is None:
-            object.__setattr__(self, "source_depth", float(self.array_depth))
-        if not all(map(math.isfinite, (self.array_depth, self.source_x, self.source_depth))):
-            raise ValueError("array_depth, source_x and source_depth must be finite")
+        if not all(map(math.isfinite, (self.array_depth, self.source_x))):
+            raise ValueError("array_depth and source_x must be finite")
 
     @classmethod
     def uniform(cls, n_sensors: int, length: float, array_depth: float = 0.0,

@@ -1,7 +1,8 @@
 """Image evaluation: dB envelope, FWHM, peak multipath artifact level, RMSE.
 
 All metrics run on peak-normalized dB magnitude images; boxes are given in
-grid meters and resolved to pixel index ranges.
+grid meters and resolved to pixel index ranges. FWHM is the half-amplitude
+(-6.02 dB) azimuth width of the grid row through the image's peak in a box.
 """
 
 from __future__ import annotations
@@ -13,9 +14,6 @@ import numpy as np
 from .core import ScanGrid
 
 RMSE_FLOOR_DB = -120.0
-
-FWHM_AMPLITUDE = "amplitude"   # -6.02 dB, half amplitude
-FWHM_INTENSITY = "intensity"   # -3.01 dB, half power
 
 
 @dataclass(frozen=True)
@@ -77,25 +75,22 @@ def envelope_db(image: np.ndarray, grid: ScanGrid) -> DbImage:
     return DbImage(pixels=db, grid=grid)
 
 
-def fwhm(profile_db: np.ndarray, spacing: float,
-         convention: str = FWHM_AMPLITUDE) -> float:
+def fwhm(profile_db: np.ndarray, spacing: float) -> float:
     """Full width at half maximum of a dB profile, in meters.
 
-    The half level is -6.02 dB (half amplitude) or -3.01 dB (half power)
-    below the unique global peak; crossings are located by linear
-    interpolation of the linear-amplitude profile.
+    The half level is half the amplitude of the unique global peak, -6.02 dB
+    below it; crossings are located by linear interpolation of the
+    linear-amplitude profile.
     """
     profile_db = np.asarray(profile_db, dtype=float)
     if profile_db.ndim != 1 or profile_db.size < 3:
         raise ValueError("profile must be a 1-D array of at least 3 samples")
-    if convention not in (FWHM_AMPLITUDE, FWHM_INTENSITY):
-        raise ValueError(f"unknown FWHM convention {convention!r}")
     amp = 10.0 ** (profile_db / 20.0)
     k_peak = int(np.argmax(amp))
     peak = amp[k_peak]
     if np.count_nonzero(amp == peak) > 1:
         raise ValueError("profile has no unique global peak")
-    level = 0.5 * peak if convention == FWHM_AMPLITUDE else peak / np.sqrt(2.0)
+    level = 0.5 * peak
 
     def crossing(direction: int) -> float:
         k = k_peak
@@ -111,16 +106,12 @@ def fwhm(profile_db: np.ndarray, spacing: float,
     return (crossing(+1) - crossing(-1)) * spacing
 
 
-def fwhm_of_image(img: DbImage, box: Box | None = None,
-                  convention: str = FWHM_AMPLITUDE) -> float:
-    """FWHM of the azimuth slice through the image peak (optionally within a box)."""
-    if box is None:
-        iy, ix = np.unravel_index(np.argmax(img.pixels), img.pixels.shape)
-        return fwhm(img.pixels[iy], img.grid.x_spacing, convention)
+def fwhm_of_image(img: DbImage, box: Box) -> float:
+    """FWHM of the full-width azimuth row through the image's peak in box."""
     rows, cols = box.indices(img.grid)
     sub = img.pixels[np.ix_(rows, cols)]
     r, _ = np.unravel_index(np.argmax(sub), sub.shape)
-    return fwhm(img.pixels[rows[r]], img.grid.x_spacing, convention)
+    return fwhm(img.pixels[rows[r]], img.grid.x_spacing)
 
 
 def pmal(img: DbImage, target_box: Box, artifact_box: Box) -> float:

@@ -262,7 +262,7 @@ def synthesize_rx(targets, geom: ArrayGeometry, pulse: LfmPulse,
     shift = np.zeros((TAPS, width))
     for t in range(TAPS):
         shift[t, t:t + pulse_wave.size] = pulse_wave
-    tx = (geom.source_x, 0.0, geom.source_depth)
+    tx = (geom.source_x, 0.0, geom.array_depth)
     rx = (geom.sensor_x, 0.0, geom.array_depth)
     arrivals = [a for t in targets for a in enumerate_paths(tx, t, rx, env)]
     # (sensors, arrivals) positions of each replica's first sample, and gains

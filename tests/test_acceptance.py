@@ -19,7 +19,7 @@ from sosbeam.config import default_config_dict, parse_config
 from sosbeam.core import ScanGrid
 from sosbeam.covariance import capon_solve, diagonal_load, forward_backward
 from sosbeam.cube import read_cube
-from sosbeam.metrics import envelope_db, fwhm_of_image, pmal, rmse_db
+from sosbeam.metrics import Box, envelope_db, fwhm_of_image, pmal, rmse_db
 from sosbeam.quadrature import gauss_hermite
 from sosbeam.simulate import Target, depth_averaged_sos, synthesize_rx
 
@@ -86,12 +86,12 @@ def cross_images_fine_range(cfg, cross_baseband):
 class TestCriterion1Resolution:
     def test_fwhm_ordering(self, cfg, single_baseband):
         grid = ScanGrid(-3.0, 3.0, 35.6, 36.4, 601, 17)
+        whole = Box(grid.x_min, grid.x_max, grid.y_min, grid.y_max)
         widths = {}
         for method, n_quad in [("das", None), ("mvdr", None), ("bayes", 8)]:
             bf = cfg.beamformer(method, n_quad=n_quad)
             img = beamform_image(single_baseband, grid, bf, cfg.geometry)
-            widths[method] = fwhm_of_image(envelope_db(img.values, grid),
-                                           convention=cfg.fwhm_convention)
+            widths[method] = fwhm_of_image(envelope_db(img.values, grid), whole)
         ok = (widths["das"] > 3.0 * widths["mvdr"]
               and widths["bayes"] <= 1.1 * widths["mvdr"])
         report(1, "resolution ordering", ok,

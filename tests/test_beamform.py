@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from sosbeam import beamform
 from sosbeam.beamform import (FLAG_OUT_OF_RECORD, METHODS, BeamformerConfig, _gamma_batch,
+                              focal_range,
                               _Imager, beamform_image, beamform_points, posterior_weights,
                               record_span)
 from sosbeam.chain import demodulate, matched_filter, quantize, tvg
@@ -381,6 +382,35 @@ class TestPixels:
         post_a = beamform_points(baseband, 0.0, TARGET_RANGE, _make_cfg(dr_db=96.0), GEOM)
         post_b = beamform_points(baseband, 0.0, TARGET_RANGE, _make_cfg(dr_db=99.0), GEOM)
         assert int(np.argmax(post_a.weights)) == int(np.argmax(post_b.weights))
+
+
+class TestWeakPosterior:
+    def test_bayes_over_mvdr_is_the_closed_form_taper(self):
+        # a noiseless single target, no boundary echoes and no quantization
+        sim = SimConfig(sample_rate=500e3, record_duration=0.05, noise_power_db=-400.0)
+        quiet = replace(ENV, surface_reflectivity=0.0, bottom_reflectivity=0.0)
+        target = Target.at_slant_range(0.0, TARGET_RANGE, 90.0, 70.0)
+        raw = synthesize_rx([target], GEOM, PULSE, quiet, sim)
+        cube = matched_filter(demodulate(raw, PULSE.center_frequency, 4), PULSE)
+        cfg = _make_cfg()
+        mu, sigma = cfg.prior.mu_c, cfg.prior.sigma_c
+        px, py = np.meshgrid(np.linspace(-0.1, 0.1, 11),
+                             np.linspace(TARGET_RANGE - 0.1, TARGET_RANGE + 0.1, 201))
+        iy, ix = np.unravel_index(np.argmax(np.abs(_mvdr(cube, px, py, cfg, mu))), px.shape)
+        x, y = px[iy, ix], py[iy, ix]
+        _, u = gauss_hermite(cfg.n_quad)
+        # the Capon power, and so the log likelihood, falls as the square of the scale
+        for scale in 10.0 ** -np.arange(0, 31, 2):
+            weak = replace(cube, samples=cube.samples * scale)
+            bayes = beamform_points(weak, x, y, cfg, GEOM)
+            if np.abs(bayes.weights - u / u.sum()).max() <= 1e-9:
+                break
+        else:
+            pytest.fail("no scale brought the posterior within 1e-9 of the prior")
+        ratio_db = 20 * np.log10(abs(bayes.values) / abs(_mvdr(weak, x, y, cfg, mu)))
+        # the carrier phase 2*pi*f_c*d/c turns by a per prior standard deviation
+        a = 2 * np.pi * PULSE.center_frequency * 2 * focal_range(x, y, GEOM) * sigma / mu ** 2
+        assert ratio_db == pytest.approx(20 * np.log10(np.exp(-a ** 2 / 2)), abs=0.5)
 
 
 class TestMvdrNode:

@@ -273,6 +273,22 @@ class TestMetricsCommand:
         assert main(["metrics", "--config", str(small_config), images[0],
                      str(prefix) + ".csv", "--out", str(tmp_path / "r.json")]) == 3
 
+    @pytest.mark.parametrize("box", ["target_box", "artifact_box"])
+    def test_box_off_the_images_grid_exit_3(self, small_config, images, tmp_path, capsys,
+                                            box):
+        # the config's grid reaches 110 m (at the images' 0.25 m row spacing)
+        # and the box lies past 100 m, off the images' 29.5-33 m grid
+        doc = json.loads(Path(small_config).read_text())
+        doc["grid"].update(y_max_m=110.0, n_y=323)
+        doc["metrics"][box].update(y_min=100.0, y_max=110.0)
+        far = tmp_path / "far.json"
+        far.write_text(json.dumps(doc))
+        report = tmp_path / "r.json"
+        assert main(["metrics", "--config", str(far), *images, "--out", str(report)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: metrics.{box}: ") and "selects no pixels" in err
+        assert not report.exists()
+
     @pytest.mark.parametrize("text, field", [
         ("1,2\n3,4\n", "missing grid metadata header"),
         ("# x_min=0\n1,2\n", "x_max"),
@@ -440,6 +456,8 @@ class TestAll:
         ("chain.decimaton", 4),
         ("pulse.duration_s", 1e-9),
         ("beamformers.das.n_quad", 8),
+        # the FWHM convention is no longer settable: an older init-config's key
+        ("metrics.fwhm_convention", "amplitude"),
         # a node at or below 0 m/s: the configured 8 nodes, or only all's 32
         ("beamformers.bayes.sigma_c_m_s", 1000.0),
         ("beamformers.bayes.sigma_c_m_s", 200.0),

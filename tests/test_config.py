@@ -74,7 +74,7 @@ class TestRejection:
 
     def test_target_needs_a_range_key(self, doc):
         del doc["scene"]["targets"][0]["range_m"]
-        assert self.error_path(doc) == "scene.targets[0]"
+        assert self.error_path(doc) == "scene.targets[0].range_m"
 
     @pytest.mark.parametrize("duration", [1e-9, 1e-6])  # 0.0005 and 0.5 samples
     def test_pulse_shorter_than_one_sample(self, doc, duration):
@@ -199,12 +199,12 @@ class TestFallbacks:
 
 
 def table_doc():
-    """The default document with one target of each form; both stay valid for
-    any array depth in the water column."""
+    """The default document with two targets, so a path must name the right
+    one; both stay valid for any array depth in the water column."""
     doc = default_config_dict()
     doc["scene"]["targets"] = [
         {"x_m": 0.0, "range_m": 95.0, "depth_m": 90.0, "reflectivity": 1.0},
-        {"x_m": 0.0, "y_m": 30.0, "depth_m": 90.0, "reflectivity": 1.0}]
+        {"x_m": 1.0, "range_m": 96.0, "depth_m": 90.0, "reflectivity": 1.0}]
     doc["beamformers"]["bayes"]["loading_factor"] = 0.002
     return doc
 
@@ -227,7 +227,7 @@ TABLES = [
     ("array", config.ARRAY, lambda c: c.geometry),
     ("environment", config.ENVIRONMENT, lambda c: c.environment),
     ("scene", config.SCENE, lambda c: c),
-    ("scene.targets[0]", config.SLANT_TARGET, lambda c: c.targets[0]),
+    ("scene.targets[0]", config.TARGET, lambda c: c.targets[0]),
     ("scene.targets[1]", config.TARGET, lambda c: c.targets[1]),
     ("pulse", config.PULSE, lambda c: c.pulse),
     ("simulation", config.SIMULATION, lambda c: c.simulation),
@@ -246,13 +246,24 @@ TABLES = [
 KEYS = [(path, key, name, kind, factory, built)
         for path, (factory, table), built in TABLES
         for key, (name, kind) in table.items()]
-OPTIONAL = [pytest.param(path, key, name, factory, built, id=f"{path}.{key}")
-            for path, key, name, _, factory, built in KEYS
-            if inspect.signature(factory).parameters[name].default
-            is not inspect.Parameter.empty and key != "subarray_length"]
+DEFAULTED = [(path, key, name, factory, built)
+             for path, key, name, _, factory, built in KEYS
+             if inspect.signature(factory).parameters[name].default
+             is not inspect.Parameter.empty and key != "subarray_length"]
+OPTIONAL = [pytest.param(*entry, id=f"{entry[0]}.{entry[1]}") for entry in DEFAULTED]
 NUMERIC = [pytest.param(path, key, bad, id=f"{path}.{key}={bad}")
            for path, key, _, kind, _, _ in KEYS if kind in (int, float)
            for bad in ((float("nan"), float("inf"), True) if kind is float else (True,))]
+
+
+# a value of each JSON kind, the kind each key table kind reads, and every key
+# with a value of another kind
+SAMPLES = {"boolean": True, "string": "1.5", "number": 1.5, "array": [1.5],
+           "object": {"x_min": 1.5}}
+READS = {int: "number", float: "number", str: "string", list: "array",
+         config._profile: "array", config._box: "object"}
+WRONG_KIND = [(path, key, value) for path, key, _, kind, _, _ in KEYS
+              for json_kind, value in SAMPLES.items() if json_kind != READS[kind]]
 
 
 class TestKeyTables:
@@ -262,6 +273,25 @@ class TestKeyTables:
         del node(doc, path)[key]
         default = inspect.signature(factory).parameters[name].default
         assert getattr(built(parse_config(doc)), name) == default
+
+    @given(omit=st.sets(st.sampled_from(DEFAULTED)))
+    def test_property_omitted_keys_take_constructor_defaults(self, omit):
+        doc = table_doc()
+        for path, key, *_ in omit:
+            del node(doc, path)[key]
+        cfg = parse_config(doc)
+        for _, _, name, factory, built in omit:
+            default = inspect.signature(factory).parameters[name].default
+            assert getattr(built(cfg), name) == default
+
+    @given(entry=st.sampled_from(WRONG_KIND))
+    def test_property_wrong_json_kind_reports_its_key(self, entry):
+        path, key, value = entry
+        doc = table_doc()
+        node(doc, path)[key] = value
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert info.value.path == f"{path}.{key}"
 
     @pytest.mark.parametrize("path, key, bad", NUMERIC)
     def test_bad_number_reports_its_key(self, path, key, bad):
@@ -290,9 +320,7 @@ class TestKeyTables:
         for path, (factory, table), _ in TABLES:
             params = inspect.signature(factory).parameters
             for key, (name, _) in table.items():
-                # range_m / y_m pick the target form: test_target_needs_a_range_key
-                if (params[name].default is inspect.Parameter.empty
-                        and key not in ("range_m", "y_m")):
+                if params[name].default is inspect.Parameter.empty:
                     doc = table_doc()
                     del node(doc, path)[key]
                     with pytest.raises(ConfigError, match="missing required field") as info:

@@ -115,7 +115,7 @@ class TestTypes:
     @pytest.mark.parametrize("kwargs", [
         dict(sensor_x=[0.0, float("nan")]), dict(sensor_x=[0.0, float("inf")]),
         dict(array_depth=float("nan")), dict(source_x=float("nan")),
-        dict(source_depth=float("inf"))])
+        dict(source_x=float("inf"))])
     def test_array_non_finite_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ArrayGeometry(**{"sensor_x": [0.0, 1.0], **kwargs})

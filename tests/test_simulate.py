@@ -258,7 +258,7 @@ class TestSynthesizeRx:
         targets = [Target(x=0.0, y=30.0, depth=90.0), Target(x=0.2, y=20.0, depth=80.0)]
         wave_size = lfm_pulse_samples(self.PULSE, cfg.sample_rate).size
         expected, total = 0, 0
-        tx = (self.GEOM.source_x, 0.0, self.GEOM.source_depth)
+        tx = (self.GEOM.source_x, 0.0, self.GEOM.array_depth)
         for x_n in self.GEOM.sensor_x:
             for target in targets:
                 for a in enumerate_paths(tx, target, (x_n, 0.0, 70.0), FLAT_ENV):
@@ -333,7 +333,7 @@ class TestSynthesizeRx:
         wave = lfm_pulse_samples(pulse, fs) * cfg.signal_amplitude
         rows = np.zeros((geom.n_sensors, cfg.n_samples))
         starts, stops = [], []
-        tx = (geom.source_x, 0.0, geom.source_depth)
+        tx = (geom.source_x, 0.0, geom.array_depth)
         for row, x_n in zip(rows, geom.sensor_x):
             for target in targets:
                 for a in enumerate_paths(tx, target, (float(x_n), 0.0, geom.array_depth),
@@ -365,7 +365,7 @@ class TestSynthesizeRx:
                    Target(x=-0.3, y=25.0, depth=85.0)]
         synthesize_rx(targets, self.GEOM, self.PULSE, FLAT_ENV, cfg, threads=threads)
         assert len(calls) == 2 * len(targets)
-        tx = (self.GEOM.source_x, 0.0, self.GEOM.source_depth)
+        tx = (self.GEOM.source_x, 0.0, self.GEOM.array_depth)
         assert sum(a == tx for a, _ in calls) == len(targets)
 
     def test_late_arrival_dropped_with_warning(self):
