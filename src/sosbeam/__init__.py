@@ -15,7 +15,6 @@ from .covariance import (capon_solve, diagonal_load, forward_backward,
                          unitary_windows)
 from .cube import BasebandCube, RawDataCube, read_cube, write_cube
 from .metrics import Box, DbImage, envelope_db, fwhm, pmal, rmse_db
-from .quadrature import SosPrior, gauss_hermite, node_to_sos
 from .simulate import (Environment, PathArrival, SimConfig, Target,
                        depth_averaged_sos, enumerate_paths, lfm_pulse_samples,
                        synthesize_rx)

@@ -3,12 +3,15 @@
 All three operate on matched-filtered baseband cubes. Data are pre-delayed
 per focal point (so the steering vector is all ones), then:
 
-  das    Hann-weighted sum of the delayed snapshot at a fixed speed.
+  das    Hann-weighted sum of the delayed snapshot at the speed c.
   mvdr   minimum-variance weights from the subarray-averaged, forward-
-         backward averaged, diagonally loaded covariance at a fixed speed.
-  bayes  MVDR evaluated at Gauss-Hermite nodes of the sound-speed prior and
-         averaged under the per-pixel posterior; the likelihood couples the
-         Capon power through the range-dependent strength constant gamma.
+         backward averaged, diagonally loaded covariance at the speed c.
+  bayes  MVDR evaluated at the Gauss-Hermite nodes (numpy's hermgauss) of
+         the sound-speed prior N(c, sigma_c^2) and averaged under the
+         per-pixel posterior; the likelihood couples the Capon power through
+         the range-dependent strength constant gamma. sigma_c=0.0 collapses
+         the prior onto c, where Bayes is MVDR at c (the limit of Bell,
+         Ephraim & Van Trees' Bayesian beamformer, IEEE TSP 2000).
 
 Under a weak posterior (weights equal to the prior's) Bayes is MVDR times
 the range taper e^{-a^2/2}, a = 2*pi*f_c*d*sigma_c/c^2 for a round-trip
@@ -26,7 +29,7 @@ the round-trip times an image reads, the span the receive chain must cover.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,12 +38,13 @@ from .core import ArrayGeometry, ScanGrid, hann_weights, map_rows, path_lengths,
 from .covariance import (_sample_at_times, capon_solve, diagonal_load, replace_degenerate,
                          sample_covariance, subarray_snapshots, unitary_windows)
 from .cube import BasebandCube
-from .quadrature import MAX_NODES, SosPrior, gauss_hermite, node_to_sos
 
 METHOD_DAS = "das"
 METHOD_MVDR = "mvdr"
 METHOD_BAYES = "bayes"
 METHODS = (METHOD_DAS, METHOD_MVDR, METHOD_BAYES)
+
+MAX_NODES = 128  # the largest Gauss-Hermite rule, n_quad's upper bound
 
 # per-pixel flag bits
 FLAG_OUT_OF_RECORD = 1
@@ -57,15 +61,17 @@ BLOCK_PIXELS = 512
 class BeamformerConfig:
     """Settings shared by the imaging methods.
 
+    c is the assumed sound speed in m/s: DAS and MVDR focus at it, and Bayes
+    centres its normal prior on it, with standard deviation sigma_c.
     subarray_length is the adaptive estimation window L; the snapshot count
     is n_sensors - L + 1. loading_factor defaults to 1e-3 divided by the
     snapshot count when left unset. DAS uses neither.
     """
 
     method: str = METHOD_BAYES
-    c_fixed: float = 1519.0
+    c: float = 1519.0
     subarray_length: int = 16
-    prior: SosPrior = field(default_factory=SosPrior)
+    sigma_c: float = 0.3
     n_quad: int = 8
     snr0_db: float = 15.0
     dr_db: float = 96.0
@@ -75,8 +81,10 @@ class BeamformerConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if not 0 < self.c_fixed < np.inf:
-            raise ValueError("c_fixed must be finite and > 0")
+        if not 0 < self.c < np.inf:
+            raise ValueError("c must be finite and > 0")
+        if not 0 <= self.sigma_c < np.inf:
+            raise ValueError("sigma_c must be finite and >= 0")
         if self.subarray_length < 1:
             raise ValueError("subarray_length must be >= 1")
         if not 1 <= self.n_quad <= MAX_NODES:
@@ -103,16 +111,18 @@ class BeamformerConfig:
         return 1e-3 / n_sub
 
     def speeds(self) -> np.ndarray:
-        """The sound speeds the method focuses at, m/s: c_fixed for DAS and
-        MVDR, the quadrature node speeds for Bayes.
+        """The sound speeds the method focuses at, m/s: c for DAS and MVDR,
+        and for Bayes the Gauss-Hermite nodes z of the prior N(c, sigma_c^2),
+        sqrt(2) * z * sigma_c + c.
 
         A prior so wide that a node lands at or below 0 m/s is a ValueError.
         The check is here, where the nodes are built, because building them
         loads numpy.polynomial, which config parsing does not need.
         """
         if self.method != METHOD_BAYES:
-            return np.array([self.c_fixed])
-        speeds = node_to_sos(gauss_hermite(self.n_quad)[0], self.prior)
+            return np.array([self.c])
+        nodes = np.polynomial.hermite.hermgauss(self.n_quad)[0]
+        speeds = np.sqrt(2.0) * nodes * self.sigma_c + self.c
         if speeds.min() <= 0:
             raise ValueError(f"the {self.n_quad}-node rule puts a node at "
                              f"{speeds.min():.6g} m/s; node speeds must be > 0")
@@ -222,7 +232,8 @@ class _Imager:
             half, odd = divmod(cfg.subarray_length, 2)
             self.q = np.r_[np.full(half, np.sqrt(2.0)), np.ones(odd), np.zeros(half)]
         if cfg.method == METHOD_BAYES:
-            self.log_u = np.log(gauss_hermite(cfg.n_quad)[1])
+            # numpy's rule integrates against exp(-z**2): the weights sum to sqrt(pi)
+            self.log_u = np.log(np.polynomial.hermite.hermgauss(cfg.n_quad)[1])
             self.c_nodes = cfg.speeds()
 
     # -- per-batch primitives ------------------------------------------------
@@ -234,7 +245,7 @@ class _Imager:
         return values, flags
 
     def das(self, px, py):
-        snap, flags = self.delayed_snapshots(travel_times(px, py, self.cfg.c_fixed, self.geom))
+        snap, flags = self.delayed_snapshots(travel_times(px, py, self.cfg.c, self.geom))
         return snap @ self.hann, flags
 
     def mvdr_node(self, t):
@@ -282,7 +293,7 @@ class _Imager:
         if self.cfg.method == METHOD_DAS:
             return PointsResult(*self.das(px, py))
         if self.cfg.method == METHOD_MVDR:
-            values, _, flags = self.mvdr_node(travel_times(px, py, self.cfg.c_fixed, self.geom))
+            values, _, flags = self.mvdr_node(travel_times(px, py, self.cfg.c, self.geom))
             return PointsResult(values, flags)
         return self.bayes(px, py)
 
@@ -292,10 +303,10 @@ def beamform_points(cube: BasebandCube, px, py, cfg: BeamformerConfig,
     """Beamform the pixels (px, py) with the configured method.
 
     px, py are broadcastable arrays of azimuth and range in meters; py must
-    be positive. A single-speed question is a config: MVDR at speed c is
-    replace(cfg, method="mvdr", c_fixed=c), and Bayes with SosPrior(c, 0.0)
-    and n_quad=1 puts its one node at c, so log_v is the log likelihood
-    there plus the constant log sqrt(pi).
+    be positive. A single-speed question is a config: MVDR at the speed c a
+    Bayes config centres its prior on is replace(cfg, method="mvdr"), and
+    replace(cfg, c=c, sigma_c=0.0, n_quad=1) puts Bayes's one node at c, so
+    log_v is the log likelihood there plus the constant log sqrt(pi).
     """
     px = np.asarray(px, dtype=float)
     py = np.asarray(py, dtype=float)
@@ -310,8 +321,8 @@ def record_span(grid: ScanGrid, geom: ArrayGeometry, cfgs) -> tuple:
     """(t_first, t_last): the earliest and latest round trip that any pixel of
     grid is focused at by any of the configs cfgs, in seconds.
 
-    The speeds are c_fixed for DAS and MVDR and the quadrature node speeds
-    for Bayes. r_tx + r_rx grows with range at every azimuth, so the
+    The speeds are each config's speeds(): c for DAS and MVDR, the
+    quadrature node speeds for Bayes. r_tx + r_rx grows with range at every azimuth, so the
     earliest trip is on the first grid row at the fastest speed and the
     latest on the last row at the slowest.
     """

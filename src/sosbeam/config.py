@@ -7,7 +7,8 @@ takes only the keys its method reads (METHOD_KEYS). Unknown keys, bools, strings
 for numbers and non-finite numbers are rejected. Errors carry the dotted path of
 the offending field, so a bad config is rejected with a pointer, not a stack trace.
 Targets are placed by slant range only (`range_m`); the projector depth and
-the FWHM level have no key (the array depth, half amplitude).
+the FWHM level have no key (the array depth, half amplitude). `c_fixed_m_s`
+(das, mvdr) and `mu_c_m_s` (bayes) both set BeamformerConfig.c.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .chain import ChainConfig, TVG_VARIANTS, replica_length
 from .core import ArrayGeometry, LfmPulse, ScanGrid
 from .interp import TAPS
 from .metrics import Box
-from .quadrature import SosPrior
 from .simulate import Environment, SimConfig, Target
 
 
@@ -171,6 +171,13 @@ def _profile(value, path: str) -> tuple:
                  for i, (z, c) in enumerate(value))
 
 
+def _positive(value, path: str) -> float:
+    out = _value(value, path, float)
+    if out <= 0:
+        raise ConfigError(path, "must be > 0")
+    return out
+
+
 def _box(value, path: str) -> Box:
     return _make(_value(value, path, dict), path, BOX)
 
@@ -194,13 +201,13 @@ SIMULATION = (SimConfig, {
     "ref_level_db": ("ref_level_db", float), "rng_seed": ("rng_seed", int)})
 CHAIN = (ChainConfig, {
     "quantization_bits": ("quantization_bits", int), "tvg_variant": ("tvg_variant", str),
-    "tvg_speed_m_s": ("tvg_speed", float), "decimation": ("decimation", int)})
-PRIOR = (SosPrior, {"mu_c_m_s": ("mu_c", float), "sigma_c_m_s": ("sigma_c", float)})
+    "tvg_speed_m_s": ("tvg_speed", _positive), "decimation": ("decimation", int)})
 BEAMFORMER = (BeamformerConfig, {
-    "c_fixed_m_s": ("c_fixed", float), "subarray_length": ("subarray_length", int),
+    "c_fixed_m_s": ("c", _positive), "mu_c_m_s": ("c", _positive),
+    "sigma_c_m_s": ("sigma_c", float), "subarray_length": ("subarray_length", int),
     "n_quad": ("n_quad", int), "snr0_db": ("snr0_db", float), "dr_db": ("dr_db", float),
     "loading_factor": ("loading_factor", float)})
-# the PRIOR and BEAMFORMER keys each method reads; any other key is rejected
+# the BEAMFORMER keys each method reads; any other key is rejected
 METHOD_KEYS = {
     METHOD_DAS: {"c_fixed_m_s"},
     METHOD_MVDR: {"c_fixed_m_s", "subarray_length", "loading_factor"},
@@ -214,7 +221,7 @@ BOX = (Box, {key: (key, float) for key in ("x_min", "x_max", "y_min", "y_max")})
 SCENE = (RunConfig, {"targets": ("targets", list)})
 METRICS = (RunConfig, {"target_box": ("target_box", _box),
                        "artifact_box": ("artifact_box", _box)})
-OUTPUT = (RunConfig, {"dynamic_range_db": ("dynamic_range_db", float)})
+OUTPUT = (RunConfig, {"dynamic_range_db": ("dynamic_range_db", _positive)})
 SECTIONS = ("array", "environment", "scene", "pulse", "simulation", "chain",
             "beamformers", "grid", "metrics", "output")
 
@@ -260,8 +267,6 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError("chain.quantization_bits", "must be in [2, 24]")
     if chain.tvg_variant not in TVG_VARIANTS:
         raise ConfigError("chain.tvg_variant", f"must be one of {TVG_VARIANTS}")
-    if chain.tvg_speed <= 0:
-        raise ConfigError("chain.tvg_speed_m_s", "must be > 0")
     if chain.decimation < 1:
         raise ConfigError("chain.decimation", "must be >= 1")
     if -(-simulation.n_samples // chain.decimation) < TAPS:
@@ -273,12 +278,10 @@ def parse_config(doc: dict) -> RunConfig:
         bpath = f"beamformers.{method}"
         if method not in METHOD_KEYS:
             raise ConfigError(bpath, f"unknown method; expected one of {tuple(METHOD_KEYS)}")
-        known = METHOD_KEYS[method]
-        prior = _build(bpath, SosPrior, **_read(_value(bf, bpath, dict), bpath, PRIOR, known))
-        args = _read(bf, bpath, BEAMFORMER, known)
+        args = _read(_value(bf, bpath, dict), bpath, BEAMFORMER, METHOD_KEYS[method])
         args.setdefault("subarray_length", geometry.n_sensors // 2 + 1)  # derived fallback
-        cfg = _build(bpath, BeamformerConfig, method=method, prior=prior,
-                     tvg_variant=chain.tvg_variant, **args)
+        cfg = _build(bpath, BeamformerConfig, method=method, tvg_variant=chain.tvg_variant,
+                     **args)
         try:
             cfg.n_subarrays(geometry.n_sensors)
         except ValueError as exc:
@@ -295,8 +298,6 @@ def parse_config(doc: dict) -> RunConfig:
         _build(f"metrics.{key}", getattr(run, key).indices, grid)
     if run.target_box.overlaps(run.artifact_box):
         raise ConfigError("metrics.artifact_box", "overlaps metrics.target_box")
-    if run.dynamic_range_db <= 0:
-        raise ConfigError("output.dynamic_range_db", "must be > 0")
     return run
 
 

@@ -247,8 +247,10 @@ def synthesize_rx(targets, geom: ArrayGeometry, pulse: LfmPulse,
     """Synthesize the raw receive cube for a list of targets.
 
     Per sensor: the sum over targets and round-trip paths of amplitude-scaled,
-    sub-sample-delayed pulse replicas, plus white Gaussian noise. An echo
-    whose interpolated replica would leave the record is dropped. Noise is
+    sub-sample-delayed pulse replicas, plus white Gaussian noise. An echo of
+    amplitude 0 (off a boundary of reflectivity 0) is neither placed nor
+    counted; one whose interpolated replica would leave the record is
+    dropped, with a SimulationWarning giving the count. Noise is
     drawn from an independent counter-based stream per sensor (Philox keyed by
     (seed, sensor)). Each sensor row (its echo sum, then its noise) is one
     work unit of core.map_rows, so the thread count changes the scheduling
@@ -271,7 +273,8 @@ def synthesize_rx(targets, geom: ArrayGeometry, pulse: LfmPulse,
     base = np.floor(pos)
     taps = delay_kernel(pos - base)
     start = base.astype(np.int64) - (TAPS // 2 - 1)
-    kept = (start >= 0) & (start + width <= n_samples)
+    live = amplitude != 0
+    kept = live & (start >= 0) & (start + width <= n_samples)
     samples = np.zeros((geom.n_sensors, n_samples))
 
     def run_sensor(sensor: int) -> None:
@@ -286,7 +289,7 @@ def synthesize_rx(targets, geom: ArrayGeometry, pulse: LfmPulse,
         row += noise
 
     map_rows(run_sensor, geom.n_sensors, threads)
-    dropped = np.count_nonzero(~kept)
+    dropped = np.count_nonzero(live & ~kept)
     if dropped:
         warnings.warn(f"{dropped} arrivals fell outside the {cfg.record_duration} s record "
                       "and were dropped", SimulationWarning)

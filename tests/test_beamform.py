@@ -6,17 +6,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sosbeam import beamform
-from sosbeam.beamform import (FLAG_OUT_OF_RECORD, METHODS, BeamformerConfig, _gamma_batch,
-                              focal_range,
-                              _Imager, beamform_image, beamform_points, posterior_weights,
-                              record_span)
+from sosbeam.beamform import (FLAG_OUT_OF_RECORD, MAX_NODES, METHODS, BeamformerConfig,
+                              _gamma_batch, focal_range, _Imager, beamform_image,
+                              beamform_points, posterior_weights, record_span)
 from sosbeam.chain import demodulate, matched_filter, quantize, tvg
 from sosbeam.core import ArrayGeometry, LfmPulse, ScanGrid, map_rows, travel_times
 from sosbeam.covariance import _sample_at_times, capon_solve
 from sosbeam.cube import BasebandCube
-from sosbeam.quadrature import MAX_NODES, SosPrior, gauss_hermite, node_to_sos
 from sosbeam.simulate import Environment, SimConfig, Target, synthesize_rx
 
+hermgauss = np.polynomial.hermite.hermgauss
 GEOM = ArrayGeometry.uniform(12, 1.0, array_depth=70.0)
 PULSE = LfmPulse(center_frequency=30e3, bandwidth=20e3, duration=50e-6)
 ENV = Environment(bottom_depth=100.0,
@@ -27,22 +26,21 @@ TARGET_RANGE = 33.0
 
 
 def _make_cfg(**kw):
-    base = dict(method="bayes", c_fixed=1519.0, subarray_length=7,
-                prior=SosPrior(1519.0, 0.3), n_quad=8)
+    base = dict(method="bayes", c=1519.0, subarray_length=7, sigma_c=0.3, n_quad=8)
     base.update(kw)
     return BeamformerConfig(**base)
 
 
 def _mvdr(cube, x, y, cfg, c):
     """MVDR output at speed c: a config on the batched call."""
-    return beamform_points(cube, x, y, replace(cfg, method="mvdr", c_fixed=c), GEOM).values
+    return beamform_points(cube, x, y, replace(cfg, method="mvdr", c=c), GEOM).values
 
 
 def _log_likelihood(cube, x, y, cfg, c):
     """n_sub * gamma * P_s at speed c: single-node Bayes on a collapsed prior at c."""
-    cfg = replace(cfg, method="bayes", prior=SosPrior(c, 0.0), n_quad=1)
+    cfg = replace(cfg, method="bayes", c=c, sigma_c=0.0, n_quad=1)
     log_v = beamform_points(cube, x, y, cfg, GEOM).log_v
-    _, weights = gauss_hermite(1)
+    _, weights = hermgauss(1)
     return float(log_v[..., 0] - np.log(weights[0]))
 
 
@@ -74,11 +72,11 @@ def baseband():
 class TestConfigChecks:
     @pytest.mark.parametrize("c", [0.0, -5.0, float("nan")])
     def test_fixed_speed_must_be_positive(self, c):
-        with pytest.raises(ValueError, match="c_fixed"):
-            _make_cfg(c_fixed=c)
+        with pytest.raises(ValueError, match="c must be finite and > 0"):
+            _make_cfg(c=c)
 
     @pytest.mark.parametrize("kwargs", [
-        dict(c_fixed=float("inf")), dict(dr_db=float("nan")), dict(dr_db=float("inf")),
+        dict(c=float("inf")), dict(dr_db=float("nan")), dict(dr_db=float("inf")),
         dict(snr0_db=float("nan")), dict(snr0_db=float("inf")), dict(snr0_db=float("-inf"))])
     def test_non_finite_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -90,19 +88,21 @@ class TestConfigChecks:
             _make_cfg(n_quad=MAX_NODES + 1)
 
     def test_default_prior_is_the_sos_prior_default(self):
-        assert BeamformerConfig().prior == SosPrior()
+        # the default prior N(1519, 0.3^2) is centred on the default assumed speed
+        assert (BeamformerConfig().c, BeamformerConfig().sigma_c) == (1519.0, 0.3)
 
     def test_speeds_are_c_fixed_or_the_nodes(self):
         for method in ("das", "mvdr"):
-            np.testing.assert_array_equal(_make_cfg(method=method, c_fixed=1490.0).speeds(),
+            np.testing.assert_array_equal(_make_cfg(method=method, c=1490.0).speeds(),
                                           [1490.0])
-        cfg = _make_cfg(n_quad=5, prior=SosPrior(1500.0, 4.0))
-        np.testing.assert_array_equal(cfg.speeds(), node_to_sos(gauss_hermite(5)[0], cfg.prior))
+        cfg = _make_cfg(n_quad=5, c=1500.0, sigma_c=4.0)
+        np.testing.assert_array_equal(cfg.speeds(),
+                                      np.sqrt(2.0) * hermgauss(5)[0] * 4.0 + 1500.0)
 
     @pytest.mark.parametrize("sigma_c, n_quad", [(1000.0, 8), (200.0, 32), (100.0, MAX_NODES)])
     def test_prior_with_a_node_at_or_below_zero_rejected(self, baseband, sigma_c, n_quad):
         # 1519 m/s less sqrt(2) sigma_c times the rule's largest node is < 0
-        cfg = _make_cfg(prior=SosPrior(1519.0, sigma_c), n_quad=n_quad)
+        cfg = _make_cfg(sigma_c=sigma_c, n_quad=n_quad)
         with pytest.raises(ValueError, match=f"the {n_quad}-node rule puts a node at -"):
             cfg.speeds()
         with pytest.raises(ValueError, match="node speeds must be > 0"):
@@ -181,9 +181,8 @@ class TestGamma:
         # frozen from a direct evaluation of the NL/SNR/gamma formulas (the
         # broadside one-way-equivalent range to the array center is exactly 36)
         geom = ArrayGeometry.uniform(30, 1.0)
-        cfg = BeamformerConfig(method="bayes", subarray_length=16,
-                               prior=SosPrior(1519.0, 0.3), snr0_db=15.0,
-                               dr_db=96.0)
+        cfg = BeamformerConfig(method="bayes", c=1519.0, subarray_length=16, sigma_c=0.3,
+                               snr0_db=15.0, dr_db=96.0)
         got = float(_gamma_batch(0.0, 36.0, cfg, geom))
         g_tvg = 20.0 * np.log10(36.0)
         nl = 10.0 ** ((96.0 - 15.0 + g_tvg) / 10.0)
@@ -236,7 +235,7 @@ class TestLogLikelihood:
 
 
 class TestPosteriorWeights:
-    LOG_U = np.log(gauss_hermite(8)[1])  # the log weights
+    LOG_U = np.log(hermgauss(8)[1])  # the log weights
 
     def test_flat_likelihood_recovers_prior(self):
         w, fb = posterior_weights(self.LOG_U, np.zeros(8))
@@ -274,7 +273,7 @@ class TestPosteriorWeights:
            exponent=st.integers(-300, 300), seed=st.integers(0, 2 ** 32 - 1))
     def test_property_simplex_at_any_finite_scale(self, n_quad, rows, exponent, seed):
         # log likelihoods up to about 1e300 in magnitude, of either sign
-        _, weights = gauss_hermite(n_quad)
+        _, weights = hermgauss(n_quad)
         log_u = np.log(weights)
         ll = np.random.default_rng(seed).standard_normal((rows, n_quad)) * 10.0 ** exponent
         w, fb = posterior_weights(log_u, ll)
@@ -288,7 +287,7 @@ class TestPosteriorWeights:
     def test_property_non_finite_row_is_exactly_the_prior(self, n_quad, rows, seed,
                                                           bad_value):
         rng = np.random.default_rng(seed)
-        _, weights = gauss_hermite(n_quad)
+        _, weights = hermgauss(n_quad)
         log_u = np.log(weights)
         ll = rng.standard_normal((rows, n_quad)) * 10.0 ** rng.integers(-3, 4)
         bad = rng.random(rows) < 0.5
@@ -301,9 +300,9 @@ class TestPosteriorWeights:
 
 class TestSosPosterior:
     def test_collapsed_prior_recovers_prior_weights(self, baseband):
-        cfg = _make_cfg(prior=SosPrior(1519.0, 0.0))
+        cfg = _make_cfg(sigma_c=0.0)
         post = beamform_points(baseband, 0.0, TARGET_RANGE, cfg, GEOM)
-        _, u = gauss_hermite(8)
+        _, u = hermgauss(8)
         np.testing.assert_allclose(post.weights, u / u.sum(), rtol=1e-10)
 
     def test_weights_form_simplex(self, baseband):
@@ -316,8 +315,8 @@ class TestSosPosterior:
     def test_nodes_follow_prior_map(self, baseband):
         cfg = _make_cfg()
         post = beamform_points(baseband, 0.0, TARGET_RANGE, cfg, GEOM)
-        nodes, _ = gauss_hermite(8)
-        np.testing.assert_allclose(post.nodes, node_to_sos(nodes, cfg.prior))
+        nodes, _ = hermgauss(8)
+        np.testing.assert_allclose(post.nodes, np.sqrt(2.0) * nodes * cfg.sigma_c + cfg.c)
 
 
 class TestPixels:
@@ -328,7 +327,7 @@ class TestPixels:
         bb = BasebandCube(samples=samples[None, :], sample_rate=125e3,
                           carrier=30e3, decimation=4, time_origin=0.0)
         expected = _sample_at_times(bb, travel_times(0.0, 2.0, 1500.0, geom1))[0][0]
-        cfg = BeamformerConfig(method="das", c_fixed=1500.0)
+        cfg = BeamformerConfig(method="das", c=1500.0)
         got = beamform_points(bb, 0.0, 2.0, cfg, geom1).values
         assert complex(got) == pytest.approx(expected, rel=1e-12)
 
@@ -337,7 +336,7 @@ class TestPixels:
         bb = BasebandCube(samples=np.full((4, 4096), 3.0 + 0j), sample_rate=125e3,
                           carrier=0.0, decimation=4, time_origin=0.0)
         # zero carrier: no phase rotation, snapshot is exactly the constant
-        cfg = BeamformerConfig(method="das", c_fixed=1500.0)
+        cfg = BeamformerConfig(method="das", c=1500.0)
         got = beamform_points(bb, 0.0, 1.5, cfg, geom).values
         assert complex(got) == pytest.approx(3.0 + 0j, rel=1e-12)
 
@@ -350,7 +349,7 @@ class TestPixels:
         from sosbeam.simulate import depth_averaged_sos
         c_true = depth_averaged_sos(ENV, 70.0, 90.0)
         ys = np.arange(TARGET_RANGE - 0.05, TARGET_RANGE + 0.05, 0.005)
-        cfg = _make_cfg(method="das", c_fixed=c_true)
+        cfg = _make_cfg(method="das", c=c_true)
         best = np.abs(beamform_points(baseband, 0.0, ys, cfg, GEOM).values).max()
         k = int(round((2 * TARGET_RANGE / c_true - baseband.time_origin)
                       * baseband.sample_rate))
@@ -360,11 +359,11 @@ class TestPixels:
     def test_bayes_single_node_equals_mvdr_at_prior_mean(self, baseband):
         cfg = _make_cfg(n_quad=1)
         bayes = beamform_points(baseband, 0.3, TARGET_RANGE, cfg, GEOM)
-        mvdr = _mvdr(baseband, 0.3, TARGET_RANGE, cfg, cfg.prior.mu_c)
+        mvdr = _mvdr(baseband, 0.3, TARGET_RANGE, cfg, cfg.c)
         assert complex(bayes.values) == pytest.approx(complex(mvdr), rel=1e-12)
 
     def test_bayes_collapsed_prior_equals_mvdr(self, baseband):
-        cfg = _make_cfg(prior=SosPrior(1519.0, 0.0))
+        cfg = _make_cfg(sigma_c=0.0)
         bayes = beamform_points(baseband, -0.4, TARGET_RANGE, cfg, GEOM)
         mvdr = _mvdr(baseband, -0.4, TARGET_RANGE, cfg, 1519.0)
         assert abs(bayes.values - mvdr) <= 1e-10 * abs(mvdr)
@@ -393,12 +392,12 @@ class TestWeakPosterior:
         raw = synthesize_rx([target], GEOM, PULSE, quiet, sim)
         cube = matched_filter(demodulate(raw, PULSE.center_frequency, 4), PULSE)
         cfg = _make_cfg()
-        mu, sigma = cfg.prior.mu_c, cfg.prior.sigma_c
+        mu, sigma = cfg.c, cfg.sigma_c
         px, py = np.meshgrid(np.linspace(-0.1, 0.1, 11),
                              np.linspace(TARGET_RANGE - 0.1, TARGET_RANGE + 0.1, 201))
         iy, ix = np.unravel_index(np.argmax(np.abs(_mvdr(cube, px, py, cfg, mu))), px.shape)
         x, y = px[iy, ix], py[iy, ix]
-        _, u = gauss_hermite(cfg.n_quad)
+        _, u = hermgauss(cfg.n_quad)
         # the Capon power, and so the log likelihood, falls as the square of the scale
         for scale in 10.0 ** -np.arange(0, 31, 2):
             weak = replace(cube, samples=cube.samples * scale)
@@ -634,8 +633,7 @@ class TestBeamformPoints:
                             sample_rate=125e3, carrier=30e3, decimation=4, time_origin=0.0)
         # the record reaches about 25 m, so some pixels are out of it
         px, py = rng.uniform(-3.0, 3.0, 600), rng.uniform(4.0, 28.0, 600)
-        cfg = _make_cfg(method=method, subarray_length=16, prior=SosPrior(1519.0, 2.0),
-                        n_quad=4)
+        cfg = _make_cfg(method=method, subarray_length=16, sigma_c=2.0, n_quad=4)
         whole = beamform_points(cube, px, py, cfg, geom)
         parts = [beamform_points(cube, px[i:i + 7], py[i:i + 7], cfg, geom)
                  for i in range(0, 600, 7)]
@@ -669,7 +667,7 @@ class TestBeamformPoints:
         rng = np.random.default_rng(seed)
         px = rng.uniform(-1.0, 1.0, 4)
         py = rng.uniform(TARGET_RANGE - 1.0, TARGET_RANGE + 1.0, 4)
-        cfg = _make_cfg(prior=SosPrior(mu_c, 0.0), n_quad=n_quad)
+        cfg = _make_cfg(c=mu_c, sigma_c=0.0, n_quad=n_quad)
         bayes = beamform_points(baseband, px, py, cfg, GEOM)
         np.testing.assert_allclose(bayes.values, _mvdr(baseband, px, py, cfg, mu_c),
                                    rtol=1e-12)
@@ -681,12 +679,12 @@ class TestBeamformPoints:
         rng = np.random.default_rng(seed)
         px = rng.uniform(-2.0, 2.0, 5)
         py = rng.uniform(TARGET_RANGE - 3.0, TARGET_RANGE + 3.0, 5)
-        cfg = _make_cfg(prior=SosPrior(1519.0, sigma_c), n_quad=n_quad)
+        cfg = _make_cfg(sigma_c=sigma_c, n_quad=n_quad)
         post = beamform_points(baseband, px, py, cfg, GEOM)
         assert (post.weights >= 0).all()
         np.testing.assert_allclose(post.weights.sum(axis=-1), 1.0, rtol=0, atol=1e-10)
-        nodes, _ = gauss_hermite(n_quad)
-        np.testing.assert_array_equal(post.nodes, node_to_sos(nodes, cfg.prior))
+        nodes, _ = hermgauss(n_quad)
+        np.testing.assert_array_equal(post.nodes, np.sqrt(2.0) * nodes * sigma_c + 1519.0)
 
 
 class TestRecordSpan:
@@ -700,18 +698,18 @@ class TestRecordSpan:
 
     @pytest.mark.parametrize("method", ["das", "mvdr"])
     def test_fixed_speed_is_the_extreme_pixels(self, method):
-        cfg = _make_cfg(method=method, c_fixed=1490.0)
+        cfg = _make_cfg(method=method, c=1490.0)
         assert record_span(self.GRID, GEOM, [cfg]) == self.brute_force(self.GRID, [1490.0])
 
     def test_bayes_covers_every_node_and_the_union_every_config(self):
-        bayes = _make_cfg(n_quad=32, prior=SosPrior(1519.0, 2.0))
-        nodes = node_to_sos(gauss_hermite(32)[0], bayes.prior)
+        bayes = _make_cfg(n_quad=32, sigma_c=2.0)
+        nodes = np.sqrt(2.0) * hermgauss(32)[0] * 2.0 + 1519.0
         assert record_span(self.GRID, GEOM, [bayes]) == self.brute_force(self.GRID, nodes)
-        das = _make_cfg(method="das", c_fixed=1600.0)
+        das = _make_cfg(method="das", c=1600.0)
         assert record_span(self.GRID, GEOM, [bayes, das]) == self.brute_force(
             self.GRID, [*nodes, 1600.0])
 
     def test_single_row_grid_is_its_middle_range(self):
         grid = replace(self.GRID, n_y=1)
         cfg = _make_cfg(method="das")
-        assert record_span(grid, GEOM, [cfg]) == self.brute_force(grid, [cfg.c_fixed])
+        assert record_span(grid, GEOM, [cfg]) == self.brute_force(grid, [cfg.c])

@@ -332,6 +332,26 @@ def chain_settings(bits, variant, decim):
                        decimation=decim)
 
 
+def chain_oracle(x, bits, variant, decim):
+    """receive_chain by its definition in plain numpy: quantize with the step
+    of the whole cube, apply the gain at r = c max(t, t_min) / 2 (times 2 pi
+    for pi_range), demodulate directly and correlate by np.convolve with the
+    conjugated, reversed replica, the zero-padded pulse demodulated the same
+    way. None if the replica is longer than the baseband record."""
+    step = 2.0 * np.abs(x).max() / 2 ** bits
+    q = np.clip(np.round(x / step), -2 ** (bits - 1), 2 ** (bits - 1) - 1) * step
+    r = 1519.0 * np.maximum(np.arange(x.shape[1]) / FS, PULSE.duration) / 2
+    bb = direct_demodulation(q * (r if variant == "two_way" else 2 * np.pi * r),
+                             PULSE.center_frequency, decim)
+    wave = lfm_pulse_samples(PULSE, FS)
+    padded = np.r_[wave, np.zeros(2 * LOWPASS_TAPS)]
+    replica = direct_demodulation(padded, PULSE.center_frequency, decim)[0]
+    n, lag = bb.shape[1], replica.size - 1
+    if replica.size > n:
+        return None
+    return np.array([np.convolve(row, np.conj(replica[::-1]))[lag:lag + n] for row in bb])
+
+
 def assert_same_baseband(got, want):
     np.testing.assert_array_equal(got.samples, want.samples)
     assert (got.sample_rate, got.carrier, got.decimation, got.time_origin) == (
@@ -379,6 +399,21 @@ class TestReceiveChain:
             return
         got = receive_chain(cube, PULSE, settings, threads)
         assert_same_baseband(got, want)
+
+    @given(rows=st.integers(1, 5), n=st.integers(64, 3000), decim=st.integers(1, 6),
+           bits=st.integers(2, 24), variant=st.sampled_from(TVG_VARIANTS),
+           threads=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_property_equals_the_numpy_oracle(self, rows, n, decim, bits, variant,
+                                             threads, seed):
+        x = np.random.default_rng(seed).standard_normal((rows, n))
+        settings = chain_settings(bits, variant, decim)
+        want = chain_oracle(x, bits, variant, decim)
+        if want is None:
+            with pytest.raises(ValueError, match="replica"):
+                receive_chain(raw(x), PULSE, settings, threads)
+            return
+        got = receive_chain(raw(x), PULSE, settings, threads).samples
+        assert_close_relative(got, want, 1e-10)
 
 
 def _five_smooth(m: int) -> bool:

@@ -29,7 +29,7 @@ class TestDefaults:
         assert cfg.grid.n_x == 256 and cfg.grid.n_y == 512
         assert set(cfg.beamformers) == {"das", "mvdr", "bayes"}
         bayes = cfg.beamformers["bayes"]
-        assert bayes.prior.mu_c == 1519.0 and bayes.prior.sigma_c == 0.3
+        assert bayes.c == 1519.0 and bayes.sigma_c == 0.3
         assert bayes.n_quad == 8 and bayes.snr0_db == 15.0 and bayes.dr_db == 96.0
         # N_sub = n_sensors / 2 per the evaluation setup
         assert bayes.n_subarrays(30) == 15
@@ -232,7 +232,6 @@ TABLES = [
     ("pulse", config.PULSE, lambda c: c.pulse),
     ("simulation", config.SIMULATION, lambda c: c.simulation),
     ("chain", config.CHAIN, lambda c: c.chain),
-    ("beamformers.bayes", config.PRIOR, lambda c: c.beamformers["bayes"].prior),
     ("beamformers.bayes", only(config.BEAMFORMER, config.METHOD_KEYS["bayes"]),
      lambda c: c.beamformers["bayes"]),
     # the one BEAMFORMER key that Bayes does not read
@@ -252,16 +251,16 @@ DEFAULTED = [(path, key, name, factory, built)
              is not inspect.Parameter.empty and key != "subarray_length"]
 OPTIONAL = [pytest.param(*entry, id=f"{entry[0]}.{entry[1]}") for entry in DEFAULTED]
 NUMERIC = [pytest.param(path, key, bad, id=f"{path}.{key}={bad}")
-           for path, key, _, kind, _, _ in KEYS if kind in (int, float)
-           for bad in ((float("nan"), float("inf"), True) if kind is float else (True,))]
+           for path, key, _, kind, _, _ in KEYS if kind in (int, float, config._positive)
+           for bad in ((True,) if kind is int else (float("nan"), float("inf"), True))]
 
 
 # a value of each JSON kind, the kind each key table kind reads, and every key
 # with a value of another kind
 SAMPLES = {"boolean": True, "string": "1.5", "number": 1.5, "array": [1.5],
            "object": {"x_min": 1.5}}
-READS = {int: "number", float: "number", str: "string", list: "array",
-         config._profile: "array", config._box: "object"}
+READS = {int: "number", float: "number", config._positive: "number", str: "string",
+         list: "array", config._profile: "array", config._box: "object"}
 WRONG_KIND = [(path, key, value) for path, key, _, kind, _, _ in KEYS
               for json_kind, value in SAMPLES.items() if json_kind != READS[kind]]
 
@@ -339,7 +338,7 @@ class TestRangeChecks:
         doc["beamformers"]["das"]["c_fixed_m_s"] = speed
         with pytest.raises(ConfigError, match="c_fixed") as info:
             parse_config(doc)
-        assert info.value.path == "beamformers.das"
+        assert info.value.path == "beamformers.das.c_fixed_m_s"
 
     def test_n_quad_above_max_nodes(self, doc):
         doc["beamformers"]["bayes"]["n_quad"] = 500
@@ -426,7 +425,7 @@ class TestMethodKeys:
         return receive_chain(raw, cfg.pulse, cfg.chain), cfg.geometry, px, py
 
     def test_keys_are_the_beamformer_tables(self):
-        assert set(CHANGED) == set(config.PRIOR[1]) | set(config.BEAMFORMER[1])
+        assert set(CHANGED) == set(config.BEAMFORMER[1])
         assert set().union(*config.METHOD_KEYS.values()) == set(CHANGED)
         assert len(ACCEPTED) == 11 and len(FOREIGN) == 13
 

@@ -14,7 +14,7 @@ from sosbeam.simulate import (Environment, SimConfig, Target, synthesize_rx)
 
 def delayed_snapshot(cube, x, y, c, geom):
     """The beamformers' phase-aligned snapshot at one pixel: (values, flags)."""
-    imager = _Imager(cube, geom, BeamformerConfig(method="das", c_fixed=c))
+    imager = _Imager(cube, geom, BeamformerConfig(method="das", c=c))
     return imager.delayed_snapshots(travel_times(x, y, c, geom))
 
 

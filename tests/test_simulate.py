@@ -368,6 +368,19 @@ class TestSynthesizeRx:
         tx = (self.GEOM.source_x, 0.0, self.GEOM.array_depth)
         assert sum(a == tx for a, _ in calls) == len(targets)
 
+    def test_zero_amplitude_arrivals_neither_placed_nor_counted(self):
+        # with both boundaries reflecting nothing only the direct path carries
+        # energy; it ends inside the 0.15 s record, the double surface bounce
+        # (0.22 s) would not
+        geom = ArrayGeometry.uniform(30, 1.0, array_depth=70.0)
+        env = Environment(bottom_depth=100.0, sos_profile=((0.0, 1500.0),),
+                          surface_reflectivity=0.0, bottom_reflectivity=0.0)
+        cfg = SimConfig(sample_rate=500e3, record_duration=0.15, rng_seed=2)
+        target = Target.at_slant_range(0.0, 33.0, 90.0, 70.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SimulationWarning)
+            synthesize_rx([target], geom, self.PULSE, env, cfg)
+
     def test_late_arrival_dropped_with_warning(self):
         cfg = SimConfig(sample_rate=500e3, record_duration=0.01, rng_seed=0,
                         ref_level_db=80.0)  # 7.5 m record; paths at 30+ m
