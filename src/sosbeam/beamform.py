@@ -21,9 +21,8 @@ Pixels are independent. beamform_points runs one batch of pixels of any
 shape and, for Bayes, also returns the per-pixel sound-speed posterior;
 beamform_image runs the same engine on blocks of whole grid rows on
 core.map_rows. A pixel's bits depend neither on the thread count nor on
-the size of the batch it is in (save for DAS when the batch's pixel axis
-has length 1: matmul takes another path for one row). record_span gives
-the round-trip times an image reads, the span the receive chain must cover.
+the size of the batch it is in. record_span gives the round-trip times an
+image reads, the span the receive chain must cover.
 """
 
 from __future__ import annotations
@@ -112,21 +111,27 @@ class BeamformerConfig:
 
     def speeds(self) -> np.ndarray:
         """The sound speeds the method focuses at, m/s: c for DAS and MVDR,
-        and for Bayes the Gauss-Hermite nodes z of the prior N(c, sigma_c^2),
-        sqrt(2) * z * sigma_c + c.
+        and for Bayes the node speeds of rule()."""
+        if self.method != METHOD_BAYES:
+            return np.array([self.c])
+        return self.rule()[0]
+
+    def rule(self) -> tuple:
+        """(speeds, weights): the Gauss-Hermite rule of the prior
+        N(c, sigma_c^2). The speeds are sqrt(2) * z * sigma_c + c for numpy's
+        nodes z; the weights are numpy's, which integrate against exp(-z**2)
+        and sum to sqrt(pi).
 
         A prior so wide that a node lands at or below 0 m/s is a ValueError.
         The check is here, where the nodes are built, because building them
         loads numpy.polynomial, which config parsing does not need.
         """
-        if self.method != METHOD_BAYES:
-            return np.array([self.c])
-        nodes = np.polynomial.hermite.hermgauss(self.n_quad)[0]
+        nodes, weights = np.polynomial.hermite.hermgauss(self.n_quad)
         speeds = np.sqrt(2.0) * nodes * self.sigma_c + self.c
         if speeds.min() <= 0:
             raise ValueError(f"the {self.n_quad}-node rule puts a node at "
                              f"{speeds.min():.6g} m/s; node speeds must be > 0")
-        return speeds
+        return speeds, weights
 
 
 @dataclass(frozen=True)
@@ -232,9 +237,8 @@ class _Imager:
             half, odd = divmod(cfg.subarray_length, 2)
             self.q = np.r_[np.full(half, np.sqrt(2.0)), np.ones(odd), np.zeros(half)]
         if cfg.method == METHOD_BAYES:
-            # numpy's rule integrates against exp(-z**2): the weights sum to sqrt(pi)
-            self.log_u = np.log(np.polynomial.hermite.hermgauss(cfg.n_quad)[1])
-            self.c_nodes = cfg.speeds()
+            self.c_nodes, weights = cfg.rule()
+            self.log_u = np.log(weights)
 
     # -- per-batch primitives ------------------------------------------------
 
@@ -246,7 +250,8 @@ class _Imager:
 
     def das(self, px, py):
         snap, flags = self.delayed_snapshots(travel_times(px, py, self.cfg.c, self.geom))
-        return snap @ self.hann, flags
+        # einsum, not matmul: a one-pixel batch's matmul rounds unlike a longer one's
+        return np.einsum("...s,s->...", snap, self.hann), flags
 
     def mvdr_node(self, t):
         """MVDR output and Capon power at the round-trip times t of one

@@ -624,8 +624,8 @@ class TestBeamformPoints:
     def test_bits_do_not_depend_on_batch_size(self, method):
         # 600 pixels at 30 sensors are 281 KiB of complex snapshots, past
         # numpy's 256 KiB temporary-elision threshold; batches of 7 (the last
-        # of 5) are far below it. A one-pixel DAS batch is another matter:
-        # matmul takes a different path for a single-row matrix.
+        # of 5) are far below it. One-pixel batches would take matmul's
+        # one-row path, which rounds unlike its many-row one
         geom = ArrayGeometry.uniform(30, 1.0)
         rng = np.random.default_rng(8)
         cube = BasebandCube(samples=rng.standard_normal((30, 4096))
@@ -635,14 +635,15 @@ class TestBeamformPoints:
         px, py = rng.uniform(-3.0, 3.0, 600), rng.uniform(4.0, 28.0, 600)
         cfg = _make_cfg(method=method, subarray_length=16, sigma_c=2.0, n_quad=4)
         whole = beamform_points(cube, px, py, cfg, geom)
-        parts = [beamform_points(cube, px[i:i + 7], py[i:i + 7], cfg, geom)
-                 for i in range(0, 600, 7)]
         assert 0 < np.count_nonzero(whole.flags & FLAG_OUT_OF_RECORD) < 600
         fields = ("values", "flags") + (("log_v", "weights") if method == "bayes" else ())
-        for name in fields:
-            np.testing.assert_array_equal(
-                getattr(whole, name), np.concatenate([getattr(p, name) for p in parts]),
-                err_msg=name)
+        for size in (7, 1):
+            parts = [beamform_points(cube, px[i:i + size], py[i:i + size], cfg, geom)
+                     for i in range(0, 600, size)]
+            for name in fields:
+                np.testing.assert_array_equal(
+                    getattr(whole, name), np.concatenate([getattr(p, name) for p in parts]),
+                    err_msg=f"{name}, batches of {size}")
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("n_geom, sub_len", [(1, 1), (12, 6)])

@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from sosbeam.interp import TAPS, delay_kernel, sample_rows, tabulated_kernel
+from sosbeam.interp import FARROW, TAPS, delay_kernel, sample_rows
+
+
+def farrow_taps(frac):
+    """The polynomial taps at fractional offsets frac, by Horner as sample_rows
+    evaluates them."""
+    frac = np.asarray(frac, dtype=float)[..., None]
+    h = FARROW[-1]
+    for row in FARROW[-2::-1]:
+        h = h * frac + row
+    return h
 
 
 class TestDelayKernel:
@@ -13,17 +25,24 @@ class TestDelayKernel:
         np.testing.assert_array_equal(delay_kernel(0.0), np.eye(TAPS)[TAPS // 2 - 1])
 
 
-class TestTabulatedKernel:
-    def test_within_1e_7_of_delay_kernel(self):
+class TestFarrowKernel:
+    def test_within_1e_9_of_delay_kernel(self):
         frac = np.random.default_rng(11).random(100_000)
-        assert np.abs(tabulated_kernel(frac) - delay_kernel(frac)).max() < 1e-7
+        assert np.abs(farrow_taps(frac) - delay_kernel(frac)).max() < 1e-9
 
     def test_exact_at_zero_offset(self):
-        np.testing.assert_array_equal(tabulated_kernel(0.0), delay_kernel(0.0))
+        np.testing.assert_array_equal(farrow_taps(0.0), delay_kernel(0.0))
 
-    def test_offset_rounded_up_to_one(self):
-        # pos - floor(pos) is 1.0 for a position just below an integer
-        np.testing.assert_allclose(tabulated_kernel(1.0), delay_kernel(1.0), atol=1e-15)
+    def test_offset_of_one(self):
+        # the fit is on [0, 1], end points included
+        assert np.abs(farrow_taps(1.0) - delay_kernel(1.0)).max() < 1e-9
+
+    def test_sample_rows_reads_unit_impulses_as_the_taps(self):
+        # row k holds a unit impulse at k, so it reads tap k of the stencil at 0 .. 7
+        pos = 3.0 + np.random.default_rng(12).random((1000, 1))
+        values, valid = sample_rows(np.eye(TAPS), np.repeat(pos, TAPS, axis=1))
+        assert valid.all()
+        np.testing.assert_array_equal(values, farrow_taps(pos[:, 0] - 3.0))
 
 
 class TestSampleRows:
@@ -90,3 +109,41 @@ class TestSampleRows:
         values, valid = sample_rows(self.rows()[:, :TAPS], np.array([2.9, 3.0, 3.5]))
         np.testing.assert_array_equal(valid, [False, True, True])
         assert values[1] == self.rows()[1, 3]
+
+    @pytest.mark.parametrize("complex_", [True, False])
+    def test_one_position_is_the_batch_bitwise(self, complex_):
+        # one real position is a one-column filter product, which matmul
+        # would round unlike the same column of a wider product
+        rows = self.rows(complex_)[:1]
+        pos = 3.0 + 50.0 * np.random.default_rng(6).random((40, 1))
+        values, _ = sample_rows(rows, pos)
+        for p, value in zip(pos, values):
+            np.testing.assert_array_equal(sample_rows(rows, p)[0], value)
+
+    @given(complex_=st.booleans(), n_rows=st.integers(1, 4), m=st.integers(40, 200),
+           n_pix=st.integers(3, 20), wide=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+           data=st.data())
+    def test_property_any_subset_is_the_full_call_bitwise(self, complex_, n_rows, m, n_pix,
+                                                           wide, seed, data):
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((n_rows, m))
+        if complex_:
+            rows = rows + 1j * rng.standard_normal((n_rows, m))
+        if wide:
+            # stencil starts 0 and m - 8: a window of m - 7 > n_pix entries a
+            # row, so the full call filters each position's own stencil
+            pos = rng.uniform(-2.0, m + 2.0, (n_pix, n_rows))
+            pos[:2, 0] = 3.0, m - 4.5
+        else:
+            # at most 3 starts a row for at least 3 positions, so the full
+            # call filters the window of starts
+            pos = rng.uniform(3.0, m - 7.0) + rng.uniform(0.0, 2.0, (n_pix, n_rows))
+        bad = rng.random((n_pix, n_rows)) < 0.2
+        bad[:2] = False
+        pos[bad] = rng.choice([np.nan, np.inf, -np.inf, -4.0, m + 9.0], np.count_nonzero(bad))
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=n_pix, max_size=n_pix)
+                                  .filter(any)))
+        values, valid = sample_rows(rows, pos)
+        sub_values, sub_valid = sample_rows(rows, pos[keep])
+        np.testing.assert_array_equal(sub_valid, valid[keep])
+        np.testing.assert_array_equal(sub_values, values[keep])
