@@ -20,8 +20,9 @@ path d: the prior's Gaussian average of the carrier phase 2*pi*f_c*d/c.
 Pixels are independent. beamform_points runs one batch of pixels of any
 shape and, for Bayes, also returns the per-pixel sound-speed posterior;
 beamform_image runs the same engine on blocks of whole grid rows on
-core.map_rows. A pixel's bits depend neither on the thread count nor on
-the size of the batch it is in. record_span gives the round-trip times an
+core.map_rows. A pixel's bits do not depend on the thread count, nor on
+the size of the batch it is in while the BLAS meets interp's assumption
+(numpy's bundled OpenBLAS does). record_span gives the round-trip times an
 image reads, the span the receive chain must cover.
 """
 
@@ -52,7 +53,8 @@ FLAG_POSTERIOR_FALLBACK = 4
 
 # beamform_image's work unit: whole grid rows, as many as fit in this many
 # pixels (one row if the grid is wider). Larger batches amortize numpy's
-# per-call overhead over more pixels; the bits do not depend on the size.
+# per-call overhead over more pixels; the bits do not depend on the size
+# (under interp's BLAS assumption).
 BLOCK_PIXELS = 512
 
 
