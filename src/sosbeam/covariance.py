@@ -1,9 +1,9 @@
-"""Delayed snapshots and the MVDR covariance kernels.
+"""The MVDR covariance kernels.
 
-The estimator at one focal point and sound speed: extract a phase-aligned
-snapshot across the array, split it into overlapping subarrays, average the
-outer products, forward-backward average and diagonally load the result,
-then solve it against the all-ones steering vector.
+The estimator at one focal point and sound speed: split the phase-aligned
+snapshot across the array (interp.sample_rows) into overlapping subarrays,
+average the outer products, forward-backward average and diagonally load the
+result, then solve it against the all-ones steering vector.
 
 The image path runs it in the real domain: with the unitary Q of Huarng &
 Yeh (1991), sample_covariance of unitary_windows is C = Q^H FB(S) Q, real
@@ -11,35 +11,15 @@ symmetric, solved against the real q = Q^H 1 (sqrt(2) on the first L // 2
 entries, 1 in the middle for odd L, 0 elsewhere). sample_covariance and
 forward_backward on complex windows are the forms it is tested against.
 
-The kernels take and return plain ndarrays with any leading batch axes: a
-snapshot stack (..., N) gives subarray windows (..., n_sub, L) and
-covariances (..., L, L). The beamformers call them on one batch of pixels
-at a time, a block of grid rows for images.
+The kernels take and return plain ndarrays with any leading batch axes, a
+batch of pixels at a time: a snapshot stack (..., N) gives subarray windows
+(..., n_sub, L) and covariances (..., L, L).
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-
-from .core import TWO_PI
-from .cube import BasebandCube
-from .interp import sample_rows
-
-
-def _sample_at_times(cube: BasebandCube, t: np.ndarray):
-    """Interpolate each sensor row at times t[..., sensor], rotated by
-    exp(+j*2*pi*carrier*t) to strip the residual carrier phase, so a matched
-    echo yields a phase-aligned (all-ones steering) snapshot. Samples whose
-    stencil leaves the record are zero; returns (values, valid)."""
-    pos = (t - cube.time_origin) * cube.sample_rate - cube.sample_offset
-    values, valid = sample_rows(cube.samples, pos)
-    # sample_rows zeroes invalid samples (out of record, nan or inf times);
-    # rotating them by exp(0) = 1 keeps them zero. In place on sample_rows'
-    # fresh output: `values * exp(...)` lets numpy reuse the exp temporary
-    # above 256 KiB and swap the operands, which changes the product's bits
-    values *= np.exp(1j * TWO_PI * cube.carrier * np.where(valid, t, 0.0))
-    return values, valid
 
 
 def subarray_snapshots(x: np.ndarray, length: int) -> np.ndarray:
@@ -91,26 +71,27 @@ def _trace(cov: np.ndarray) -> np.ndarray:
     return np.einsum("...ii->...", cov).real
 
 
-def diagonal_load(cov: np.ndarray, eps: float) -> np.ndarray:
+def diagonal_load(cov: np.ndarray, eps: float, trace=None, inplace: bool = False):
     """Add eps * trace(S) to the diagonal, guaranteeing invertibility for eps > 0.
-
-    A zero matrix stays zero; replace_degenerate deals with it.
-    """
+    trace is cov's, taken here when None; inplace loads cov itself, not a copy.
+    A zero matrix stays zero; replace_degenerate deals with it."""
     if not 0 <= eps < np.inf:
         raise ValueError("loading factor must be finite and >= 0")
-    return cov + (eps * _trace(cov))[..., None, None] * np.eye(cov.shape[-1])
+    trace = _trace(cov) if trace is None else trace
+    cov = cov if inplace else cov.copy()
+    np.einsum("...ii->...i", cov)[...] += (eps * trace)[..., None]
+    return cov
 
 
-def replace_degenerate(cov: np.ndarray):
+def replace_degenerate(cov: np.ndarray, trace=None):
     """Swap matrices whose trace is not finite and positive for the identity.
 
     Such a matrix holds no data (an all-zero snapshot, say) and would stop
-    the batched solve. Loading with eps >= 0 keeps a trace's sign and
-    finiteness, so the check finds the same matrices before or after
-    diagonal_load. Returns (cov, degenerate); cov is copied only when some
-    matrix is replaced.
+    the batched solve. Loading keeps a trace's sign and finiteness, so trace
+    (taken here when None) may be the one before diagonal_load. Returns (cov,
+    degenerate); cov is copied only when some matrix is replaced.
     """
-    trace = _trace(cov)
+    trace = _trace(cov) if trace is None else trace
     degenerate = ~(np.isfinite(trace) & (trace > 0))
     if np.any(degenerate):
         cov = cov.copy()

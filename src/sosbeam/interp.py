@@ -1,33 +1,30 @@
 """Windowed-sinc fractional-delay interpolation.
 
 Shared by the simulator (sub-sample echo placement, delay_kernel) and the
-beamformers (delayed snapshot extraction, sample_rows). 8 taps,
+beamformers (phase-aligned delayed snapshots, sample_rows). 8 taps,
 Hann-windowed, exact at integer offsets so integer delays reproduce samples
 bit-for-bit.
 
 sample_rows is a Farrow interpolator (Farrow, ISCAS 1988; Laakso et al.,
-IEEE SP Magazine 13(1), 1996): each tap is a degree-DEGREE polynomial in the
-fractional offset f, delay_kernel(f) ~ sum_d FARROW[d] * f**d, fitted by least
-squares at 44 Chebyshev points of [0, 1]. With DEGREE = 11 the taps are
-within 5.5e-10 of delay_kernel over 1e5 random fractions (max abs), and
-FARROW[0] is the unit impulse. A call filters the sample windows it reads
-once with the DEGREE + 1 polynomial taps, then evaluates every position's
-polynomial by Horner. Its memory is O(positions): it filters the window of
-stencil starts its positions span on every row, or, when that window holds
-more entries than the call has positions, only the positions' own stencils.
+IEEE SP Magazine 13(1), 1996) with the carrier folded into its taps: it
+rotates each window sample n it reads by exp(j*(theta*n + phi0)), filters the
+window with the complex polynomial taps of farrow_taps, fitted to
+delay_kernel(f)_k * exp(j*theta*(f - m_k)), and reads every position by
+Horner in f, with no exp per position. Its memory is O(positions), plus a
+phasor per sample of their span: it filters the window of stencil starts its
+positions span on every row or, when that holds more entries than the call
+has positions, only their own stencils.
 
-A position's bits do not depend on the other positions of its call, if the
-BLAS rounds each element of the filter product (one stencil's dot product
-with one row of taps) the same at any product width. That is an assumption
-about the BLAS, not a property of the code. numpy's bundled OpenBLAS meets it
-for two columns or more; its one-column path (gemv) does not, so a lone
-stencil is filtered with a zero partner. The bitwise tests of test_interp and
-test_beamform, and the CI smoke checks on the oldest and newest numpy, check
-it. A fixed-order elementwise accumulation over the taps would not depend on
-the BLAS, but costs about a tenth of fixed_speed's pixel rate.
+A position's bits do not depend on the other positions of its call if the
+BLAS rounds each element of the complex filter product the same at any width.
+numpy's bundled OpenBLAS does at widths that are a multiple of _PAD = 8 (not
+at others, nor gemv's one column), so the product is padded to one. The
+bitwise tests and the CI smoke checks on the oldest and newest numpy check it.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -64,87 +61,101 @@ def delay_kernel(frac) -> np.ndarray:
     return h / h.sum(axis=-1, keepdims=True)
 
 
-DEGREE = 11
+TAP_BOUND = 1e-9
+MAX_DEGREE = 24
+_FIT = 0.5 - 0.5 * np.cos(np.pi * (np.arange(44) + 0.5) / 44)  # Chebyshev points of [0, 1]
+_CHECK = 0.5 - 0.5 * np.cos(np.pi * np.arange(129) / 128)  # Chebyshev extrema, 0 and 1 too
+_PAD = 8  # the filter product's width is a multiple of this (module docstring)
 
 
-def _fit_farrow() -> np.ndarray:
-    """(DEGREE + 1, TAPS) coefficients; row 0 is delay_kernel(0), exactly."""
-    f = 0.5 - 0.5 * np.cos(np.pi * (np.arange(44) + 0.5) / 44)  # Chebyshev points of [0, 1]
-    impulse = delay_kernel(0.0)
-    rest = np.linalg.lstsq(f[:, None] ** np.arange(1, DEGREE + 1),
-                           delay_kernel(f) - impulse, rcond=None)[0]
-    return np.vstack([impulse, rest])
+@functools.lru_cache(maxsize=None)
+def farrow_taps(theta: float) -> np.ndarray:
+    """Read-only (degree + 1, TAPS) complex coefficients, row d that of f**d,
+    of the carrier-folded taps delay_kernel(f)_k * exp(j*theta*(f - m_k)),
+    least squares at _FIT. The degree is the smallest from 11 within
+    TAP_BOUND of them at _CHECK; row 0 is the unit impulse, exactly. A carrier
+    step that no degree up to MAX_DEGREE fits is a ValueError."""
+    f = np.r_[_FIT, _CHECK]
+    target = delay_kernel(f) * np.exp(1j * theta * (f[:, None] - _OFFSETS))
+    impulse = delay_kernel(0.0).astype(complex)
+    for degree in range(11, MAX_DEGREE + 1):
+        taps = np.vstack([impulse, np.linalg.lstsq(_FIT[:, None] ** np.arange(1, degree + 1),
+                                                   target[:_FIT.size] - impulse, rcond=None)[0]])
+        powers = _CHECK[:, None] ** np.arange(degree + 1)  # real, as a complex product is slow
+        if np.abs(powers @ taps.real + 1j * (powers @ taps.imag)
+                  - target[_FIT.size:]).max() <= TAP_BOUND:
+            taps.setflags(write=False)
+            return taps
+    raise ValueError(f"a carrier step of {theta:.6g} rad per sample needs Farrow taps "
+                     f"above degree {MAX_DEGREE}")
 
 
-FARROW = _fit_farrow()
+def _filter(stencils: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """The Farrow bank of complex stencils (TAPS, n), n a multiple of _PAD: (degree
+    + 1, n, 2), row d as (re, im) pairs; row 0 is the stencils' centre samples."""
+    bank = np.empty((len(taps), stencils.shape[1]), complex)
+    bank[0] = stencils[_HALF - 1]
+    np.matmul(taps[1:], stencils, out=bank[1:])
+    return bank.view(float).reshape(len(taps), -1, 2)
 
 
-def _filter(stencils: np.ndarray) -> np.ndarray:
-    """The Farrow bank of real stencils (TAPS, n): (DEGREE + 1, n), row d the
-    coefficient of f**d. Row 0 is the stencils' centre samples themselves."""
-    n = stencils.shape[1]
-    bank = np.empty((DEGREE + 1, max(n, 2)))
-    bank[0, :n] = stencils[_HALF - 1]
-    # matmul rounds a one-column product (gemv) unlike the same column of a
-    # wider one (gemm), so a lone stencil gets a zero partner
-    if n == 1:
-        stencils = np.pad(stencils, ((0, 0), (0, 1)))
-    np.matmul(FARROW[1:], stencils, out=bank[1:])
-    return bank[:, :n]
+def sample_rows(rows: np.ndarray, pos: np.ndarray, theta: float = 0.0, phi0: float = 0.0,
+                offset: int = 0):
+    """Band-limited sampling of each row of `rows` at fractional positions,
+    rotated by the carrier phase exp(j*(theta*(offset + pos) + phi0)).
 
-
-def sample_rows(rows: np.ndarray, pos: np.ndarray):
-    """Band-limited sampling of each row of `rows` at fractional positions.
-
-    Args:
-        rows: (n_rows, m) array, real or complex.
-        pos: (..., n_rows) fractional sample positions, one per row.
-
-    Returns:
-        (values, valid): values has pos.shape, zero where the interpolation
-        stencil would leave [0, m); valid is the matching boolean mask. Rows
-        shorter than the stencil (m < TAPS) give every position invalid.
+    rows is (n_rows, m), read as complex; pos is (..., n_rows), one position per
+    row. theta is the carrier step 2*pi*f_c/f_s and phi0 the phase of record
+    sample 0; offset is the record index of rows[:, 0], so that part of a
+    record (BasebandCube.sample_offset) is phased as the whole, bit for bit.
+    Returns (values, valid): complex values of pos.shape, zero where the
+    stencil would leave [0, m) (always when m < TAPS), and that boolean mask.
     """
     n_rows, m = rows.shape
     pos = np.asarray(pos, dtype=float)
-    dtype = np.result_type(rows, np.float64)
     with np.errstate(invalid="ignore"):
         # a non-finite position casts to INT64_MIN, which the bound test rejects
         base = np.floor(pos).astype(np.int64)
     # no position is valid in a row shorter than the stencil (m < TAPS)
     valid = (base >= _HALF - 1) & (base <= m - 1 - _HALF)
     if not valid.any():
-        return np.zeros(pos.shape, dtype), valid
+        return np.zeros(pos.shape, complex), valid
+    taps = farrow_taps(float(theta))
     # stencil starts, the first valid one standing in for invalid positions
     start = base - (_HALF - 1)
     first = start.min(where=valid, initial=m)
     start = np.where(valid, start, first)
     frac = np.where(valid, pos - base, 0.0)
-    # complex rows as interleaved (re, im) pairs: `width` reals per sample
-    x = np.ascontiguousarray(rows, dtype).view(float).reshape(n_rows, -1)
-    width = x.shape[1] // m
     row = np.arange(n_rows)
     span = int(start.max()) - first + 1
+    # one carrier phasor per sample the stencils read, named: `x * np.exp(...)` lets
+    # numpy reuse the exp temporary and swap the operands, which changes the bits
+    phasor = np.exp(1j * (theta * (offset + np.arange(first, first + span + TAPS - 1)) + phi0))
     if n_rows * span <= pos.size:
-        # every row's stencils from first to the last start, once each
-        stencils = np.stack([x[:, (first + t) * width:(first + t + span) * width]
-                             for t in range(TAPS)]).reshape(TAPS, -1)
+        # every row's stencils from first to the last start, once each, from
+        # the window of samples they read rotated once
+        window = rows[:, first:first + span + TAPS - 1] * phasor
+        n = n_rows * span
+        stencils = np.zeros((TAPS, -(-n // _PAD) * _PAD), complex)
+        for t in range(TAPS):
+            stencils[t, :n].reshape(n_rows, span)[...] = window[:, t:t + span]
         entry = row * span + (start - first)
     else:
-        # more window than positions: each position's own stencil
-        at = (row * m + start).reshape(-1)
-        stencils = x.reshape(-1, width).take(at + np.arange(TAPS)[:, None],
-                                             axis=0).reshape(TAPS, -1)
+        # more window than positions: each position's own stencil, the last
+        # repeated to the padded width
+        at = np.pad((row * m + start).reshape(-1), (0, -pos.size % _PAD), mode="edge")
+        at = at + np.arange(TAPS)[:, None]
+        stencils = rows.reshape(-1).take(at) * phasor.take(at % m - first)
         entry = np.arange(pos.size).reshape(pos.shape)
-    bank = _filter(stencils).reshape(DEGREE + 1, -1, width)
-    # Horner in frac, one take per coefficient row; frac repeated to the
-    # values' (..., width) shape, since a broadcast multiply is slower
-    f = np.repeat(frac[..., None], width, axis=-1)
-    values = bank[DEGREE].take(entry, axis=0)
+    bank = _filter(stencils, taps)
+    # Horner in frac on (re, im) pairs, one take per coefficient row; frac
+    # repeated to the values' (..., 2) shape, since a broadcast multiply is slower
+    f = np.repeat(frac[..., None], 2, axis=-1)
+    values = bank[-1].take(entry, axis=0)
     term = np.empty_like(values)
-    for d in range(DEGREE - 1, -1, -1):
+    for d in range(len(taps) - 2, -1, -1):
         values *= f
         values += bank[d].take(entry, axis=0, out=term, mode="clip")
-    values = values.view(dtype)[..., 0]
+    values = values.view(complex)[..., 0]
     values[~valid] = 0.0
     return values, valid

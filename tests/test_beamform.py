@@ -10,9 +10,10 @@ from sosbeam.beamform import (FLAG_OUT_OF_RECORD, MAX_NODES, METHODS, Beamformer
                               _gamma_batch, focal_range, _Imager, beamform_image,
                               beamform_points, posterior_weights, record_span)
 from sosbeam.chain import demodulate, matched_filter, quantize, tvg
-from sosbeam.core import ArrayGeometry, LfmPulse, ScanGrid, map_rows, travel_times
-from sosbeam.covariance import _sample_at_times, capon_solve
+from sosbeam.core import TWO_PI, ArrayGeometry, LfmPulse, ScanGrid, map_rows, travel_times
+from sosbeam.covariance import capon_solve
 from sosbeam.cube import BasebandCube
+from sosbeam.interp import sample_rows
 from sosbeam.simulate import Environment, SimConfig, Target, synthesize_rx
 
 hermgauss = np.polynomial.hermite.hermgauss
@@ -42,6 +43,15 @@ def _log_likelihood(cube, x, y, cfg, c):
     log_v = beamform_points(cube, x, y, cfg, GEOM).log_v
     _, weights = hermgauss(1)
     return float(log_v[..., 0] - np.log(weights[0]))
+
+
+def _delayed(cube, t):
+    """The cube's phase-aligned samples at round-trip times t (..., sensor):
+    sample_rows at the times' sample positions, with the carrier step
+    2*pi*f_c/f_s and the carrier phase of the record's sample 0."""
+    pos = (t - cube.time_origin) * cube.sample_rate - cube.sample_offset
+    return sample_rows(cube.samples, pos, TWO_PI * cube.carrier / cube.sample_rate,
+                       TWO_PI * cube.carrier * cube.time_origin, cube.sample_offset)
 
 
 def _capon_weights(cov):
@@ -326,7 +336,7 @@ class TestPixels:
         samples = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
         bb = BasebandCube(samples=samples[None, :], sample_rate=125e3,
                           carrier=30e3, decimation=4, time_origin=0.0)
-        expected = _sample_at_times(bb, travel_times(0.0, 2.0, 1500.0, geom1))[0][0]
+        expected = _delayed(bb, travel_times(0.0, 2.0, 1500.0, geom1))[0][0]
         cfg = BeamformerConfig(method="das", c=1500.0)
         got = beamform_points(bb, 0.0, 2.0, cfg, geom1).values
         assert complex(got) == pytest.approx(expected, rel=1e-12)
@@ -420,7 +430,7 @@ class TestMvdrNode:
         # has a middle element only for odd ones)
         from sosbeam.covariance import (diagonal_load, forward_backward,
                                         sample_covariance, subarray_snapshots)
-        snap, _ = _sample_at_times(baseband, travel_times(0.2, TARGET_RANGE, 1519.0, GEOM))
+        snap, _ = _delayed(baseband, travel_times(0.2, TARGET_RANGE, 1519.0, GEOM))
         for length in (7, 1, 6, 12):
             cfg = _make_cfg(method="mvdr", subarray_length=length)
             imager = _Imager(baseband, GEOM, cfg)

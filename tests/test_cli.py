@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sosbeam import cli
+from sosbeam import beamform, cli
 from sosbeam.cli import main
 from sosbeam.config import default_config_dict
 from sosbeam.cube import _HEADER, read_cube
@@ -353,6 +353,21 @@ class TestAll:
             assert (out_dir / name).is_file(), name
         doc = json.loads((out_dir / "metrics.json").read_text())
         assert "bayes_q32/bayes_q8" in doc["rmse_db"]
+
+    def test_one_quadrature_rule_build_per_node_count(self, small_config, tmp_path,
+                                                      monkeypatch):
+        # the node check, record_span and both Bayes imagers share each rule
+        builds, build = Counter(), np.polynomial.hermite.hermgauss
+
+        def counted(n):
+            builds[n] += 1
+            return build(n)
+
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss", counted)
+        beamform._hermgauss.cache_clear()
+        assert main(["all", "--config", str(small_config),
+                     "--out-dir", str(tmp_path / "run")]) == 0
+        assert builds == {8: 1, 32: 1}
 
     def test_bayes_32_configured_is_beamformed_once(self, small_config, tmp_path,
                                                      monkeypatch):

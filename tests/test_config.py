@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sosbeam import config
 from sosbeam.beamform import beamform_points
@@ -95,6 +95,14 @@ class TestRejection:
     def test_decimation_leaving_less_than_the_stencil(self, doc, decimation):
         doc["chain"]["decimation"] = decimation
         assert self.error_path(doc) == "chain.decimation"
+
+    def test_carrier_step_beyond_the_farrow_taps(self, doc):
+        # 2*pi*30 kHz / 12.5 kHz = 15.1 rad per sample: a config error once imaged
+        doc["chain"]["decimation"] = 40
+        cfg = parse_config(doc)
+        with pytest.raises(ConfigError) as info:
+            cfg.beamformer("das")
+        assert info.value.path == "chain.decimation"
 
     def test_decimation_leaving_the_stencil_parses(self, doc):
         doc["chain"]["decimation"] = 21428  # 8 baseband samples
@@ -450,3 +458,109 @@ class TestMethodKeys:
         with pytest.raises(ConfigError, match="unknown field") as info:
             parse_config(doc)
         assert info.value.path == f"beamformers.{method}.{key}"
+
+
+# a value other than the default for every key of table_doc, each drawn from a
+# range that keeps the document valid whatever the other keys hold
+F = st.floats
+VALID = {
+    ("array", "n_sensors"): st.integers(16, 64), ("array", "length_m"): F(0.2, 3.0),
+    ("array", "depth_m"): F(0.0, 95.0), ("array", "source_x_m"): F(-2.0, 2.0),
+    ("environment", "bottom_depth_m"): F(100.0, 300.0),
+    ("environment", "surface_reflectivity"): F(-1.0, 1.0),
+    ("environment", "bottom_reflectivity"): F(0.0, 1.0),
+    ("environment", "sos_profile"): st.lists(F(0.0, 300.0), min_size=1, max_size=5,
+                                             unique=True).map(
+        lambda zs: [[z, 1400.0 + z] for z in sorted(zs)]),
+    **{(f"scene.targets[{i}]", key): value for i in (0, 1) for key, value in (
+        ("x_m", F(-5.0, 5.0)), ("range_m", F(101.0, 150.0)), ("depth_m", F(0.0, 100.0)),
+        ("reflectivity", F(-1.0, 2.0)))},
+    ("pulse", "center_frequency_hz"): F(20e3, 40e3), ("pulse", "bandwidth_hz"): F(2e3, 20e3),
+    ("pulse", "duration_s"): F(2e-5, 1e-4),
+    ("simulation", "sample_rate_hz"): F(3e5, 6e5),
+    ("simulation", "record_duration_s"): F(0.05, 0.3),
+    **{("simulation", key): F(-200.0, 300.0)
+       for key in ("noise_power_db", "signal_power_db", "ref_level_db")},
+    ("simulation", "rng_seed"): st.integers(0, 2 ** 64 - 1),
+    ("chain", "quantization_bits"): st.integers(2, 24),
+    ("chain", "tvg_variant"): st.sampled_from(config.TVG_VARIANTS),
+    ("chain", "tvg_speed_m_s"): F(1400.0, 1600.0), ("chain", "decimation"): st.integers(1, 8),
+    ("beamformers.bayes", "subarray_length"): st.integers(1, 16),
+    ("beamformers.bayes", "loading_factor"): F(0.0, 0.1),
+    ("beamformers.bayes", "n_quad"): st.integers(1, 128),
+    ("beamformers.bayes", "snr0_db"): F(-20.0, 40.0), ("beamformers.bayes", "dr_db"): F(1.0, 150.0),
+    ("beamformers.bayes", "mu_c_m_s"): F(1400.0, 1600.0),
+    ("beamformers.bayes", "sigma_c_m_s"): F(0.0, 5.0),
+    ("beamformers.mvdr", "c_fixed_m_s"): F(1400.0, 1600.0),
+    ("beamformers.mvdr", "subarray_length"): st.integers(1, 16),
+    ("beamformers.das", "c_fixed_m_s"): F(1400.0, 1600.0),
+    ("grid", "x_min_m"): F(-10.0, -3.0), ("grid", "x_max_m"): F(3.0, 10.0),
+    ("grid", "y_min_m"): F(20.0, 29.0), ("grid", "y_max_m"): F(42.0, 60.0),
+    ("grid", "n_x"): st.integers(16, 512), ("grid", "n_y"): st.integers(32, 1024),
+    ("output", "dynamic_range_db"): F(1.0, 120.0),
+}
+# values out of each key's range, with every other key at table_doc's value
+# (a wrong JSON kind and nan/inf are tested for every key above)
+OUT_OF_RANGE = {
+    ("array", "n_sensors"): st.integers(-5, 0), ("array", "length_m"): F(-3.0, 0.0),
+    ("array", "depth_m"): st.one_of(F(-50.0, -0.1), F(100.1, 500.0)),
+    ("environment", "bottom_depth_m"): F(-100.0, 0.0),
+    ("environment", "sos_profile"): st.sampled_from([[], [[10.0, 1500.0], [5.0, 1500.0]],
+                                                     [[0.0, -1.0]], [[0.0]]]),
+    ("scene.targets[0]", "range_m"): F(-10.0, 20.0),
+    ("scene.targets[0]", "depth_m"): st.one_of(F(-50.0, -0.1), F(100.1, 500.0)),
+    ("pulse", "center_frequency_hz"): F(-1e4, 0.0), ("pulse", "bandwidth_hz"): F(-1e4, 0.0),
+    ("pulse", "duration_s"): F(-1e-4, 0.0), ("simulation", "sample_rate_hz"): F(-1e5, 8e4),
+    ("simulation", "record_duration_s"): F(-1.0, 0.0),
+    ("simulation", "rng_seed"): st.one_of(st.integers(-100, -1), st.integers(2 ** 64, 2 ** 70)),
+    ("chain", "quantization_bits"): st.one_of(st.integers(-3, 1), st.integers(25, 64)),
+    ("chain", "tvg_variant"): st.text(max_size=4), ("chain", "tvg_speed_m_s"): F(-10.0, 0.0),
+    ("chain", "decimation"): st.one_of(st.integers(-3, 0), st.integers(21429, 10 ** 6)),
+    ("beamformers.bayes", "subarray_length"): st.one_of(st.integers(-3, 0),
+                                                        st.integers(31, 100)),
+    ("beamformers.bayes", "loading_factor"): F(-1.0, -1e-9),
+    ("beamformers.bayes", "n_quad"): st.one_of(st.integers(-3, 0), st.integers(129, 500)),
+    ("beamformers.bayes", "dr_db"): F(-10.0, 0.0), ("beamformers.bayes", "mu_c_m_s"): F(-10.0, 0.0),
+    ("beamformers.bayes", "sigma_c_m_s"): F(-5.0, -1e-9),
+    ("grid", "n_x"): st.integers(-3, 0), ("grid", "y_min_m"): F(60.0, 100.0),
+    ("output", "dynamic_range_db"): F(-10.0, 0.0),
+}
+
+
+def names_field(error_path: str, field: str) -> bool:
+    """Whether an error's path is the field's own or one of its sections'."""
+    return field == error_path or field.startswith((error_path + ".", error_path + "["))
+
+
+class TestConfigProperties:
+    def test_every_key_has_a_valid_strategy(self):
+        keys = {(path, key) for path, key, *_ in KEYS} | {("beamformers.das", "c_fixed_m_s"),
+                                                          ("beamformers.mvdr", "subarray_length")}
+        # scene.targets is a list of target objects, metrics.* the boxes
+        assert keys - set(VALID) == {("scene", "targets"), ("metrics", "target_box"),
+                                     ("metrics", "artifact_box")} | {
+            ("metrics.target_box", k) for k in ("x_min", "x_max", "y_min", "y_max")}
+
+    @given(values=st.fixed_dictionaries({}, optional=VALID))
+    def test_property_valid_non_default_values_parse(self, values):
+        doc = table_doc()
+        doc["beamformers"]["mvdr"]["subarray_length"] = 16
+        for (path, key), value in values.items():
+            node(doc, path)[key] = value
+        cfg = parse_config(doc)
+        built = {(path, key): (name, get) for path, key, name, _, _, get in KEYS}
+        for (path, key), value in values.items():
+            name, get = built.get((path, key), (None, None))
+            if get is not None and hasattr(get(cfg), name) and not isinstance(value, list):
+                assert getattr(get(cfg), name) == value, (path, key)
+
+    @pytest.mark.parametrize("path, key", sorted(OUT_OF_RANGE))
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_property_bad_field_names_its_path(self, path, key, data):
+        bad = data.draw(OUT_OF_RANGE[path, key])
+        doc = table_doc()
+        node(doc, path)[key] = bad
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert names_field(info.value.path, f"{path}.{key}"), (info.value.path, bad)

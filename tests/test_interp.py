@@ -3,17 +3,42 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sosbeam.interp import FARROW, TAPS, delay_kernel, sample_rows
+from sosbeam.interp import (_OFFSETS, MAX_DEGREE, TAP_BOUND, TAPS, delay_kernel, farrow_taps,
+                            sample_rows)
+
+# carrier steps 2*pi*f_c/f_s: none, the default config's (decimation 4),
+# decimation 8's and twice that
+THETAS = (0.0, 1.508, 3.016, 6.032)
 
 
-def farrow_taps(frac):
-    """The polynomial taps at fractional offsets frac, by Horner as sample_rows
-    evaluates them."""
+def horner(taps, frac):
+    """The polynomial taps at fractional offsets frac, frac.shape + (TAPS,), by
+    Horner on (re, im) pairs as sample_rows evaluates them."""
     frac = np.asarray(frac, dtype=float)[..., None]
-    h = FARROW[-1]
-    for row in FARROW[-2::-1]:
+    pairs = taps.view(float)
+    h = pairs[-1]
+    for row in pairs[-2::-1]:
         h = h * frac + row
-    return h
+    return h.view(complex)
+
+
+def farrow(frac):
+    """The carrier-free polynomial taps at fractional offsets frac, by Horner
+    as sample_rows evaluates them."""
+    return horner(farrow_taps(0.0), frac)
+
+
+def rotated_oracle(rows, pos, theta, phi0):
+    """The exact 8-tap delay_kernel convolution at each in-record position,
+    times exp(j*(theta*pos + phi0)); nan elsewhere."""
+    out = np.full(pos.shape, np.nan, complex)
+    for idx in np.ndindex(pos.shape):
+        p = pos[idx]
+        base = int(np.floor(p)) if np.isfinite(p) else -TAPS
+        if 3 <= base <= rows.shape[1] - 5:
+            kernel = delay_kernel(p - base)
+            out[idx] = rows[idx[-1], base - 3:base + 5] @ kernel * np.exp(1j * (theta * p + phi0))
+    return out
 
 
 class TestDelayKernel:
@@ -28,21 +53,42 @@ class TestDelayKernel:
 class TestFarrowKernel:
     def test_within_1e_9_of_delay_kernel(self):
         frac = np.random.default_rng(11).random(100_000)
-        assert np.abs(farrow_taps(frac) - delay_kernel(frac)).max() < 1e-9
+        assert np.abs(farrow(frac) - delay_kernel(frac)).max() < 1e-9
 
     def test_exact_at_zero_offset(self):
-        np.testing.assert_array_equal(farrow_taps(0.0), delay_kernel(0.0))
+        np.testing.assert_array_equal(farrow(0.0), delay_kernel(0.0))
 
     def test_offset_of_one(self):
         # the fit is on [0, 1], end points included
-        assert np.abs(farrow_taps(1.0) - delay_kernel(1.0)).max() < 1e-9
+        assert np.abs(farrow(1.0) - delay_kernel(1.0)).max() < 1e-9
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_carrier_taps_within_1e_9_of_their_target(self, theta):
+        # delay_kernel(f)_k * exp(j*theta*(f - m_k)) over 1e5 random fractions and at f = 1
+        frac = np.r_[np.random.default_rng(13).random(100_000), 1.0]
+        target = delay_kernel(frac) * np.exp(1j * theta * (frac[:, None] - _OFFSETS))
+        assert TAP_BOUND == 1e-9
+        assert np.abs(horner(farrow_taps(theta), frac) - target).max() < 1e-9
+        # and the unit impulse at f = 0, exactly
+        np.testing.assert_array_equal(horner(farrow_taps(theta), 0.0), np.eye(TAPS)[3])
+
+    def test_degree_is_the_smallest_from_11_within_the_bound(self):
+        assert [len(farrow_taps(t)) - 1 for t in THETAS] == [11, 13, 14, 16]
+
+    def test_taps_are_fitted_once_per_step_and_read_only(self):
+        assert farrow_taps(1.508) is farrow_taps(1.508)
+        assert not farrow_taps(1.508).flags.writeable
+
+    def test_step_beyond_the_largest_degree_rejected(self):
+        with pytest.raises(ValueError, match=f"degree {MAX_DEGREE}"):
+            farrow_taps(50.0)
 
     def test_sample_rows_reads_unit_impulses_as_the_taps(self):
         # row k holds a unit impulse at k, so it reads tap k of the stencil at 0 .. 7
         pos = 3.0 + np.random.default_rng(12).random((1000, 1))
         values, valid = sample_rows(np.eye(TAPS), np.repeat(pos, TAPS, axis=1))
         assert valid.all()
-        np.testing.assert_array_equal(values, farrow_taps(pos[:, 0] - 3.0))
+        np.testing.assert_array_equal(values, farrow(pos[:, 0] - 3.0))
 
 
 class TestSampleRows:
@@ -59,8 +105,12 @@ class TestSampleRows:
         pos = np.array([[3.0, 10.0, 59.0], [20.0, 31.0, 45.0]])
         values, valid = sample_rows(rows, pos)
         assert valid.all()
-        assert values.dtype == rows.dtype
-        np.testing.assert_array_equal(values, rows[np.arange(3), pos.astype(int)])
+        assert values.dtype == complex  # real rows are read as complex
+        samples = rows[np.arange(3), pos.astype(int)]
+        np.testing.assert_array_equal(values, samples)
+        # with a carrier, the rotated samples: the phasor of each window column
+        values, _ = sample_rows(rows, pos, 1.508, 0.25)
+        np.testing.assert_array_equal(values, samples * np.exp(1j * (1.508 * pos + 0.25)))
 
     def test_matches_exact_kernel_convolution(self):
         rows = self.rows()
@@ -70,6 +120,29 @@ class TestSampleRows:
             base = int(np.floor(p))
             expected = rows[r, base - 3:base + 5] @ delay_kernel(p - base)
             assert values[0, r] == pytest.approx(expected, rel=1e-6)
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_matches_the_rotated_oracle(self, theta):
+        # 8 taps each within the 1e-9 tap bound: 8e-9 of the rows' largest magnitude
+        rng = np.random.default_rng(14)
+        rows = rng.standard_normal((4, 300)) + 1j * rng.standard_normal((4, 300))
+        phi0 = rng.uniform(-np.pi, np.pi)
+        for pos in (rng.uniform(-2.0, 302.0, (50, 4)),  # the positions' own stencils
+                    rng.uniform(100.0, 110.0, (500, 4))):  # the window of starts
+            values, valid = sample_rows(rows, pos, theta, phi0)
+            expected = rotated_oracle(rows, pos, theta, phi0)
+            np.testing.assert_array_equal(valid, np.isfinite(expected))
+            assert np.abs(values[valid] - expected[valid]).max() < 8e-9 * np.abs(rows).max()
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_part_of_a_record_is_phased_as_the_whole_bitwise(self, theta):
+        # the record from sample 17 on, its positions counted from there
+        rows = self.rows()
+        pos = np.random.default_rng(15).uniform(20.0, 50.0, (30, 3))
+        whole, valid = sample_rows(rows, pos, theta, 0.4)
+        part, part_valid = sample_rows(rows[:, 17:], pos - 17.0, theta, 0.4, offset=17)
+        np.testing.assert_array_equal(part_valid, valid)
+        np.testing.assert_array_equal(part, whole)
 
     def test_valid_mask_at_both_record_edges(self):
         # the 8-tap stencil covers floor(pos) - 3 .. floor(pos) + 4
@@ -116,15 +189,16 @@ class TestSampleRows:
         # would round unlike the same column of a wider product
         rows = self.rows(complex_)[:1]
         pos = 3.0 + 50.0 * np.random.default_rng(6).random((40, 1))
-        values, _ = sample_rows(rows, pos)
-        for p, value in zip(pos, values):
-            np.testing.assert_array_equal(sample_rows(rows, p)[0], value)
+        for theta, phi0 in ((0.0, 0.0), (1.508, 0.75)):
+            values, _ = sample_rows(rows, pos, theta, phi0)
+            for p, value in zip(pos, values):
+                np.testing.assert_array_equal(sample_rows(rows, p, theta, phi0)[0], value)
 
     @given(complex_=st.booleans(), n_rows=st.integers(1, 4), m=st.integers(40, 200),
            n_pix=st.integers(3, 20), wide=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
-           data=st.data())
+           theta=st.sampled_from(THETAS), phi0=st.floats(-10.0, 10.0), data=st.data())
     def test_property_any_subset_is_the_full_call_bitwise(self, complex_, n_rows, m, n_pix,
-                                                           wide, seed, data):
+                                                           wide, seed, theta, phi0, data):
         rng = np.random.default_rng(seed)
         rows = rng.standard_normal((n_rows, m))
         if complex_:
@@ -143,7 +217,7 @@ class TestSampleRows:
         pos[bad] = rng.choice([np.nan, np.inf, -np.inf, -4.0, m + 9.0], np.count_nonzero(bad))
         keep = np.array(data.draw(st.lists(st.booleans(), min_size=n_pix, max_size=n_pix)
                                   .filter(any)))
-        values, valid = sample_rows(rows, pos)
-        sub_values, sub_valid = sample_rows(rows, pos[keep])
+        values, valid = sample_rows(rows, pos, theta, phi0)
+        sub_values, sub_valid = sample_rows(rows, pos[keep], theta, phi0)
         np.testing.assert_array_equal(sub_valid, valid[keep])
         np.testing.assert_array_equal(sub_values, values[keep])
