@@ -17,13 +17,16 @@ Under a weak posterior (weights equal to the prior's) Bayes is MVDR times
 the range taper e^{-a^2/2}, a = 2*pi*f_c*d*sigma_c/c^2 for a round-trip
 path d: the prior's Gaussian average of the carrier phase 2*pi*f_c*d/c.
 
-The delayed snapshots come from interp.sample_rows, which folds the carrier
-phase into its Farrow taps. Pixels are independent. beamform_points runs one
-batch of pixels of any shape and, for Bayes, also returns the per-pixel
-sound-speed posterior; beamform_image runs the same engine on blocks of whole
-grid rows on core.map_rows. A pixel's bits depend on neither the thread count
-nor its batch while the BLAS meets interp's assumption. record_span gives the
-round-trip times an image reads, the span the receive chain must cover.
+The phase-aligned delayed snapshots come from interp.sample_rows, which
+folds the carrier phase into its Farrow taps.
+
+Pixels are independent. beamform_points runs one batch of pixels of any
+shape and, for Bayes, also returns the per-pixel sound-speed posterior;
+beamform_image runs the same engine on blocks of whole grid rows on
+core.map_rows. A pixel's bits do not depend on the thread count, nor on
+the size of the batch it is in while the BLAS meets interp's assumption
+(numpy's bundled OpenBLAS does). record_span gives the round-trip times an
+image reads, the span the receive chain must cover.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import numpy as np
 from .chain import TVG_TWO_WAY, TVG_VARIANTS, tvg_range
 from .core import (TWO_PI, ArrayGeometry, ScanGrid, hann_weights, map_rows, path_lengths,
                    travel_times)
-from .covariance import (_trace, capon_solve, diagonal_load, replace_degenerate,
+from .covariance import (capon_solve, diagonal_load, replace_degenerate,
                          sample_covariance, subarray_snapshots, unitary_windows)
 from .cube import BasebandCube
 from .interp import sample_rows
@@ -133,8 +136,11 @@ class BeamformerConfig:
         """(speeds, weights): the Gauss-Hermite rule of the prior
         N(c, sigma_c^2). The speeds are sqrt(2) * z * sigma_c + c for numpy's
         nodes z; the weights are numpy's, which integrate against exp(-z**2)
-        and sum to sqrt(pi). A node at or below 0 m/s is a ValueError, raised
-        here and not by config parsing, which loads no numpy.polynomial.
+        and sum to sqrt(pi).
+
+        A prior so wide that a node lands at or below 0 m/s is a ValueError.
+        The check is here, where the nodes are built, because building them
+        loads numpy.polynomial, which config parsing does not need.
         """
         nodes, weights = _hermgauss(self.n_quad)
         speeds = np.sqrt(2.0) * nodes * self.sigma_c + self.c
@@ -204,13 +210,17 @@ def focal_range(px, py, geom: ArrayGeometry):
 
 
 def _gamma_batch(px, py, cfg: BeamformerConfig, geom: ArrayGeometry):
-    """Likelihood strength constant gamma(p) for each pixel, strictly positive.
+    """Likelihood strength constant gamma(p) for each pixel.
 
     Converts the range-dependent noise level and SNR models (in dB, driven by
-    the TVG the chain applied at a single reference speed) to linear. With the
-    power nl = 10**(dB / 10), gamma = (n_sub / nl**2) * n_sub*snr / (1 + n_sub*snr)
-    has units of 1/power**2, so the log likelihood n_sub * gamma * P_s (P_s the
-    cube's Capon power) scales by k**2 with the cube's scale k, which
+    the TVG the chain applied at a single reference speed) to linear and
+    combines them; strictly positive for any pixel.
+
+    Units, as computed: nl = 10**(dB / 10) is a power and snr is
+    dimensionless, so gamma = (n_sub / nl**2) * n_sub*snr / (1 + n_sub*snr)
+    has units of 1/power**2. The log likelihood n_sub * gamma * P_s, with
+    P_s the Capon power of the cube, then has units of 1/power rather than
+    none: scaling the cube by k scales the exponent by k**2, which
     test_linear_in_data_power pins. A unit-free form is ROADMAP open item 2.
     """
     r_p = focal_range(px, py, geom)
@@ -272,9 +282,8 @@ class _Imager:
         for the window mean m."""
         snap, flags = self.delayed_snapshots(t)
         snaps = subarray_snapshots(snap, self.cfg.subarray_length)
-        cov = sample_covariance(unitary_windows(snaps))
-        trace = _trace(cov)
-        cov, degenerate = replace_degenerate(diagonal_load(cov, self.eps, trace, True), trace)
+        cov = diagonal_load(sample_covariance(unitary_windows(snaps)), self.eps)
+        cov, degenerate = replace_degenerate(cov)
         sol, denom, good = capon_solve(cov, self.q)
         flags = flags | np.where(degenerate | ~good, FLAG_SINGULAR, 0).astype(np.uint8)
         power = np.where(good, 1.0 / denom, 0.0)
@@ -335,10 +344,14 @@ def beamform_points(cube: BasebandCube, px, py, cfg: BeamformerConfig,
 
 
 def record_span(grid: ScanGrid, geom: ArrayGeometry, cfgs) -> tuple:
-    """(t_first, t_last): the earliest and latest round trip, in seconds, at
-    which any config of cfgs focuses any pixel of grid. r_tx + r_rx grows with
-    range at every azimuth, so they lie on the first and last grid rows at the
-    fastest and slowest of the configs' speeds() (c, or the Bayes nodes)."""
+    """(t_first, t_last): the earliest and latest round trip that any pixel of
+    grid is focused at by any of the configs cfgs, in seconds.
+
+    The speeds are each config's speeds(): c for DAS and MVDR, the
+    quadrature node speeds for Bayes. r_tx + r_rx grows with range at every azimuth, so the
+    earliest trip is on the first grid row at the fastest speed and the
+    latest on the last row at the slowest.
+    """
     speeds = np.concatenate([cfg.speeds() for cfg in cfgs])
     xs, ys = grid.x_values(), grid.y_values()
     t_first = travel_times(xs, ys[0], speeds.max(), geom).min()
@@ -348,10 +361,13 @@ def record_span(grid: ScanGrid, geom: ArrayGeometry, cfgs) -> tuple:
 
 def beamform_image(cube: BasebandCube, grid: ScanGrid, cfg: BeamformerConfig,
                    geom: ArrayGeometry, threads: int = 1) -> ImageResult:
-    """Beamform the full scan grid; rows are range, columns azimuth. The work
-    units, blocks of whole rows of BLOCK_PIXELS pixels (or one wider row), are
-    independent: the thread count changes scheduling only, never the arithmetic
-    or the image. Per-pixel problems are collected into flags, not raised."""
+    """Beamform the full scan grid; rows are range, columns azimuth.
+
+    The work units are blocks of whole rows, BLOCK_PIXELS pixels or one row
+    if the grid is wider. They are independent, so the thread count changes
+    scheduling only, never the arithmetic or the assembled image. Per-pixel
+    problems are collected into flags rather than raised.
+    """
     imager = _Imager(cube, geom, cfg)
     xs = grid.x_values()
     ys = grid.y_values()

@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 
 from .beamform import BeamformerConfig, METHOD_BAYES, METHOD_DAS, METHOD_MVDR
 from .chain import ChainConfig, TVG_VARIANTS, replica_length
-from .core import TWO_PI, ArrayGeometry, LfmPulse, ScanGrid
-from .interp import TAPS, farrow_taps
+from .core import ArrayGeometry, LfmPulse, ScanGrid
+from .interp import TAPS
 from .metrics import Box
 from .simulate import Environment, SimConfig, Target
 
@@ -58,9 +58,6 @@ class RunConfig:
             cfg = _build(f"beamformers.{method}.n_quad", replace, cfg, n_quad=n_quad)
         if method == METHOD_BAYES:  # here, as parse_config loads no quadrature rule
             _build(f"beamformers.{method}.sigma_c_m_s", cfg.speeds)
-        # nor Farrow taps, for the imagers' carrier step 2*pi*f_c/f_s
-        _build("chain.decimation", farrow_taps, TWO_PI * self.pulse.center_frequency
-               / (self.simulation.sample_rate / self.chain.decimation))
         return cfg
 
 

@@ -11,9 +11,10 @@ symmetric, solved against the real q = Q^H 1 (sqrt(2) on the first L // 2
 entries, 1 in the middle for odd L, 0 elsewhere). sample_covariance and
 forward_backward on complex windows are the forms it is tested against.
 
-The kernels take and return plain ndarrays with any leading batch axes, a
-batch of pixels at a time: a snapshot stack (..., N) gives subarray windows
-(..., n_sub, L) and covariances (..., L, L).
+The kernels take and return plain ndarrays with any leading batch axes: a
+snapshot stack (..., N) gives subarray windows (..., n_sub, L) and
+covariances (..., L, L). The beamformers call them on one batch of pixels
+at a time, a block of grid rows for images.
 """
 
 from __future__ import annotations
@@ -71,27 +72,28 @@ def _trace(cov: np.ndarray) -> np.ndarray:
     return np.einsum("...ii->...", cov).real
 
 
-def diagonal_load(cov: np.ndarray, eps: float, trace=None, inplace: bool = False):
+def diagonal_load(cov: np.ndarray, eps: float) -> np.ndarray:
     """Add eps * trace(S) to the diagonal, guaranteeing invertibility for eps > 0.
-    trace is cov's, taken here when None; inplace loads cov itself, not a copy.
-    A zero matrix stays zero; replace_degenerate deals with it."""
+
+    Loads cov in place and returns it. A zero matrix stays zero;
+    replace_degenerate deals with it.
+    """
     if not 0 <= eps < np.inf:
         raise ValueError("loading factor must be finite and >= 0")
-    trace = _trace(cov) if trace is None else trace
-    cov = cov if inplace else cov.copy()
-    np.einsum("...ii->...i", cov)[...] += (eps * trace)[..., None]
+    np.einsum("...ii->...i", cov)[...] += (eps * _trace(cov))[..., None]
     return cov
 
 
-def replace_degenerate(cov: np.ndarray, trace=None):
+def replace_degenerate(cov: np.ndarray):
     """Swap matrices whose trace is not finite and positive for the identity.
 
     Such a matrix holds no data (an all-zero snapshot, say) and would stop
-    the batched solve. Loading keeps a trace's sign and finiteness, so trace
-    (taken here when None) may be the one before diagonal_load. Returns (cov,
-    degenerate); cov is copied only when some matrix is replaced.
+    the batched solve. Loading with eps >= 0 keeps a trace's sign and
+    finiteness, so the check finds the same matrices before or after
+    diagonal_load. Returns (cov, degenerate); cov is copied only when some
+    matrix is replaced.
     """
-    trace = _trace(cov) if trace is None else trace
+    trace = _trace(cov)
     degenerate = ~(np.isfinite(trace) & (trace > 0))
     if np.any(degenerate):
         cov = cov.copy()

@@ -17,9 +17,11 @@ has positions, only their own stencils.
 
 A position's bits do not depend on the other positions of its call if the
 BLAS rounds each element of the complex filter product the same at any width.
-numpy's bundled OpenBLAS does at widths that are a multiple of _PAD = 8 (not
-at others, nor gemv's one column), so the product is padded to one. The
-bitwise tests and the CI smoke checks on the oldest and newest numpy check it.
+Measured on an Intel Xeon with AVX-512 and numpy 2.4.6's OpenBLAS 0.3.31, its
+zgemm does at widths that are a multiple of 4 and not at others (widths 2, 3,
+5, 7 and 33 differ from the same columns of a wider product), so the product
+is padded to a multiple of _PAD. The bitwise tests and the CI smoke checks on
+the oldest and newest numpy check it.
 """
 
 from __future__ import annotations
@@ -62,10 +64,10 @@ def delay_kernel(frac) -> np.ndarray:
 
 
 TAP_BOUND = 1e-9
-MAX_DEGREE = 24
+MAX_DEGREE = 16  # degree 14 fits every step sample_rows reduces to, |theta| <= pi
 _FIT = 0.5 - 0.5 * np.cos(np.pi * (np.arange(44) + 0.5) / 44)  # Chebyshev points of [0, 1]
 _CHECK = 0.5 - 0.5 * np.cos(np.pi * np.arange(129) / 128)  # Chebyshev extrema, 0 and 1 too
-_PAD = 8  # the filter product's width is a multiple of this (module docstring)
+_PAD = 8  # twice the 4 measured (module docstring): margin for BLAS kernels unrolling wider
 
 
 @functools.lru_cache(maxsize=None)
@@ -110,9 +112,15 @@ def sample_rows(rows: np.ndarray, pos: np.ndarray, theta: float = 0.0, phi0: flo
     record (BasebandCube.sample_offset) is phased as the whole, bit for bit.
     Returns (values, valid): complex values of pos.shape, zero where the
     stencil would leave [0, m) (always when m < TAPS), and that boolean mask.
+
+    A step theta = 2*pi*k + theta', |theta'| <= pi, rotates sample n as theta'
+    does, so the taps are fitted at theta' and, only when k != 0, each value
+    is rotated by the remaining exp(j*2*pi*k*frac) of its position.
     """
     n_rows, m = rows.shape
     pos = np.asarray(pos, dtype=float)
+    turns = round(theta / (2 * np.pi))
+    theta = theta - 2 * np.pi * turns  # theta itself when turns == 0
     with np.errstate(invalid="ignore"):
         # a non-finite position casts to INT64_MIN, which the bound test rejects
         base = np.floor(pos).astype(np.int64)
@@ -157,5 +165,7 @@ def sample_rows(rows: np.ndarray, pos: np.ndarray, theta: float = 0.0, phi0: flo
         values *= f
         values += bank[d].take(entry, axis=0, out=term, mode="clip")
     values = values.view(complex)[..., 0]
+    if turns:
+        values *= np.exp(2j * np.pi * turns * frac)
     values[~valid] = 0.0
     return values, valid

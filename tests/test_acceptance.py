@@ -189,7 +189,7 @@ class TestCriterion6Conditioning:
         persym = np.abs(exchange @ np.swapaxes(fb, -1, -2) @ exchange
                         - fb).max(axis=(-2, -1)) / scale
         worst_persym = float(persym.max())
-        dl = diagonal_load(fb, eps)
+        dl = diagonal_load(fb.copy(), eps)
         floor = eps * np.einsum("...ii->...", fb).real
         min_eig = np.linalg.eigvalsh(dl).min(axis=-1)
         worst_eig = float(((floor - min_eig) / floor).max())

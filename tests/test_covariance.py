@@ -182,10 +182,15 @@ class TestDiagonalLoad:
         dl = diagonal_load(np.eye(2, dtype=complex), 0.1)
         np.testing.assert_allclose(dl, 1.2 * np.eye(2))
 
+    def test_loads_in_place(self):
+        m = np.eye(3)
+        assert diagonal_load(m, 0.5) is m
+        np.testing.assert_array_equal(m, 2.5 * np.eye(3))
+
     def test_zero_eps_identity_map(self):
         rng = np.random.default_rng(4)
         m = random_hermitian(rng, 6)
-        np.testing.assert_array_equal(diagonal_load(m, 0.0), m)
+        np.testing.assert_array_equal(diagonal_load(m.copy(), 0.0), m)
 
     def test_zero_matrix_stays_zero(self):
         dl = diagonal_load(np.zeros((3, 3), dtype=complex), 0.5)
@@ -197,7 +202,7 @@ class TestDiagonalLoad:
             m = random_hermitian(rng, 5)
             eps = float(rng.uniform(0.01, 0.5))
             before_w, before_v = np.linalg.eigh(m)
-            after_w, after_v = np.linalg.eigh(diagonal_load(m, eps))
+            after_w, after_v = np.linalg.eigh(diagonal_load(m.copy(), eps))
             shift = eps * np.trace(m).real
             np.testing.assert_allclose(after_w, before_w + shift, rtol=1e-10,
                                        atol=1e-12)
@@ -339,7 +344,7 @@ class TestCoherentDecorrelation:
         snaps = subarray_snapshots(x, length)
         raw_cov = sample_covariance(snaps)
         eps = 1e-3 / snaps.shape[0]
-        _, denom_raw, good_raw = capon_solve(diagonal_load(raw_cov, eps))
+        _, denom_raw, good_raw = capon_solve(diagonal_load(raw_cov.copy(), eps))
         _, denom_fb, good_fb = capon_solve(diagonal_load(forward_backward(raw_cov), eps))
         assert good_raw and good_fb
         assert 1.0 / denom_fb > 1.0 / denom_raw

@@ -9,6 +9,9 @@ from sosbeam.interp import (_OFFSETS, MAX_DEGREE, TAP_BOUND, TAPS, delay_kernel,
 # carrier steps 2*pi*f_c/f_s: none, the default config's (decimation 4),
 # decimation 8's and twice that
 THETAS = (0.0, 1.508, 3.016, 6.032)
+# and beyond 2*pi, decimation 40's and a larger one: sample_rows fits its taps
+# at the step less whole turns
+STEPS = THETAS + (15.08, 50.0)
 
 
 def horner(taps, frac):
@@ -62,7 +65,7 @@ class TestFarrowKernel:
         # the fit is on [0, 1], end points included
         assert np.abs(farrow(1.0) - delay_kernel(1.0)).max() < 1e-9
 
-    @pytest.mark.parametrize("theta", THETAS)
+    @pytest.mark.parametrize("theta", THETAS + (np.pi,))
     def test_carrier_taps_within_1e_9_of_their_target(self, theta):
         # delay_kernel(f)_k * exp(j*theta*(f - m_k)) over 1e5 random fractions and at f = 1
         frac = np.r_[np.random.default_rng(13).random(100_000), 1.0]
@@ -74,6 +77,8 @@ class TestFarrowKernel:
 
     def test_degree_is_the_smallest_from_11_within_the_bound(self):
         assert [len(farrow_taps(t)) - 1 for t in THETAS] == [11, 13, 14, 16]
+        # the largest step sample_rows fits taps at
+        assert len(farrow_taps(np.pi)) - 1 == len(farrow_taps(-np.pi)) - 1 == 14
 
     def test_taps_are_fitted_once_per_step_and_read_only(self):
         assert farrow_taps(1.508) is farrow_taps(1.508)
@@ -121,7 +126,7 @@ class TestSampleRows:
             expected = rows[r, base - 3:base + 5] @ delay_kernel(p - base)
             assert values[0, r] == pytest.approx(expected, rel=1e-6)
 
-    @pytest.mark.parametrize("theta", THETAS)
+    @pytest.mark.parametrize("theta", STEPS)
     def test_matches_the_rotated_oracle(self, theta):
         # 8 taps each within the 1e-9 tap bound: 8e-9 of the rows' largest magnitude
         rng = np.random.default_rng(14)
@@ -134,7 +139,7 @@ class TestSampleRows:
             np.testing.assert_array_equal(valid, np.isfinite(expected))
             assert np.abs(values[valid] - expected[valid]).max() < 8e-9 * np.abs(rows).max()
 
-    @pytest.mark.parametrize("theta", THETAS)
+    @pytest.mark.parametrize("theta", STEPS)
     def test_part_of_a_record_is_phased_as_the_whole_bitwise(self, theta):
         # the record from sample 17 on, its positions counted from there
         rows = self.rows()
@@ -196,7 +201,7 @@ class TestSampleRows:
 
     @given(complex_=st.booleans(), n_rows=st.integers(1, 4), m=st.integers(40, 200),
            n_pix=st.integers(3, 20), wide=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
-           theta=st.sampled_from(THETAS), phi0=st.floats(-10.0, 10.0), data=st.data())
+           theta=st.sampled_from(STEPS), phi0=st.floats(-10.0, 10.0), data=st.data())
     def test_property_any_subset_is_the_full_call_bitwise(self, complex_, n_rows, m, n_pix,
                                                            wide, seed, theta, phi0, data):
         rng = np.random.default_rng(seed)
