@@ -8,15 +8,10 @@ sound-speed posterior via Gauss-Hermite quadrature.
 
 from .beamform import (BeamformerConfig, ImageResult, PointsResult, beamform_image,
                        beamform_points)
-from .chain import demodulate, matched_filter, quantize, receive_chain, tvg
-from .core import ArrayGeometry, LfmPulse, ScanGrid, hann_weights
-from .covariance import (capon_solve, diagonal_load, forward_backward,
-                         replace_degenerate, sample_covariance, subarray_snapshots,
-                         unitary_windows)
+from .chain import ChainConfig, receive_chain
+from .core import ArrayGeometry, LfmPulse, ScanGrid
 from .cube import BasebandCube, RawDataCube, read_cube, write_cube
 from .metrics import Box, DbImage, envelope_db, fwhm, pmal, rmse_db
-from .simulate import (Environment, PathArrival, SimConfig, Target,
-                       depth_averaged_sos, enumerate_paths, lfm_pulse_samples,
-                       synthesize_rx)
+from .simulate import Environment, SimConfig, Target, synthesize_rx
 
 __version__ = "0.1.0"

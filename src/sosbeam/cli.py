@@ -3,9 +3,10 @@
 Each subcommand reads the same JSON run configuration; intermediate artifacts
 (raw cube, per-method images) are ordinary files so any stage can be re-run
 or inspected on its own. `all` runs the simulate, beamform and metrics steps
-in one process and evaluates the images it holds in memory. `all` and
-`beamform` run the receive chain only over the part of the record their
-images read (`beamform.record_span`).
+in one process: it images each configured method once, with that method's
+settings, under `<out-dir>/<method>`, and evaluates the images it holds in
+memory. `all` and `beamform` run the receive chain only over the part of the
+record their images read (`beamform.record_span`).
 
 Exit codes: 0 success, 1 invalid configuration, 2 usage, a file that cannot
 be read or written, or a bad image CSV, 3 data/config mismatch (cube file,
@@ -20,7 +21,7 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
-from .beamform import METHOD_BAYES, METHOD_DAS, METHOD_MVDR, beamform_image, record_span
+from .beamform import METHOD_BAYES, METHODS, beamform_image, record_span
 from .chain import receive_chain
 from .config import ConfigError, RunConfig, default_config_dict, load_config
 from .cube import CubeFormatError, RawDataCube, read_cube, write_cube
@@ -179,22 +180,16 @@ def cmd_metrics(args) -> int:
 
 def cmd_all(args) -> int:
     cfg = load_config(_existing(args.config, "config"))
-    jobs = {m: cfg.beamformer(m) for m in (METHOD_DAS, METHOD_MVDR) if m in cfg.beamformers}
-    if METHOD_BAYES in cfg.beamformers:
-        bayes = cfg.beamformer(METHOD_BAYES)
-        jobs[f"bayes_q{bayes.n_quad}"] = bayes
-        # and at 32 nodes, once when 32 is the configured count
-        jobs.setdefault("bayes_q32", cfg.beamformer(METHOD_BAYES, n_quad=32))
+    jobs = [cfg.beamformer(m) for m in METHODS if m in cfg.beamformers]
     if not jobs:
-        raise ConfigError("beamformers", "'all' needs at least one of "
-                          f"{METHOD_DAS}, {METHOD_MVDR}, {METHOD_BAYES}")
+        raise ConfigError("beamformers", f"'all' needs at least one of {', '.join(METHODS)}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cube = _simulate(cfg, out_dir / "raw_cube.bin", args.threads)
-    span = record_span(cfg.grid, cfg.geometry, jobs.values())
+    span = record_span(cfg.grid, cfg.geometry, jobs)
     baseband = receive_chain(cube, cfg.pulse, cfg.chain, threads=args.threads, span=span)
-    images = {name: _beamform(baseband, cfg, bf_cfg, out_dir / name, args.threads)
-              for name, bf_cfg in jobs.items()}
+    images = {bf.method: _beamform(baseband, cfg, bf, out_dir / bf.method, args.threads)
+              for bf in jobs}
     _evaluate(cfg, images, out_dir / "metrics.json")
     return EXIT_OK
 
@@ -221,8 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("beamform", help="run the signal chain and one beamformer")
     p.add_argument("--config", required=True)
     p.add_argument("--data", required=True, help="raw cube file from 'simulate'")
-    p.add_argument("--method", required=True,
-                   choices=[METHOD_DAS, METHOD_MVDR, METHOD_BAYES])
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--n-quad", type=int, default=None,
                    help="override the configured quadrature node count (bayes only)")
     p.add_argument("--out", required=True, help="output path prefix")

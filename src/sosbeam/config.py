@@ -178,6 +178,13 @@ def _positive(value, path: str) -> float:
     return out
 
 
+def _seed(value, path: str) -> int:
+    out = _value(value, path, int)
+    if not 0 <= out < 2 ** 64:
+        raise ConfigError(path, "seed must be in [0, 2**64)")
+    return out
+
+
 def _box(value, path: str) -> Box:
     return _make(_value(value, path, dict), path, BOX)
 
@@ -198,7 +205,7 @@ PULSE = (LfmPulse, {"center_frequency_hz": ("center_frequency", float),
 SIMULATION = (SimConfig, {
     "sample_rate_hz": ("sample_rate", float), "record_duration_s": ("record_duration", float),
     "noise_power_db": ("noise_power_db", float), "signal_power_db": ("signal_power_db", float),
-    "ref_level_db": ("ref_level_db", float), "rng_seed": ("rng_seed", int)})
+    "ref_level_db": ("ref_level_db", float), "rng_seed": ("rng_seed", _seed)})
 CHAIN = (ChainConfig, {
     "quantization_bits": ("quantization_bits", int), "tvg_variant": ("tvg_variant", str),
     "tvg_speed_m_s": ("tvg_speed", _positive), "decimation": ("decimation", int)})
@@ -247,8 +254,6 @@ def parse_config(doc: dict) -> RunConfig:
 
     pulse = _make(_section(doc, "pulse"), "pulse", PULSE)
     simulation = _make(_section(doc, "simulation"), "simulation", SIMULATION)
-    if not 0 <= simulation.rng_seed < 2 ** 64:
-        raise ConfigError("simulation.rng_seed", "seed must be in [0, 2**64)")
     f_top = pulse.center_frequency + 0.5 * pulse.bandwidth
     if simulation.sample_rate <= 2.0 * f_top:
         raise ConfigError("simulation.sample_rate_hz",

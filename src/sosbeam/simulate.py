@@ -132,6 +132,10 @@ class SimConfig:
             raise ValueError("sample_rate and record_duration must be finite and > 0")
         if not np.isfinite([self.noise_power_db, self.signal_power_db, self.ref_level_db]).all():
             raise ValueError("noise, signal and reference levels must be finite")
+        # a Philox key word: it would truncate a float and overflow past 64 bits
+        if (isinstance(self.rng_seed, bool) or not isinstance(self.rng_seed, (int, np.integer))
+                or not 0 <= self.rng_seed < 2 ** 64):
+            raise ValueError(f"rng_seed must be an integer in [0, 2**64), got {self.rng_seed!r}")
 
     @property
     def n_samples(self) -> int:

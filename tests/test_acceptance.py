@@ -296,7 +296,7 @@ class TestCriterion9Determinism:
             digests.append({
                 "cube": (out / "raw_cube.bin").read_bytes(),
                 "das": (out / "das.csv").read_bytes(),
-                "bayes": (out / "bayes_q8.csv").read_bytes(),
+                "bayes": (out / "bayes.csv").read_bytes(),
                 "report": (out / "metrics.json").read_bytes(),
             })
         repeat_ok = digests[0] == digests[1]

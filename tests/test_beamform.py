@@ -422,6 +422,21 @@ class TestWeakPosterior:
         assert ratio_db == pytest.approx(20 * np.log10(np.exp(-a ** 2 / 2)), abs=0.5)
 
 
+class TestOffAxisTarget:
+    @pytest.mark.parametrize("method", ["mvdr", "bayes"])
+    def test_lone_target_at_x_1_peaks_at_its_position(self, method):
+        # the default cross's x = 1 peak sits about 0.1 m off; alone, the target does not
+        sim = SimConfig(sample_rate=500e3, record_duration=0.05, noise_power_db=-400.0)
+        quiet = replace(ENV, surface_reflectivity=0.0, bottom_reflectivity=0.0)
+        target = Target.at_slant_range(1.0, 32.0, 90.0, 70.0)
+        raw = synthesize_rx([target], GEOM, PULSE, quiet, sim)
+        cube = matched_filter(demodulate(raw, PULSE.center_frequency, 4), PULSE)
+        px, py = np.meshgrid(np.linspace(0.85, 1.15, 121), np.linspace(31.95, 32.05, 41))
+        image = beamform_points(cube, px, py, _make_cfg(method=method), GEOM).values
+        iy, ix = np.unravel_index(np.argmax(np.abs(image)), px.shape)
+        assert np.hypot(px[iy, ix] - 1.0, py[iy, ix] - 32.0) <= 0.005
+
+
 class TestMvdrNode:
     def test_is_the_covariance_kernels_composed(self, baseband):
         # the image path's MVDR output and Capon power, rebuilt from the

@@ -10,7 +10,7 @@ import pytest
 
 from sosbeam import beamform, cli
 from sosbeam.cli import main
-from sosbeam.config import default_config_dict
+from sosbeam.config import default_config_dict, load_config
 from sosbeam.cube import _HEADER, read_cube
 
 
@@ -348,15 +348,18 @@ class TestAll:
         out_dir = tmp_path / "run"
         assert main(["all", "--config", str(small_config),
                      "--out-dir", str(out_dir)]) == 0
-        for name in ("raw_cube.bin", "das.csv", "das.pgm", "mvdr.csv",
-                     "bayes_q8.csv", "bayes_q32.csv", "metrics.json"):
-            assert (out_dir / name).is_file(), name
+        # one image per configured method, named by its method
+        images = {f"{m}{ext}" for m in ("das", "mvdr", "bayes")
+                  for ext in (".csv", ".pgm", "_flags.json")}
+        names = {p.name for p in out_dir.iterdir()}
+        assert names == {"raw_cube.bin", "metrics.json"} | images
         doc = json.loads((out_dir / "metrics.json").read_text())
-        assert "bayes_q32/bayes_q8" in doc["rmse_db"]
+        assert doc["method"] == ["bayes", "das", "mvdr"]
+        assert set(doc["rmse_db"]) == {"bayes/das", "bayes/mvdr", "das/mvdr"}
 
     def test_one_quadrature_rule_build_per_node_count(self, small_config, tmp_path,
                                                       monkeypatch):
-        # the node check, record_span and both Bayes imagers share each rule
+        # the node check, record_span and the Bayes imager share the rule
         builds, build = Counter(), np.polynomial.hermite.hermgauss
 
         def counted(n):
@@ -367,28 +370,43 @@ class TestAll:
         beamform._hermgauss.cache_clear()
         assert main(["all", "--config", str(small_config),
                      "--out-dir", str(tmp_path / "run")]) == 0
-        assert builds == {8: 1, 32: 1}
+        assert builds == {8: 1}
 
-    def test_bayes_32_configured_is_beamformed_once(self, small_config, tmp_path,
-                                                     monkeypatch):
+    def test_each_configured_method_imaged_once_at_its_node_count(self, small_config,
+                                                                   tmp_path, monkeypatch):
         doc = json.loads(Path(small_config).read_text())
-        doc["beamformers"] = {"bayes": {**doc["beamformers"]["bayes"], "n_quad": 32}}
+        doc["beamformers"]["bayes"]["n_quad"] = 32
         cfg = tmp_path / "bayes32.json"
         cfg.write_text(json.dumps(doc))
         calls = []
         real = cli.beamform_image
 
         def counting(baseband, grid, bf_cfg, geom, threads=1):
-            calls.append(bf_cfg.n_quad)
+            calls.append(bf_cfg)
             return real(baseband, grid, bf_cfg, geom, threads=threads)
 
         monkeypatch.setattr(cli, "beamform_image", counting)
         out_dir = tmp_path / "run"
         assert main(["all", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
-        assert calls == [32]
+        run = load_config(cfg)
+        assert calls == [run.beamformer(m) for m in ("das", "mvdr", "bayes")]
+        assert calls[-1].n_quad == 32
         doc = json.loads((out_dir / "metrics.json").read_text())
-        assert doc["method"] == ["bayes_q32"]
-        assert list(doc["pmal_db"]) == ["bayes_q32"]
+        assert doc["method"] == ["bayes", "das", "mvdr"]
+        assert list(doc["pmal_db"]) == ["bayes", "das", "mvdr"]
+        assert not list(out_dir.glob("bayes_*.csv"))
+
+    def test_prior_below_zero_at_32_nodes_exit_1(self, small_config, tmp_path, capsys):
+        # sigma_c 200 m/s puts a GH-32 node below 0 m/s, but no GH-8 node
+        doc = json.loads(Path(small_config).read_text())
+        doc["beamformers"]["bayes"].update(n_quad=32, sigma_c_m_s=200.0)
+        cfg = tmp_path / "wide.json"
+        cfg.write_text(json.dumps(doc))
+        out_dir = tmp_path / "run"
+        assert main(["all", "--config", str(cfg), "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: beamformers.bayes.sigma_c_m_s: ")
+        assert not out_dir.exists()
 
     def test_threads_write_identical_files(self, small_config, tmp_path):
         # synthesis, the receive chain and the image rows all run on the pool
@@ -397,7 +415,7 @@ class TestAll:
                          str(tmp_path / threads), "--threads", threads]) == 0
         names = sorted(p.name for p in (tmp_path / "1").iterdir())
         assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
-        assert {"raw_cube.bin", "das.csv", "mvdr.pgm", "bayes_q32_flags.json",
+        assert {"raw_cube.bin", "das.csv", "mvdr.pgm", "bayes_flags.json",
                 "metrics.json"} <= set(names)
         for name in names:
             assert ((tmp_path / "1" / name).read_bytes()
@@ -424,8 +442,7 @@ class TestAll:
     def test_metrics_match_the_metrics_command(self, small_config, tmp_path):
         out_dir = tmp_path / "run"
         assert main(["all", "--config", str(small_config), "--out-dir", str(out_dir)]) == 0
-        images = [str(out_dir / f"{name}.csv") for name in ("das", "mvdr", "bayes_q8",
-                                                             "bayes_q32")]
+        images = [str(out_dir / f"{name}.csv") for name in ("das", "mvdr", "bayes")]
         report = tmp_path / "m.json"
         assert main(["metrics", "--config", str(small_config), *images,
                      "--out", str(report)]) == 0
@@ -473,9 +490,8 @@ class TestAll:
         ("beamformers.das.n_quad", 8),
         # the FWHM convention is no longer settable: an older init-config's key
         ("metrics.fwhm_convention", "amplitude"),
-        # a node at or below 0 m/s: the configured 8 nodes, or only all's 32
+        # a node of the configured 8 at or below 0 m/s
         ("beamformers.bayes.sigma_c_m_s", 1000.0),
-        ("beamformers.bayes.sigma_c_m_s", 200.0),
         ("simulation.record_duration_s", 2e-5),
         ("chain.decimation", 100000),
     ])
@@ -570,14 +586,14 @@ class TestAllSpan:
         assert (span_bb.sample_offset == 0) == (where == "start")
         end = span_bb.sample_offset + span_bb.n_samples
         assert (end == whole_bb.n_samples) == (where == "end")
-        assert [image.method for image in span_images] == ["das", "mvdr", "bayes", "bayes"]
+        assert [image.method for image in span_images] == ["das", "mvdr", "bayes"]
         for image, whole in zip(span_images, whole_images):
             np.testing.assert_array_equal(image.flags, whole.flags)
             peak = np.abs(whole.values).max()
             assert np.abs(image.values - whole.values).max() <= 1e-12 * peak, image.method
             assert (image.flag_summary()["out_of_record"] > 0) == (where == "end")
         flags = sorted((tmp_path / "whole").glob("*_flags.json"))
-        assert len(flags) == 4
+        assert len(flags) == 3
         for path in flags:
             assert path.read_bytes() == (tmp_path / "span" / path.name).read_bytes()
 
@@ -597,9 +613,9 @@ class TestAllSpan:
                          str(tmp_path / "run" / "raw_cube.bin"), "--method", method,
                          "--out", str(tmp_path / method)]) == 0
         all_span, das_span, bayes_span = spans
-        # Bayes' nodes spread around the fixed speed, and all covers Bayes-32's
-        assert all_span[0] < bayes_span[0] < das_span[0]
-        assert das_span[1] < bayes_span[1] < all_span[1]
+        # Bayes' nodes spread around the fixed speed, so all's union is Bayes's span
+        assert bayes_span[0] < das_span[0] and das_span[1] < bayes_span[1]
+        assert all_span == bayes_span
         for name in ("das.pgm", "das_flags.json"):
             assert ((tmp_path / name).read_bytes()
                     == (tmp_path / "run" / name).read_bytes())

@@ -256,16 +256,18 @@ DEFAULTED = [(path, key, name, factory, built)
              is not inspect.Parameter.empty and key != "subarray_length"]
 OPTIONAL = [pytest.param(*entry, id=f"{entry[0]}.{entry[1]}") for entry in DEFAULTED]
 NUMERIC = [pytest.param(path, key, bad, id=f"{path}.{key}={bad}")
-           for path, key, _, kind, _, _ in KEYS if kind in (int, float, config._positive)
-           for bad in ((True,) if kind is int else (float("nan"), float("inf"), True))]
+           for path, key, _, kind, _, _ in KEYS
+           if kind in (int, config._seed, float, config._positive)
+           for bad in ((True,) if kind in (int, config._seed)
+                       else (float("nan"), float("inf"), True))]
 
 
 # a value of each JSON kind, the kind each key table kind reads, and every key
 # with a value of another kind
 SAMPLES = {"boolean": True, "string": "1.5", "number": 1.5, "array": [1.5],
            "object": {"x_min": 1.5}}
-READS = {int: "number", float: "number", config._positive: "number", str: "string",
-         list: "array", config._profile: "array", config._box: "object"}
+READS = {int: "number", config._seed: "number", float: "number", config._positive: "number",
+         str: "string", list: "array", config._profile: "array", config._box: "object"}
 WRONG_KIND = [(path, key, value) for path, key, _, kind, _, _ in KEYS
               for json_kind, value in SAMPLES.items() if json_kind != READS[kind]]
 

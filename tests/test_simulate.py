@@ -404,6 +404,16 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError, match="levels must be finite"):
             SimConfig(500e3, 0.3, **{level: value})
 
+    # a float would be truncated to a Philox key, and 2**64 up overflows it
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, 2 ** 64, 2 ** 70])
+    def test_seed_outside_the_philox_key_rejected(self, seed):
+        with pytest.raises(ValueError, match="rng_seed"):
+            SimConfig(500e3, 0.3, rng_seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, np.uint64(2 ** 64 - 1), np.int32(7)])
+    def test_python_and_numpy_integer_seeds_accepted(self, seed):
+        assert SimConfig(500e3, 0.3, rng_seed=seed).rng_seed == seed
+
 
 class TestEnvironmentValidation:
     def test_profile_depths_must_increase(self):
