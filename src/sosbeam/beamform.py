@@ -40,8 +40,8 @@ import numpy as np
 from .chain import TVG_TWO_WAY, TVG_VARIANTS, tvg_range
 from .core import (TWO_PI, ArrayGeometry, ScanGrid, hann_weights, map_rows, path_lengths,
                    travel_times)
-from .covariance import (capon_solve, diagonal_load, replace_degenerate,
-                         sample_covariance, subarray_snapshots, unitary_windows)
+from .covariance import (diagonal_load, replace_degenerate, sample_covariance,
+                         subarray_snapshots, unitary_windows, whiten_border)
 from .cube import BasebandCube
 from .interp import sample_rows
 
@@ -254,6 +254,7 @@ class _Imager:
             self.eps = cfg.loading(self.n_sub)
             half, odd = divmod(cfg.subarray_length, 2)
             self.q = np.r_[np.full(half, np.sqrt(2.0)), np.ones(odd), np.zeros(half)]
+            self.mean_rows = np.kron(np.full(self.n_sub, 1.0 / self.n_sub), np.eye(2))
         if cfg.method == METHOD_BAYES:
             self.c_nodes, weights = cfg.rule()
             self.log_u = np.log(weights)
@@ -278,19 +279,29 @@ class _Imager:
         """MVDR output and Capon power at the round-trip times t of one
         speed: (values, power, flags).
 
-        With y = C^-1 q in the unitary domain, the output is y^T Q^H m / q^T y
-        for the window mean m."""
+        The loaded unitary covariance C, bordered by q and the rows m_re, m_im
+        of sqrt(2) Q^H m for the window mean m, gives q^T C^-1 [q, m_re, m_im]
+        from one Cholesky factorization: the Capon power is 1 / q^T C^-1 q and
+        the output (m_re + j m_im)^T C^-1 q / (sqrt(2) q^T C^-1 q)."""
         snap, flags = self.delayed_snapshots(t)
-        snaps = subarray_snapshots(snap, self.cfg.subarray_length)
-        cov = diagonal_load(sample_covariance(unitary_windows(snaps)), self.eps)
-        cov, degenerate = replace_degenerate(cov)
-        sol, denom, good = capon_solve(cov, self.q)
+        windows = unitary_windows(subarray_snapshots(snap, self.cfg.subarray_length))
+        del snap  # a lower peak keeps glibc from trimming the heap and re-faulting it each call
+        n = windows.shape[-1]
+        mat = np.empty(windows.shape[:-2] + (n + 3, n + 3))
+        degenerate = replace_degenerate(
+            diagonal_load(sample_covariance(windows, out=mat[..., :n, :n]), self.eps))
+        mat[..., n, :n] = self.q
+        np.matmul(self.mean_rows, windows, out=mat[..., n + 1:, :n])
+        del windows
+        mat[..., :n, n:] = np.swapaxes(mat[..., n:, :n], -1, -2)
+        mat[..., n:, n:] = np.finfo(float).max * np.eye(3)
+        w, ok = whiten_border(mat, 3)
+        forms = np.einsum("...ki,...i->k...", w, w[..., 0, :])
+        good = ok & np.isfinite(forms).all(axis=0) & (forms[0] > 0)
         flags = flags | np.where(degenerate | ~good, FLAG_SINGULAR, 0).astype(np.uint8)
-        power = np.where(good, 1.0 / denom, 0.0)
-        mean = unitary_windows(snaps.mean(axis=-2, keepdims=True))  # sqrt(2) Q^H m
-        re, im = np.einsum("...ci,...i->c...", mean, sol)
-        values = (re + 1j * im) / (np.sqrt(2.0) * denom)
-        return np.where(good, values, 0.0), power, flags
+        denom = np.where(good, forms[0], 1.0)
+        values = (forms[1] + 1j * forms[2]) / (np.sqrt(2.0) * denom)
+        return np.where(good, values, 0.0), np.where(good, 1.0 / denom, 0.0), flags
 
     def bayes(self, px, py) -> PointsResult:
         """Posterior-averaged MVDR over the quadrature nodes, with the posterior."""

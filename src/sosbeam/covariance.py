@@ -7,9 +7,9 @@ result, then solve it against the all-ones steering vector.
 
 The image path runs it in the real domain: with the unitary Q of Huarng &
 Yeh (1991), sample_covariance of unitary_windows is C = Q^H FB(S) Q, real
-symmetric, solved against the real q = Q^H 1 (sqrt(2) on the first L // 2
-entries, 1 in the middle for odd L, 0 elsewhere). sample_covariance and
-forward_backward on complex windows are the forms it is tested against.
+symmetric, against the real q = Q^H 1 (sqrt(2) on the first L // 2
+entries, 1 in the middle for odd L, 0 elsewhere). MVDR needs only forms
+b^T C^-1 q, which whiten_border reads from one Cholesky factorization.
 
 The kernels take and return plain ndarrays with any leading batch axes: a
 snapshot stack (..., N) gives subarray windows (..., n_sub, L) and
@@ -36,36 +36,31 @@ def subarray_snapshots(x: np.ndarray, length: int) -> np.ndarray:
     return sliding_window_view(x, length, axis=-1)
 
 
-def sample_covariance(snaps: np.ndarray) -> np.ndarray:
-    """Average outer product of the windows: (..., n_sub, L) -> (..., L, L)."""
+def sample_covariance(snaps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Average outer product of the windows: (..., n_sub, L) -> (..., L, L), into out if given."""
     # cov_ij = sum_l x_li conj(x_lj), batched over the leading axes via BLAS
-    return np.matmul(np.swapaxes(snaps, -1, -2), snaps.conj()) / snaps.shape[-2]
+    cov = np.matmul(np.swapaxes(snaps, -1, -2), snaps.conj(), out=out)
+    return np.divide(cov, snaps.shape[-2], out=cov)
 
 
 def unitary_windows(snaps: np.ndarray) -> np.ndarray:
-    """sqrt(2) Q^H x for each window x, real and imaginary parts stacked along
-    the snapshot axis: (..., n_sub, L) complex -> (..., 2 n_sub, L) real.
+    """sqrt(2) Q^H x for each window x as two real rows: (..., n_sub, L) complex
+    -> (..., 2 n_sub, L) real, window k's real part in row 2k and its
+    imaginary part in row 2k + 1, a transposed view of complex columns.
 
     Q^H x = [x1 + J x2, sqrt(2) x_mid, -j (x1 - J x2)] / sqrt(2) for the first
     and last L // 2 entries x1, x2 (x_mid for odd L only).
     """
-    length = snaps.shape[-1]
-    k, h = length // 2, (length + 1) // 2
-    re, im = snaps.real, snaps.imag
-    rev_re, rev_im = re[..., ::-1], im[..., ::-1]
-    out = np.empty(snaps.shape[:-2] + (2,) + snaps.shape[-2:])
+    k, h = snaps.shape[-1] // 2, (snaps.shape[-1] + 1) // 2
+    cols = np.swapaxes(snaps, -1, -2)
+    rev = cols[..., ::-1, :]
+    out = np.empty(cols.shape, dtype=complex)
     # x1 + J x2 and, for odd L, 2 x_mid, which the division below makes sqrt(2) x_mid
-    np.add(re[..., :h], rev_re[..., :h], out=out[..., 0, :, :h])
-    np.add(im[..., :h], rev_im[..., :h], out=out[..., 1, :, :h])
-    np.subtract(im[..., :k], rev_im[..., :k], out=out[..., 0, :, h:])
-    np.subtract(rev_re[..., :k], re[..., :k], out=out[..., 1, :, h:])
-    out[..., k:h] /= np.sqrt(2.0)
-    return out.reshape(snaps.shape[:-2] + (-1, length))
-
-
-def forward_backward(cov: np.ndarray) -> np.ndarray:
-    """Forward-backward averaging: 0.5 * (S + J S^T J) with J the exchange matrix."""
-    return 0.5 * (cov + np.swapaxes(cov, -1, -2)[..., ::-1, ::-1])
+    np.add(cols[..., :h, :], rev[..., :h, :], out=out[..., :h, :])
+    np.subtract(cols.imag[..., :k, :], rev.imag[..., :k, :], out=out.real[..., h:, :])
+    np.subtract(rev.real[..., :k, :], cols.real[..., :k, :], out=out.imag[..., h:, :])
+    out.view(float)[..., k:h, :] /= np.sqrt(2.0)
+    return np.swapaxes(out.view(float), -1, -2)
 
 
 def _trace(cov: np.ndarray) -> np.ndarray:
@@ -84,48 +79,39 @@ def diagonal_load(cov: np.ndarray, eps: float) -> np.ndarray:
     return cov
 
 
-def replace_degenerate(cov: np.ndarray):
-    """Swap matrices whose trace is not finite and positive for the identity.
+def replace_degenerate(cov: np.ndarray) -> np.ndarray:
+    """Swap, in place, the matrices whose trace is not finite and positive for
+    the identity; returns their mask.
 
     Such a matrix holds no data (an all-zero snapshot, say) and would stop
-    the batched solve. Loading with eps >= 0 keeps a trace's sign and
-    finiteness, so the check finds the same matrices before or after
-    diagonal_load. Returns (cov, degenerate); cov is copied only when some
-    matrix is replaced.
+    the batched factorization. Loading with eps >= 0 keeps a trace's sign and
+    finiteness, so the check finds the same matrices before or after loading.
     """
     trace = _trace(cov)
     degenerate = ~(np.isfinite(trace) & (trace > 0))
     if np.any(degenerate):
-        cov = cov.copy()
         cov[degenerate] = np.eye(cov.shape[-1])
-    return cov, degenerate
+    return degenerate
 
 
-def capon_solve(cov: np.ndarray, steering: np.ndarray | None = None):
-    """Solve S x = a for every matrix of a (..., L, L) stack; a is all ones by default.
+def whiten_border(mat: np.ndarray, k: int):
+    """Border rows W of the lower Cholesky factor of each symmetric
+    [[C, B^T], [B, D]] of a (..., n, n) stack, with C its leading n - k block.
 
-    Returns (x, denom, good) with denom = a^H x, real, the inverse Capon
-    power. A matrix the solver rejects gets x = 0. good marks the matrices
-    whose denom is finite and positive; elsewhere denom is set to 1.
+    Row i of W is L^-1 b_i for C = L L^T, so W[i] . W[j] = b_i^T C^-1 b_j,
+    whatever the corner D that keeps the matrix positive definite
+    (finfo(float).max on the diagonal does while |W|^2 is below it). Returns
+    W (..., k, n - k) and ok, the mask of matrices the factorization
+    accepted; W is 0 elsewhere. A nan is rejected or, as the LAPACK treats a
+    nan pivot, spreads into W.
     """
-    a = np.ones(cov.shape[-1]) if steering is None else np.asarray(steering)
     try:
-        sol = np.linalg.solve(cov, a)
-    except np.linalg.LinAlgError:
-        sol = _solve_rows(cov, a)
-    denom = (sol * a.conj()).sum(axis=-1).real
-    good = np.isfinite(denom) & (denom > 0)
-    return sol, np.where(good, denom, 1.0), good
-
-
-def _solve_rows(cov: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Matrix-by-matrix fallback for a stack in which some matrix is singular."""
-    n = cov.shape[-1]
-    flat = cov.reshape(-1, n, n)
-    sol = np.zeros((flat.shape[0], n), dtype=cov.dtype)
-    for i, m in enumerate(flat):
-        try:
-            sol[i] = np.linalg.solve(m, a)
-        except np.linalg.LinAlgError:
-            pass
-    return sol.reshape(cov.shape[:-1])
+        factor, ok = np.linalg.cholesky(mat), np.ones(mat.shape[:-2], dtype=bool)
+    except np.linalg.LinAlgError:  # matrix by matrix, as the batched call runs each
+        factor, ok = np.zeros_like(mat), np.zeros(mat.shape[:-2], dtype=bool)
+        for idx in np.ndindex(ok.shape):
+            try:
+                factor[idx], ok[idx] = np.linalg.cholesky(mat[idx]), True
+            except np.linalg.LinAlgError:
+                pass
+    return factor[..., -k:, :-k], ok

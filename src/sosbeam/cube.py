@@ -71,6 +71,8 @@ class BasebandCube:
             raise ValueError("baseband cube samples must be 2-D (sensors x samples)")
         if self.samples.shape[1] < 1:
             raise ValueError("baseband cube must hold at least one sample")
+        if not np.isfinite(self.samples).all():
+            raise ValueError("baseband cube samples must be finite")
         if not 0 < self.sample_rate < np.inf:
             raise ValueError("sample_rate must be finite and > 0")
         if self.decimation < 1:

@@ -17,10 +17,12 @@ from sosbeam.beamform import beamform_image, beamform_points, focal_range
 from sosbeam.chain import demodulate, matched_filter, quantize, tvg
 from sosbeam.config import default_config_dict, parse_config
 from sosbeam.core import ScanGrid
-from sosbeam.covariance import capon_solve, diagonal_load, forward_backward
+from sosbeam.covariance import diagonal_load
 from sosbeam.cube import read_cube
 from sosbeam.metrics import Box, envelope_db, fwhm_of_image, pmal, rmse_db
 from sosbeam.simulate import Target, depth_averaged_sos, synthesize_rx
+
+from covariance_oracle import capon_solve, forward_backward
 
 
 hermgauss = np.polynomial.hermite.hermgauss
@@ -178,7 +180,8 @@ class TestCriterion5Quadrature:
 
 class TestCriterion6Conditioning:
     def test_thousand_random_matrices(self):
-        # one (1000, 15, 15) stack through the kernels the image path runs
+        # one (1000, 15, 15) stack through the complex forms the image path's
+        # unitary kernels are tested against: FB average, loading, Capon solve
         rng = np.random.default_rng(20240901)
         eps = 1e-3 / 15.0
         exchange = np.eye(15)[::-1]

@@ -11,10 +11,11 @@ from sosbeam.beamform import (FLAG_OUT_OF_RECORD, MAX_NODES, METHODS, Beamformer
                               beamform_points, posterior_weights, record_span)
 from sosbeam.chain import demodulate, matched_filter, quantize, tvg
 from sosbeam.core import TWO_PI, ArrayGeometry, LfmPulse, ScanGrid, map_rows, travel_times
-from sosbeam.covariance import capon_solve
 from sosbeam.cube import BasebandCube
 from sosbeam.interp import sample_rows
 from sosbeam.simulate import Environment, SimConfig, Target, synthesize_rx
+
+from covariance_oracle import capon_solve, forward_backward
 
 hermgauss = np.polynomial.hermite.hermgauss
 GEOM = ArrayGeometry.uniform(12, 1.0, array_depth=70.0)
@@ -439,12 +440,11 @@ class TestOffAxisTarget:
 
 class TestMvdrNode:
     def test_is_the_covariance_kernels_composed(self, baseband):
-        # the image path's MVDR output and Capon power, rebuilt from the
-        # public complex-domain covariance functions and the Capon solve,
+        # the image path's MVDR output and Capon power, rebuilt in the complex
+        # domain with the oracle's forward-backward average and Capon solve,
         # for odd and even subarray lengths (the unitary transform
         # has a middle element only for odd ones)
-        from sosbeam.covariance import (diagonal_load, forward_backward,
-                                        sample_covariance, subarray_snapshots)
+        from sosbeam.covariance import diagonal_load, sample_covariance, subarray_snapshots
         snap, _ = _delayed(baseband, travel_times(0.2, TARGET_RANGE, 1519.0, GEOM))
         for length in (7, 1, 6, 12):
             cfg = _make_cfg(method="mvdr", subarray_length=length)
@@ -457,6 +457,30 @@ class TestMvdrNode:
             assert power == pytest.approx(_capon_power(cov), rel=1e-12)
             expected = np.vdot(_capon_weights(cov), snaps.mean(axis=0))
             assert value == pytest.approx(expected, rel=1e-12)
+
+    def test_rejected_pixel_alone_in_its_batch(self):
+        # unloaded (eps = 0), a snapshot that holds one sensor gives a covariance
+        # with zero rows, which the factorization rejects; only that pixel is
+        # flagged, and its batch neighbours keep their one-pixel bits. (L = 16
+        # on 16 sensors leaves every pixel one window, rank 2, so no neighbour
+        # would be accepted; L = 8 gives nine.)
+        from sosbeam.beamform import FLAG_SINGULAR
+        rng = np.random.default_rng(3)
+        m = 4096
+        samples = rng.standard_normal((16, m)) + 1j * rng.standard_normal((16, m))
+        samples[1:, m // 2:] = 0.0
+        cube = BasebandCube(samples=samples, sample_rate=125e3, carrier=30e3)
+        imager = _Imager(cube, ArrayGeometry.uniform(16, 1.0),
+                         BeamformerConfig(method="mvdr", subarray_length=8, loading_factor=0.0))
+        pos = rng.uniform(100, m // 2 - 100, (6, 16))
+        pos[4] = rng.uniform(m // 2 + 100, m - 100, 16)
+        values, power, flags = imager.mvdr_node(pos / cube.sample_rate)
+        np.testing.assert_array_equal(flags, [0, 0, 0, 0, FLAG_SINGULAR, 0])
+        assert values[4] == 0 and power[4] == 0
+        assert (power[[0, 1, 2, 3, 5]] > 0).all()
+        for i in (0, 1, 2, 3, 5):
+            value, p_s, flag = imager.mvdr_node(pos[i] / cube.sample_rate)
+            assert (value, p_s, flag) == (values[i], power[i], 0)
 
     def test_zero_snapshot_flagged_singular(self):
         from sosbeam.beamform import FLAG_SINGULAR

@@ -5,11 +5,12 @@ from hypothesis import given, strategies as st
 from sosbeam.beamform import FLAG_OUT_OF_RECORD, BeamformerConfig, _Imager
 from sosbeam.chain import demodulate, matched_filter
 from sosbeam.core import ArrayGeometry, LfmPulse, travel_times
-from sosbeam.covariance import (capon_solve, diagonal_load, forward_backward,
-                                replace_degenerate, sample_covariance, subarray_snapshots,
-                                unitary_windows)
+from sosbeam.covariance import (diagonal_load, replace_degenerate, sample_covariance,
+                                subarray_snapshots, unitary_windows, whiten_border)
 from sosbeam.cube import BasebandCube
 from sosbeam.simulate import (Environment, SimConfig, Target, synthesize_rx)
+
+from covariance_oracle import capon_solve, forward_backward
 
 
 def delayed_snapshot(cube, x, y, c, geom):
@@ -163,7 +164,9 @@ class TestUnitaryTransform:
         rng = np.random.default_rng(40 + length)
         snaps = rng.standard_normal((3, length)) + 1j * rng.standard_normal((3, length))
         y = np.sqrt(2.0) * snaps @ unitary_matrix(length).conj()
-        np.testing.assert_allclose(unitary_windows(snaps), np.concatenate([y.real, y.imag]),
+        # window k's real part is row 2k, its imaginary part row 2k + 1
+        np.testing.assert_allclose(unitary_windows(snaps),
+                                   np.stack([y.real, y.imag], axis=-2).reshape(6, length),
                                    atol=1e-14)
 
     @pytest.mark.parametrize("length", [1, 15, 16])
@@ -229,16 +232,104 @@ class TestReplaceDegenerate:
     def test_bad_trace_matrices_become_identity(self):
         stack = np.stack([2.0 * np.eye(3), np.zeros((3, 3)),
                           np.full((3, 3), np.nan)]).astype(complex)
-        out, degenerate = replace_degenerate(stack)
+        degenerate = replace_degenerate(stack)
         np.testing.assert_array_equal(degenerate, [False, True, True])
-        np.testing.assert_array_equal(out, [2.0 * np.eye(3), np.eye(3), np.eye(3)])
-        assert np.isnan(stack[2]).all()  # the input is left alone
+        # in place, as diagonal_load loads
+        np.testing.assert_array_equal(stack, [2.0 * np.eye(3), np.eye(3), np.eye(3)])
 
     def test_healthy_stack_passes_through(self):
         stack = np.stack([np.eye(2), 2.0 * np.eye(2)]).astype(complex)
-        out, degenerate = replace_degenerate(stack)
-        assert out is stack
+        degenerate = replace_degenerate(stack)
         assert not degenerate.any()
+        np.testing.assert_array_equal(stack, [np.eye(2), 2.0 * np.eye(2)])
+
+    def test_replaces_through_a_block_view(self):
+        # the image path loads and replaces the covariance block of a bordered matrix
+        mat = np.full((2, 4, 4), 7.0)
+        mat[0, :3, :3] = 0.0
+        degenerate = replace_degenerate(mat[:, :3, :3])
+        np.testing.assert_array_equal(degenerate, [True, False])
+        np.testing.assert_array_equal(mat[0, :3, :3], np.eye(3))
+        np.testing.assert_array_equal(mat[0, 3], 7.0)
+        np.testing.assert_array_equal(mat[1], 7.0)
+
+
+def bordered(cov, rows, corner):
+    """[[C, B^T], [B, corner * I]] for a (..., n, n) stack C and border rows B (..., k, n)."""
+    n, k = cov.shape[-1], rows.shape[-2]
+    mat = np.empty(cov.shape[:-2] + (n + k, n + k))
+    mat[..., :n, :n] = cov
+    mat[..., n:, :n] = rows
+    mat[..., :n, n:] = np.swapaxes(rows, -1, -2)
+    mat[..., n:, n:] = corner * np.eye(k)
+    return mat
+
+
+def random_spd(rng, n, batch):
+    a = rng.standard_normal(batch + (n, 2 * n))
+    return a @ np.swapaxes(a, -1, -2) / (2 * n) + 0.1 * np.eye(n)
+
+
+def capon_rows(rng, length, batch):
+    """The image path's border rows: q = Q^H 1, then two random window-mean rows."""
+    q = (unitary_matrix(length).conj().T @ np.ones(length)).real
+    means = rng.standard_normal(batch + (2, length))
+    return np.concatenate([np.broadcast_to(q, batch + (1, length)), means], axis=-2)
+
+
+class TestWhitenBorder:
+    @pytest.mark.parametrize("length", [1, 2, 15, 16])
+    def test_forms_match_solve(self, length):
+        # q^T C^-1 q and m^T C^-1 q from the border rows, against a general solve
+        rng = np.random.default_rng(100 + length)
+        cov = random_spd(rng, length, (50,))
+        rows = capon_rows(rng, length, (50,))
+        w, ok = whiten_border(bordered(cov, rows, np.finfo(float).max), 3)
+        assert w.shape == (50, 3, length)
+        assert ok.all()
+        forms = np.einsum("...ki,...i->...k", w, w[..., 0, :])
+        solution = np.linalg.solve(cov, rows[..., 0, :, None])[..., 0]
+        expected = np.einsum("...ki,...i->...k", rows, solution)
+        np.testing.assert_allclose(forms, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("length", [1, 2, 15, 16])
+    def test_corner_does_not_change_border_rows(self, length):
+        rng = np.random.default_rng(200 + length)
+        cov = random_spd(rng, length, (20,))
+        rows = capon_rows(rng, length, (20,))
+        w_small, ok_small = whiten_border(bordered(cov, rows, 1e6), 3)
+        w_max, ok_max = whiten_border(bordered(cov, rows, np.finfo(float).max), 3)
+        assert ok_small.all() and ok_max.all()
+        np.testing.assert_array_equal(w_small, w_max)
+
+    def test_rejected_matrix_falls_back_alone(self):
+        # matrix 2 is what L = 16 on 16 sensors gives unloaded: u^T u / 2 of the
+        # one window's two unitary rows, rank 2; a zero last column makes its
+        # last pivot exactly 0 whatever the rounding of the others
+        rng = np.random.default_rng(7)
+        cov = random_spd(rng, 16, (5,))
+        u = rng.standard_normal((2, 16))
+        u[:, -1] = 0.0
+        cov[2] = u.T @ u / 2
+        mat = bordered(cov, capon_rows(rng, 16, (5,)), np.finfo(float).max)
+        w, ok = whiten_border(mat, 3)
+        np.testing.assert_array_equal(ok, [True, True, False, True, True])
+        np.testing.assert_array_equal(w[2], 0.0)
+        for i in (0, 1, 3, 4):
+            alone, ok_alone = whiten_border(mat[i], 3)
+            assert ok_alone
+            np.testing.assert_array_equal(w[i], alone)
+
+    @pytest.mark.parametrize("entry", [(0, 0), (-1, 0)])
+    def test_non_finite_entry_never_gives_finite_rows(self, entry):
+        # LAPACKs differ on a nan pivot: it is rejected or it spreads into W
+        rng = np.random.default_rng(8)
+        mat = bordered(random_spd(rng, 4, (3,)), capon_rows(rng, 4, (3,)),
+                       np.finfo(float).max)
+        mat[(1,) + entry] = mat[(1,) + entry[::-1]] = np.nan
+        w, ok = whiten_border(mat, 3)
+        np.testing.assert_array_equal(ok[[0, 2]], True)
+        assert not (ok[1] and np.isfinite(w[1]).all())
 
 
 class TestCaponSolve:

@@ -131,3 +131,12 @@ class TestHeaderValues:
         with pytest.raises(ValueError, match="sample_offset"):
             BasebandCube(samples=np.zeros((1, 4)), sample_rate=1e3, carrier=30e3,
                          sample_offset=-1)
+
+    @pytest.mark.parametrize("value", [complex(np.nan, 0.0), complex(0.0, np.inf),
+                                       complex(-np.inf, 1.0)])
+    def test_baseband_rejects_non_finite_samples(self, value):
+        # such a cube would image as nan pixels that carry only a singular flag
+        samples = np.ones((2, 8), dtype=complex)
+        samples[1, 5] = value
+        with pytest.raises(ValueError, match="finite"):
+            BasebandCube(samples=samples, sample_rate=1e3, carrier=30e3)
