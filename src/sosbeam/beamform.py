@@ -25,8 +25,9 @@ shape and, for Bayes, also returns the per-pixel sound-speed posterior;
 beamform_image runs the same engine on blocks of whole grid rows on
 core.map_rows. A pixel's bits do not depend on the thread count, nor on
 the size of the batch it is in while the BLAS meets interp's assumption
-(numpy's bundled OpenBLAS does). record_span gives the round-trip times an
-image reads, the span the receive chain must cover.
+and rounds a row of a real product alike at two rows or more (numpy's
+bundled OpenBLAS does). record_span gives the round-trip times an image
+reads, the span the receive chain must cover.
 """
 
 from __future__ import annotations
@@ -214,7 +215,7 @@ def _gamma_batch(px, py, cfg: BeamformerConfig, geom: ArrayGeometry):
 
     Converts the range-dependent noise level and SNR models (in dB, driven by
     the TVG the chain applied at a single reference speed) to linear and
-    combines them; strictly positive for any pixel.
+    combines them; positive, or 0 from about 1e73 m at the default dB settings.
 
     Units, as computed: nl = 10**(dB / 10) is a power and snr is
     dimensionless, so gamma = (n_sub / nl**2) * n_sub*snr / (1 + n_sub*snr)
@@ -229,10 +230,11 @@ def _gamma_batch(px, py, cfg: BeamformerConfig, geom: ArrayGeometry):
     # the chain's gain at this pixel's arrival time, where its r = c*t/2 is
     # the focal range whatever the reference speed
     g_tvg_db = 20.0 * np.log10(tvg_range(r_p, cfg.tvg_variant))
-    nl = 10.0 ** ((cfg.dr_db - cfg.snr0_db + g_tvg_db) / 10.0)
-    snr = 10.0 ** ((cfg.snr0_db - g_tvg_db) / 10.0)
     n_sub = cfg.n_subarrays(geom.n_sensors)
-    return (n_sub / nl ** 2) * (n_sub * snr) / (1.0 + n_sub * snr)
+    with np.errstate(over="ignore"):
+        nl = 10.0 ** ((cfg.dr_db - cfg.snr0_db + g_tvg_db) / 10.0)
+        snr = 10.0 ** ((cfg.snr0_db - g_tvg_db) / 10.0)
+        return (n_sub / nl ** 2) * (n_sub * snr) / (1.0 + n_sub * snr)
 
 
 class _Imager:
@@ -254,7 +256,10 @@ class _Imager:
             self.eps = cfg.loading(self.n_sub)
             half, odd = divmod(cfg.subarray_length, 2)
             self.q = np.r_[np.full(half, np.sqrt(2.0)), np.ones(odd), np.zeros(half)]
-            self.mean_rows = np.kron(np.full(self.n_sub, 1.0 / self.n_sub), np.eye(2))
+            # the unit snapshots' window means: (re, im) pairs -> unitary rows (m_re, m_im)
+            units = np.eye(2 * geom.n_sensors).view(complex)
+            mean = subarray_snapshots(units, cfg.subarray_length).mean(axis=-2, keepdims=True)
+            self.mean_map = unitary_windows(mean).reshape(len(units), -1)
         if cfg.method == METHOD_BAYES:
             self.c_nodes, weights = cfg.rule()
             self.log_u = np.log(weights)
@@ -262,9 +267,11 @@ class _Imager:
     # -- per-batch primitives ------------------------------------------------
 
     def delayed_snapshots(self, t):
-        """Phase-aligned snapshots at round-trip times t (P, n_sensors): values + flags."""
+        """Phase-aligned snapshots at round-trip times t (P, n_sensors), read at the
+        positions t*f_s - (t0*f_s + offset): values + flags."""
         cube = self.cube
-        pos = (t - cube.time_origin) * cube.sample_rate - cube.sample_offset
+        pos = t * cube.sample_rate
+        pos -= cube.time_origin * cube.sample_rate + cube.sample_offset
         values, valid = sample_rows(cube.samples, pos, self.theta, self.phi0,
                                     cube.sample_offset)
         flags = np.where(valid.all(axis=-1), 0, FLAG_OUT_OF_RECORD).astype(np.uint8)
@@ -284,15 +291,18 @@ class _Imager:
         from one Cholesky factorization: the Capon power is 1 / q^T C^-1 q and
         the output (m_re + j m_im)^T C^-1 q / (sqrt(2) q^T C^-1 q)."""
         snap, flags = self.delayed_snapshots(t)
-        windows = unitary_windows(subarray_snapshots(snap, self.cfg.subarray_length))
-        del snap  # a lower peak keeps glibc from trimming the heap and re-faulting it each call
-        n = windows.shape[-1]
-        mat = np.empty(windows.shape[:-2] + (n + 3, n + 3))
+        n = self.cfg.subarray_length
+        # m_re, m_im from one real product of two rows or more, as one row rounds apart
+        pairs = snap.reshape(-1, snap.shape[-1]).view(float)
+        rows = (np.vstack([pairs, pairs]) if len(pairs) == 1 else pairs) @ self.mean_map
+        windows = unitary_windows(subarray_snapshots(snap, n))
+        del snap, pairs  # a lower peak keeps glibc from trimming the heap and re-faulting it
+        mat = np.empty(flags.shape + (n + 3, n + 3))
         degenerate = replace_degenerate(
             diagonal_load(sample_covariance(windows, out=mat[..., :n, :n]), self.eps))
+        mat[..., n + 1:, :n] = rows[:flags.size].reshape(flags.shape + (2, n))
+        del windows, rows
         mat[..., n, :n] = self.q
-        np.matmul(self.mean_rows, windows, out=mat[..., n + 1:, :n])
-        del windows
         mat[..., :n, n:] = np.swapaxes(mat[..., n:, :n], -1, -2)
         mat[..., n:, n:] = np.finfo(float).max * np.eye(3)
         w, ok = whiten_border(mat, 3)

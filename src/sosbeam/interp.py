@@ -13,7 +13,8 @@ delay_kernel(f)_k * exp(j*theta*(f - m_k)), and reads every position by
 Horner in f, with no exp per position. Its memory is O(positions), plus a
 phasor per sample of their span: it filters the window of stencil starts its
 positions span on every row or, when that holds more entries than the call
-has positions, only their own stencils.
+has positions, only their own stencils. Only a call with a position out of
+the record builds the masks for such positions.
 
 A position's bits do not depend on the other positions of its call if the
 BLAS rounds each element of the complex filter product the same at any width.
@@ -112,6 +113,7 @@ def sample_rows(rows: np.ndarray, pos: np.ndarray, theta: float = 0.0, phi0: flo
     record (BasebandCube.sample_offset) is phased as the whole, bit for bit.
     Returns (values, valid): complex values of pos.shape, zero where the
     stencil would leave [0, m) (always when m < TAPS), and that boolean mask.
+    In-record positions read the same bits whether the call has others or not.
 
     A step theta = 2*pi*k + theta', |theta'| <= pi, rotates sample n as theta'
     does, so the taps are fitted at theta' and, only when k != 0, each value
@@ -122,20 +124,26 @@ def sample_rows(rows: np.ndarray, pos: np.ndarray, theta: float = 0.0, phi0: flo
     turns = round(theta / (2 * np.pi))
     theta = theta - 2 * np.pi * turns  # theta itself when turns == 0
     with np.errstate(invalid="ignore"):
-        # a non-finite position casts to INT64_MIN, which the bound test rejects
-        base = np.floor(pos).astype(np.int64)
-    # no position is valid in a row shorter than the stencil (m < TAPS)
-    valid = (base >= _HALF - 1) & (base <= m - 1 - _HALF)
-    if not valid.any():
-        return np.zeros(pos.shape, complex), valid
+        # a non-finite position casts to INT64_MIN, which the bound tests reject
+        frac = pos - (base := np.floor(pos))
+        base = base.astype(np.int64)
+    lo, hi = (base.min(), base.max()) if pos.size else (0, -1)
+    # every stencil in the row, as in an image's blocks (never when m < TAPS): no masks
+    in_record = _HALF - 1 <= lo and hi <= m - 1 - _HALF
+    valid = np.ones(pos.shape, bool)
+    if not in_record:
+        valid = (base >= _HALF - 1) & (base <= m - 1 - _HALF)
+        if not valid.any():
+            return np.zeros(pos.shape, complex), valid
+        # the first valid base stands in, at fraction 0, for invalid positions
+        lo = base.min(where=valid, initial=m)
+        base = np.where(valid, base, lo)
+        hi = base.max()
+        frac[~valid] = 0.0
     taps = farrow_taps(float(theta))
-    # stencil starts, the first valid one standing in for invalid positions
-    start = base - (_HALF - 1)
-    first = start.min(where=valid, initial=m)
-    start = np.where(valid, start, first)
-    frac = np.where(valid, pos - base, 0.0)
+    start, first = base - (_HALF - 1), lo - (_HALF - 1)  # stencil starts, the first
     row = np.arange(n_rows)
-    span = int(start.max()) - first + 1
+    span = int(hi - lo) + 1
     # one carrier phasor per sample the stencils read, named: `x * np.exp(...)` lets
     # numpy reuse the exp temporary and swap the operands, which changes the bits
     phasor = np.exp(1j * (theta * (offset + np.arange(first, first + span + TAPS - 1)) + phi0))
@@ -167,5 +175,6 @@ def sample_rows(rows: np.ndarray, pos: np.ndarray, theta: float = 0.0, phi0: flo
     values = values.view(complex)[..., 0]
     if turns:
         values *= np.exp(2j * np.pi * turns * frac)
-    values[~valid] = 0.0
+    if not in_record:
+        values[~valid] = 0.0
     return values, valid

@@ -694,6 +694,16 @@ class TestBeamformPoints:
                     getattr(whole, name), np.concatenate([getattr(p, name) for p in parts]),
                     err_msg=f"{name}, batches of {size}")
 
+    @pytest.mark.parametrize("px, py", [(0.0, 1e300), (1e300, 30.0), (-1e300, 1e-300),
+                                        (0.0, 1e160), (1e160, 30.0)])
+    def test_far_pixel_is_an_out_of_record_zero_without_a_warning(self, baseband, px, py):
+        # past about 1.3e154 m a squared leg overflows to an inf path; tier-1 turns
+        # any RuntimeWarning, from the paths or Bayes's gamma, into an error
+        for cfg in (_make_cfg(method="das"), _make_cfg(method="mvdr"), _make_cfg(n_quad=8)):
+            result = beamform_points(baseband, px, py, cfg, GEOM)
+            assert result.flags & FLAG_OUT_OF_RECORD, cfg.method
+            assert result.values == 0.0, cfg.method
+
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("n_geom, sub_len", [(1, 1), (12, 6)])
     @pytest.mark.parametrize("entry", ["points", "image"])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sosbeam.beamform import BeamformerConfig, beamform_points
 from sosbeam.core import (ArrayGeometry, LfmPulse, ScanGrid, hann_weights, map_rows,
@@ -44,6 +45,16 @@ class TestRoundTripTime:
         assert paths.shape == (2, 3, 5)
         for c in (1400.0, 1519.0, 1600.3):
             np.testing.assert_array_equal(travel_times(px, py, c, geom), paths / c)
+
+    @given(px=st.floats(-1e3, 1e3), py=st.floats(1e-3, 1e4), n=st.integers(1, 40),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_property_path_lengths_within_4_ulp_of_hypot(self, px, py, n, seed):
+        rng = np.random.default_rng(seed)
+        geom = ArrayGeometry(np.sort(rng.uniform(-50.0, 50.0, n)) + np.arange(n) * 1e-3,
+                             source_x=float(rng.uniform(-50.0, 50.0)))
+        oracle = np.hypot(px - geom.source_x, py) + np.hypot(px - geom.sensor_x, py)
+        got = path_lengths(px, py, geom)
+        assert (np.abs(got - oracle) <= 4 * np.spacing(oracle)).all()
 
     def test_monotone_decreasing_in_c(self, collinear_geom):
         times = [travel_times(1.0, 20.0, c, collinear_geom)[0]
