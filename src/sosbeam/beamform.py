@@ -41,8 +41,8 @@ import numpy as np
 from .chain import TVG_TWO_WAY, TVG_VARIANTS, tvg_range
 from .core import (TWO_PI, ArrayGeometry, ScanGrid, hann_weights, map_rows, path_lengths,
                    travel_times)
-from .covariance import (diagonal_load, replace_degenerate, sample_covariance,
-                         subarray_snapshots, unitary_windows, whiten_border)
+from .covariance import (diagonal_load, sample_covariance, subarray_snapshots,
+                         unitary_windows, whiten_border)
 from .cube import BasebandCube
 from .interp import sample_rows
 
@@ -298,17 +298,14 @@ class _Imager:
         windows = unitary_windows(subarray_snapshots(snap, n))
         del snap, pairs  # a lower peak keeps glibc from trimming the heap and re-faulting it
         mat = np.empty(flags.shape + (n + 3, n + 3))
-        degenerate = replace_degenerate(
-            diagonal_load(sample_covariance(windows, out=mat[..., :n, :n]), self.eps))
+        diagonal_load(sample_covariance(windows, out=mat[..., :n, :n]), self.eps)
         mat[..., n + 1:, :n] = rows[:flags.size].reshape(flags.shape + (2, n))
         del windows, rows
         mat[..., n, :n] = self.q
-        mat[..., :n, n:] = np.swapaxes(mat[..., n:, :n], -1, -2)
-        mat[..., n:, n:] = np.finfo(float).max * np.eye(3)
         w, ok = whiten_border(mat, 3)
         forms = np.einsum("...ki,...i->k...", w, w[..., 0, :])
-        good = ok & np.isfinite(forms).all(axis=0) & (forms[0] > 0)
-        flags = flags | np.where(degenerate | ~good, FLAG_SINGULAR, 0).astype(np.uint8)
+        good = ok & (forms[0] > 0)
+        flags = flags | np.where(good, 0, FLAG_SINGULAR).astype(np.uint8)
         denom = np.where(good, forms[0], 1.0)
         values = (forms[1] + 1j * forms[2]) / (np.sqrt(2.0) * denom)
         return np.where(good, values, 0.0), np.where(good, 1.0 / denom, 0.0), flags

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from itertools import combinations
 from pathlib import Path
 
@@ -154,8 +155,8 @@ def _evaluate(cfg: RunConfig, images: dict, out) -> None:
             fwhm_m[name] = None
             print(f"warning: FWHM undefined for {name}: {exc}", file=sys.stderr)
         pmal_db[name] = pmal(img, cfg.target_box, cfg.artifact_box)
-    report = {"boxes": {"target_box": cfg.target_box.to_dict(),
-                        "artifact_box": cfg.artifact_box.to_dict()},
+    report = {"boxes": {"target_box": asdict(cfg.target_box),
+                        "artifact_box": asdict(cfg.artifact_box)},
               "fwhm_m": fwhm_m, "pmal_db": pmal_db, "method": sorted(images),
               "rmse_db": {f"{a}/{b}": rmse_db(images[a], images[b])
                           for a, b in combinations(sorted(images), 2)}}

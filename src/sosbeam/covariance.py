@@ -9,7 +9,9 @@ The image path runs it in the real domain: with the unitary Q of Huarng &
 Yeh (1991), sample_covariance of unitary_windows is C = Q^H FB(S) Q, real
 symmetric, against the real q = Q^H 1 (sqrt(2) on the first L // 2
 entries, 1 in the middle for odd L, 0 elsewhere). MVDR needs only forms
-b^T C^-1 q, which whiten_border reads from one Cholesky factorization.
+b^T C^-1 q, which whiten_border reads from one Cholesky factorization. It is
+also the one acceptance test: a C that holds no data, a factorization that
+fails or border rows that come out non-finite all leave W = 0 and ok False.
 
 The kernels take and return plain ndarrays with any leading batch axes: a
 snapshot stack (..., N) gives subarray windows (..., n_sub, L) and
@@ -70,8 +72,8 @@ def _trace(cov: np.ndarray) -> np.ndarray:
 def diagonal_load(cov: np.ndarray, eps: float) -> np.ndarray:
     """Add eps * trace(S) to the diagonal, guaranteeing invertibility for eps > 0.
 
-    Loads cov in place and returns it. A zero matrix stays zero;
-    replace_degenerate deals with it.
+    Loads cov in place and returns it. A zero matrix stays zero, and
+    whiten_border rejects it.
     """
     if not 0 <= eps < np.inf:
         raise ValueError("loading factor must be finite and >= 0")
@@ -79,32 +81,26 @@ def diagonal_load(cov: np.ndarray, eps: float) -> np.ndarray:
     return cov
 
 
-def replace_degenerate(cov: np.ndarray) -> np.ndarray:
-    """Swap, in place, the matrices whose trace is not finite and positive for
-    the identity; returns their mask.
-
-    Such a matrix holds no data (an all-zero snapshot, say) and would stop
-    the batched factorization. Loading with eps >= 0 keeps a trace's sign and
-    finiteness, so the check finds the same matrices before or after loading.
-    """
-    trace = _trace(cov)
-    degenerate = ~(np.isfinite(trace) & (trace > 0))
-    if np.any(degenerate):
-        cov[degenerate] = np.eye(cov.shape[-1])
-    return degenerate
-
-
 def whiten_border(mat: np.ndarray, k: int):
     """Border rows W of the lower Cholesky factor of each symmetric
     [[C, B^T], [B, D]] of a (..., n, n) stack, with C its leading n - k block.
 
-    Row i of W is L^-1 b_i for C = L L^T, so W[i] . W[j] = b_i^T C^-1 b_j,
-    whatever the corner D that keeps the matrix positive definite
-    (finfo(float).max on the diagonal does while |W|^2 is below it). Returns
-    W (..., k, n - k) and ok, the mask of matrices the factorization
-    accepted; W is 0 elsewhere. A nan is rejected or, as the LAPACK treats a
-    nan pivot, spreads into W.
+    The caller writes C and the k rows B; this writes B^T and the corner
+    D = finfo(float).max * I in place, which keeps the matrix positive
+    definite while |W|^2 is below it. Row i of W is L^-1 b_i for C = L L^T,
+    so W[i] . W[j] = b_i^T C^-1 b_j. Returns W (..., k, n - k) and ok, the
+    mask of matrices whose border rows are finite; W is 0 elsewhere. A C
+    whose trace is not finite and positive (no data, such as an all-zero
+    snapshot's, or a nan) cannot be positive definite: it is rejected
+    unfactored, swapped for the identity only so the batched factorization
+    runs.
     """
+    m = mat.shape[-1] - k
+    mat[..., :m, m:] = np.swapaxes(mat[..., m:, :m], -1, -2)
+    mat[..., m:, m:] = np.finfo(float).max * np.eye(k)
+    trace = _trace(mat[..., :m, :m])
+    empty = ~(np.isfinite(trace) & (trace > 0))
+    mat[empty] = np.eye(m + k)
     try:
         factor, ok = np.linalg.cholesky(mat), np.ones(mat.shape[:-2], dtype=bool)
     except np.linalg.LinAlgError:  # matrix by matrix, as the batched call runs each
@@ -114,4 +110,9 @@ def whiten_border(mat: np.ndarray, k: int):
                 factor[idx], ok[idx] = np.linalg.cholesky(mat[idx]), True
             except np.linalg.LinAlgError:
                 pass
-    return factor[..., -k:, :-k], ok
+    w = factor[..., m:, :m]
+    # the corner's pivot i is sqrt(D_ii - |W[i]|^2 - ...), finite only if row i
+    # is: their sum checks all k rows for a fraction of a pass over W
+    ok &= ~empty & np.isfinite(_trace(factor[..., m:, m:]))
+    w[~ok] = 0.0
+    return w, ok

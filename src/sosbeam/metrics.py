@@ -59,10 +59,6 @@ class Box:
             raise ValueError(f"box {self} selects no pixels on the grid")
         return iy, ix
 
-    def to_dict(self) -> dict:
-        return {"x_min": self.x_min, "x_max": self.x_max,
-                "y_min": self.y_min, "y_max": self.y_max}
-
 
 def envelope_db(image: np.ndarray, grid: ScanGrid) -> DbImage:
     """20*log10 magnitude of a complex image, normalized so the peak is 0 dB."""

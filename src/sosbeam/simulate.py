@@ -89,11 +89,6 @@ class Environment:
             raise ValueError("sos_profile speeds must be finite and > 0")
         object.__setattr__(self, "sos_profile", prof)
 
-    def sound_speed_at(self, z: float) -> float:
-        depths = np.array([p[0] for p in self.sos_profile])
-        speeds = np.array([p[1] for p in self.sos_profile])
-        return float(np.interp(z, depths, speeds))
-
 
 @dataclass(frozen=True)
 class PathArrival:
@@ -160,10 +155,10 @@ def depth_averaged_sos(env: Environment, z1: float, z2: float) -> float:
         if not 0 <= z <= env.bottom_depth:
             raise ValueError(f"depth {z} outside water column [0, {env.bottom_depth}]")
     lo, hi = min(z1, z2), max(z1, z2)
-    if hi == lo:
-        return env.sound_speed_at(lo)
     depths = np.array([p[0] for p in env.sos_profile])
     speeds = np.array([p[1] for p in env.sos_profile])
+    if hi == lo:
+        return float(np.interp(lo, depths, speeds))
     # integrate the linear interpolant exactly: trapezoid over the breakpoints
     # that fall inside [lo, hi] plus the clipped endpoints
     interior = depths[(depths > lo) & (depths < hi)]

@@ -491,8 +491,38 @@ class TestMvdrNode:
                                                             1500.0, GEOM))
         np.testing.assert_array_equal(flags, FLAG_SINGULAR)
         np.testing.assert_array_equal(value, 0.0)
-        # the all-zero covariance is solved as the identity
-        np.testing.assert_allclose(power, 1.0 / _make_cfg().subarray_length)
+        # no data, no estimate: the same Capon power 0 as a rejected factorization
+        np.testing.assert_array_equal(power, 0.0)
+
+    def test_no_data_leaves_the_bayes_posterior_at_the_prior(self):
+        # every node of a zero cube has Capon power 0, so no node gains likelihood
+        # (dB settings that make gamma of order 1 at 2 m, so a likelihood would show)
+        from sosbeam.beamform import FLAG_SINGULAR, _gamma_batch
+        bb = BasebandCube(samples=np.zeros((12, 4096), dtype=complex), sample_rate=125e3,
+                          carrier=30e3, decimation=4, time_origin=0.0)
+        cfg = _make_cfg(dr_db=10.0, snr0_db=20.0)
+        assert _gamma_batch(0.5, 2.0, cfg, GEOM) > 0.1
+        res = beamform_points(bb, np.array([0.0, 0.5]), 2.0, cfg, GEOM)
+        np.testing.assert_array_equal(res.flags, FLAG_SINGULAR)
+        np.testing.assert_array_equal(res.values, 0.0)
+        np.testing.assert_array_equal(res.log_v, np.broadcast_to(_Imager(bb, GEOM, cfg).log_u,
+                                                                 res.log_v.shape))
+
+    @pytest.mark.parametrize("row", ["q", "mean_map"])
+    def test_non_finite_border_rows_flagged_singular(self, baseband, row):
+        # a steering row (q) or window-mean rows (mean_map) that are not finite
+        # leave C factorable but the border rows non-finite: value 0, Capon
+        # power 0 and the singular flag, as for no data
+        from sosbeam.beamform import FLAG_SINGULAR
+        imager = _Imager(baseband, GEOM, _make_cfg(method="mvdr"))
+        t = travel_times(np.array([0.0, 0.2]), TARGET_RANGE, 1519.0, GEOM)
+        _, power, flags = imager.mvdr_node(t)
+        assert (power > 0).all() and (flags == 0).all()
+        setattr(imager, row, np.full_like(getattr(imager, row), np.nan))
+        value, power, flags = imager.mvdr_node(t)
+        np.testing.assert_array_equal(flags, FLAG_SINGULAR)
+        np.testing.assert_array_equal(value, 0.0)
+        np.testing.assert_array_equal(power, 0.0)
 
 
 class TestBeamformImage:

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,8 +7,8 @@ from hypothesis import given, strategies as st
 from sosbeam.beamform import FLAG_OUT_OF_RECORD, BeamformerConfig, _Imager
 from sosbeam.chain import demodulate, matched_filter
 from sosbeam.core import ArrayGeometry, LfmPulse, travel_times
-from sosbeam.covariance import (diagonal_load, replace_degenerate, sample_covariance,
-                                subarray_snapshots, unitary_windows, whiten_border)
+from sosbeam.covariance import (diagonal_load, sample_covariance, subarray_snapshots,
+                                unitary_windows, whiten_border)
 from sosbeam.cube import BasebandCube
 from sosbeam.simulate import (Environment, SimConfig, Target, synthesize_rx)
 
@@ -228,40 +230,13 @@ class TestDiagonalLoad:
                 diagonal_load(np.eye(2, dtype=complex), eps)
 
 
-class TestReplaceDegenerate:
-    def test_bad_trace_matrices_become_identity(self):
-        stack = np.stack([2.0 * np.eye(3), np.zeros((3, 3)),
-                          np.full((3, 3), np.nan)]).astype(complex)
-        degenerate = replace_degenerate(stack)
-        np.testing.assert_array_equal(degenerate, [False, True, True])
-        # in place, as diagonal_load loads
-        np.testing.assert_array_equal(stack, [2.0 * np.eye(3), np.eye(3), np.eye(3)])
-
-    def test_healthy_stack_passes_through(self):
-        stack = np.stack([np.eye(2), 2.0 * np.eye(2)]).astype(complex)
-        degenerate = replace_degenerate(stack)
-        assert not degenerate.any()
-        np.testing.assert_array_equal(stack, [np.eye(2), 2.0 * np.eye(2)])
-
-    def test_replaces_through_a_block_view(self):
-        # the image path loads and replaces the covariance block of a bordered matrix
-        mat = np.full((2, 4, 4), 7.0)
-        mat[0, :3, :3] = 0.0
-        degenerate = replace_degenerate(mat[:, :3, :3])
-        np.testing.assert_array_equal(degenerate, [True, False])
-        np.testing.assert_array_equal(mat[0, :3, :3], np.eye(3))
-        np.testing.assert_array_equal(mat[0, 3], 7.0)
-        np.testing.assert_array_equal(mat[1], 7.0)
-
-
-def bordered(cov, rows, corner):
-    """[[C, B^T], [B, corner * I]] for a (..., n, n) stack C and border rows B (..., k, n)."""
+def bordered(cov, rows):
+    """The part of [[C, B^T], [B, D]] a caller of whiten_border writes: C (..., n, n)
+    and the border rows B (..., k, n); nan where whiten_border writes B^T and D."""
     n, k = cov.shape[-1], rows.shape[-2]
-    mat = np.empty(cov.shape[:-2] + (n + k, n + k))
+    mat = np.full(cov.shape[:-2] + (n + k, n + k), np.nan)
     mat[..., :n, :n] = cov
     mat[..., n:, :n] = rows
-    mat[..., :n, n:] = np.swapaxes(rows, -1, -2)
-    mat[..., n:, n:] = corner * np.eye(k)
     return mat
 
 
@@ -284,7 +259,7 @@ class TestWhitenBorder:
         rng = np.random.default_rng(100 + length)
         cov = random_spd(rng, length, (50,))
         rows = capon_rows(rng, length, (50,))
-        w, ok = whiten_border(bordered(cov, rows, np.finfo(float).max), 3)
+        w, ok = whiten_border(bordered(cov, rows), 3)
         assert w.shape == (50, 3, length)
         assert ok.all()
         forms = np.einsum("...ki,...i->...k", w, w[..., 0, :])
@@ -294,42 +269,68 @@ class TestWhitenBorder:
 
     @pytest.mark.parametrize("length", [1, 2, 15, 16])
     def test_corner_does_not_change_border_rows(self, length):
+        # whiten_border writes B^T and the corner itself, over whatever the caller left there
         rng = np.random.default_rng(200 + length)
         cov = random_spd(rng, length, (20,))
         rows = capon_rows(rng, length, (20,))
-        w_small, ok_small = whiten_border(bordered(cov, rows, 1e6), 3)
-        w_max, ok_max = whiten_border(bordered(cov, rows, np.finfo(float).max), 3)
-        assert ok_small.all() and ok_max.all()
-        np.testing.assert_array_equal(w_small, w_max)
+        mat = bordered(cov, rows)
+        w_nan, ok_nan = whiten_border(mat.copy(), 3)
+        mat[..., :length, length:] = 7.0
+        mat[..., length:, length:] = 1e6 * np.eye(3)
+        w_set, ok_set = whiten_border(mat, 3)
+        assert ok_nan.all() and ok_set.all()
+        np.testing.assert_array_equal(w_nan, w_set)
+        np.testing.assert_array_equal(mat[..., :length, length:], np.swapaxes(rows, -1, -2))
+        assert (mat[..., length:, length:] == np.finfo(float).max * np.eye(3)).all()
 
     def test_rejected_matrix_falls_back_alone(self):
-        # matrix 2 is what L = 16 on 16 sensors gives unloaded: u^T u / 2 of the
-        # one window's two unitary rows, rank 2; a zero last column makes its
-        # last pivot exactly 0 whatever the rounding of the others
+        # matrix 2 is rejected, each neighbour keeps its one-matrix bits. In turn:
+        # what L = 16 on 16 sensors gives unloaded, u^T u / 2 of the one window's
+        # two unitary rows, rank 2, whose zero last column makes the last pivot
+        # exactly 0 whatever the rounding of the others; and C blocks holding no
+        # data, with a zero or a nan trace, rejected unfactored. The stack is a
+        # view into a larger one, whose other matrices stay untouched.
         rng = np.random.default_rng(7)
-        cov = random_spd(rng, 16, (5,))
         u = rng.standard_normal((2, 16))
         u[:, -1] = 0.0
-        cov[2] = u.T @ u / 2
-        mat = bordered(cov, capon_rows(rng, 16, (5,)), np.finfo(float).max)
-        w, ok = whiten_border(mat, 3)
+        for rejected in (u.T @ u / 2, np.zeros((16, 16)), np.full((16, 16), np.nan)):
+            cov = random_spd(rng, 16, (5,))
+            cov[2] = rejected
+            outer = np.full((7, 19, 19), 7.0)
+            outer[1:6] = bordered(cov, capon_rows(rng, 16, (5,)))
+            alone = [whiten_border(m.copy(), 3) for m in outer[1:6]]
+            w, ok = whiten_border(outer[1:6], 3)
+            np.testing.assert_array_equal(ok, [True, True, False, True, True])
+            np.testing.assert_array_equal(w[2], 0.0)
+            for i in (0, 1, 3, 4):
+                assert alone[i][1]
+                np.testing.assert_array_equal(w[i], alone[i][0])
+            assert not alone[2][1]
+            np.testing.assert_array_equal(alone[2][0], 0.0)
+            np.testing.assert_array_equal(outer[[0, 6]], 7.0)
+
+    def test_no_data_block_keeps_the_batched_call(self):
+        # a C with a zero trace is rejected before factoring: it does not send
+        # the whole stack into the matrix-by-matrix fallback
+        rng = np.random.default_rng(10)
+        cov = random_spd(rng, 16, (5,))
+        cov[2] = 0.0
+        mat = bordered(cov, capon_rows(rng, 16, (5,)))
+        with mock.patch("numpy.linalg.cholesky", wraps=np.linalg.cholesky) as cholesky:
+            _, ok = whiten_border(mat, 3)
+        assert cholesky.call_count == 1
         np.testing.assert_array_equal(ok, [True, True, False, True, True])
-        np.testing.assert_array_equal(w[2], 0.0)
-        for i in (0, 1, 3, 4):
-            alone, ok_alone = whiten_border(mat[i], 3)
-            assert ok_alone
-            np.testing.assert_array_equal(w[i], alone)
 
     @pytest.mark.parametrize("entry", [(0, 0), (-1, 0)])
     def test_non_finite_entry_never_gives_finite_rows(self, entry):
-        # LAPACKs differ on a nan pivot: it is rejected or it spreads into W
+        # a nan in C's diagonal is rejected unfactored; in a border row, LAPACKs
+        # differ (a nan pivot is rejected or spreads into W), but ok is False either way
         rng = np.random.default_rng(8)
-        mat = bordered(random_spd(rng, 4, (3,)), capon_rows(rng, 4, (3,)),
-                       np.finfo(float).max)
+        mat = bordered(random_spd(rng, 4, (3,)), capon_rows(rng, 4, (3,)))
         mat[(1,) + entry] = mat[(1,) + entry[::-1]] = np.nan
         w, ok = whiten_border(mat, 3)
-        np.testing.assert_array_equal(ok[[0, 2]], True)
-        assert not (ok[1] and np.isfinite(w[1]).all())
+        np.testing.assert_array_equal(ok, [True, False, True])
+        np.testing.assert_array_equal(w[1], 0.0)
 
 
 class TestCaponSolve:
