@@ -252,6 +252,49 @@ def capon_rows(rng, length, batch):
     return np.concatenate([np.broadcast_to(q, batch + (1, length)), means], axis=-2)
 
 
+class TestReplaceDegenerate:
+    """whiten_border swaps a C whose trace is not finite and positive for the
+    identity before factoring, and returns it rejected with W = 0."""
+
+    def test_bad_trace_matrices_become_identity(self):
+        rng = np.random.default_rng(11)
+        cov = np.stack([2.0 * np.eye(3), np.zeros((3, 3)), np.full((3, 3), np.nan)])
+        rows = capon_rows(rng, 3, (3,))
+        mat = bordered(cov, rows)
+        w, ok = whiten_border(mat, 3)
+        np.testing.assert_array_equal(ok, [True, False, False])
+        np.testing.assert_array_equal(w[1:], 0.0)
+        # in place, as diagonal_load loads
+        np.testing.assert_array_equal(mat[1:], np.broadcast_to(np.eye(6), (2, 6, 6)))
+        np.testing.assert_allclose(w[0], rows[0] / np.sqrt(2.0), rtol=1e-14)
+
+    def test_healthy_stack_passes_through(self):
+        rng = np.random.default_rng(12)
+        cov = np.stack([np.eye(2), 2.0 * np.eye(2)])
+        rows = capon_rows(rng, 2, (2,))
+        mat = bordered(cov, rows)
+        w, ok = whiten_border(mat, 3)
+        assert ok.all()
+        np.testing.assert_array_equal(mat[..., :2, :2], cov)
+        np.testing.assert_allclose(w, rows / np.sqrt([1.0, 2.0])[:, None, None],
+                                   rtol=1e-14)
+
+    def test_replaces_through_a_block_view(self):
+        # the leading 5 x 5 block of each 6 x 6 matrix, a strided view
+        rng = np.random.default_rng(13)
+        outer = np.full((2, 6, 6), 7.0)
+        outer[0, :2, :2] = 0.0
+        outer[1, :2, :2] = 2.0 * np.eye(2)
+        outer[:, 2:5, :2] = capon_rows(rng, 2, (2,))
+        w, ok = whiten_border(outer[:, :5, :5], 3)
+        np.testing.assert_array_equal(ok, [False, True])
+        np.testing.assert_array_equal(w[0], 0.0)
+        np.testing.assert_array_equal(outer[0, :5, :5], np.eye(5))
+        np.testing.assert_array_equal(outer[1, :2, :2], 2.0 * np.eye(2))
+        np.testing.assert_array_equal(outer[:, 5], 7.0)
+        np.testing.assert_array_equal(outer[:, :, 5], 7.0)
+
+
 class TestWhitenBorder:
     @pytest.mark.parametrize("length", [1, 2, 15, 16])
     def test_forms_match_solve(self, length):
