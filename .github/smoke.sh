@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The smoke checks every CI stack runs: in the current directory, `sosbeam all`
-# on a 64 x 24 grid writes identical files at 1 and 2 threads, and `beamform`
-# on its cube agrees with it; then the same in dec8/ at decimation 8. Leaves
+# on a 64 x 24 grid writes identical files at 1 and 2 threads and with the
+# BLAS pinned to one thread (OPENBLAS_NUM_THREADS=1), and `beamform` on its
+# cube agrees with it; then the same in dec8/ at decimation 8. Leaves
 # config.json, threads1/ and bf_* of the default config behind for a caller's
 # further checks. Usage: cd "$(mktemp -d)" && bash smoke.sh
 set -euo pipefail
@@ -13,6 +14,9 @@ smoke() {  # $1: chain.decimation
   sosbeam all --config config.json --out-dir threads1 --threads 1
   sosbeam all --config config.json --out-dir threads2 --threads 2
   diff -r threads1 threads2
+  # nor do the BLAS's own threads move a bit
+  OPENBLAS_NUM_THREADS=1 sosbeam all --config config.json --out-dir blas1 --threads 2
+  diff -r threads2 blas1
   # beamform on the written float32 cube gives the same PGMs and flags as all
   for m in das mvdr bayes; do
     sosbeam beamform --config config.json --data threads1/raw_cube.bin --method $m --threads 2 --out bf_$m

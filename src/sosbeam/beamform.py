@@ -21,13 +21,14 @@ The phase-aligned delayed snapshots come from interp.sample_rows, which
 folds the carrier phase into its Farrow taps.
 
 Pixels are independent. beamform_points runs one batch of pixels of any
-shape and, for Bayes, also returns the per-pixel sound-speed posterior;
-beamform_image runs the same engine on blocks of whole grid rows on
-core.map_rows. A pixel's bits do not depend on the thread count, nor on
-the size of the batch it is in while the BLAS meets interp's assumption
-and rounds a row of a real product alike at two rows or more (numpy's
-bundled OpenBLAS does). record_span gives the round-trip times an image
-reads, the span the receive chain must cover.
+shape and, for Bayes, also returns each node's log likelihood, the
+evidence of the per-pixel sound-speed posterior; beamform_image runs the
+same engine on blocks of whole grid rows on core.map_rows. A pixel's bits
+do not depend on the thread count, nor on the size of the batch it is in
+while the BLAS meets interp's assumption and rounds a row of a real
+product alike at two rows or more (numpy's bundled OpenBLAS does).
+record_span gives the round-trip times an image reads, the span the
+receive chain must cover.
 """
 
 from __future__ import annotations
@@ -155,15 +156,14 @@ class BeamformerConfig:
 class PointsResult:
     """Beamformer output at a batch of pixels, shaped like broadcast(px, py).
 
-    Bayes results also carry the per-pixel sound-speed posterior on the
-    quadrature nodes; the other methods leave those fields None.
+    Bayes results also carry the evidence log_lik, each node's log likelihood
+    n_sub * gamma * P_Capon at the speeds cfg.speeds(); the image's weights are
+    posterior_weights(np.log(cfg.rule()[1]), log_lik). DAS and MVDR leave it None.
     """
 
     values: np.ndarray                 # complex
     flags: np.ndarray                  # uint8
-    nodes: np.ndarray | None = None    # (n_quad,) node speeds, m/s
-    log_v: np.ndarray | None = None    # (..., n_quad) unnormalized log posterior
-    weights: np.ndarray | None = None  # (..., n_quad) normalized, sums to 1
+    log_lik: np.ndarray | None = None  # (..., n_quad) log likelihood per node
 
 
 @dataclass(frozen=True)
@@ -187,17 +187,14 @@ def posterior_weights(log_u: np.ndarray, log_lik: np.ndarray):
     """Normalized posterior weights from log prior weights and log likelihoods.
 
     Works on the trailing axis; max-subtraction keeps the exponentials in
-    range for any likelihood scale. Rows with non-finite log likelihoods fall
-    back to the prior; returns (weights, fallback_mask).
+    range for any likelihood scale. A non-finite row runs on the log prior
+    instead, so its weights are the prior's; returns (weights, fallback_mask).
     """
     log_v = np.asarray(log_u) + np.asarray(log_lik)
     finite = np.isfinite(log_v).all(axis=-1)
-    safe = np.where(finite[..., None], log_v, 0.0)
+    safe = np.where(finite[..., None], log_v, log_u)
     w = np.exp(safe - safe.max(axis=-1, keepdims=True))
     w /= w.sum(axis=-1, keepdims=True)
-    prior = np.exp(log_u - np.max(log_u))
-    prior = prior / prior.sum()
-    w = np.where(finite[..., None], w, prior)
     return w, ~finite
 
 
@@ -311,7 +308,7 @@ class _Imager:
         return np.where(good, values, 0.0), np.where(good, 1.0 / denom, 0.0), flags
 
     def bayes(self, px, py) -> PointsResult:
-        """Posterior-averaged MVDR over the quadrature nodes, with the posterior."""
+        """Posterior-averaged MVDR over the quadrature nodes, with the log likelihoods."""
         shape = np.broadcast_shapes(np.shape(px), np.shape(py))
         nq = self.cfg.n_quad
         node_values = np.empty(shape + (nq,), dtype=complex)
@@ -325,12 +322,12 @@ class _Imager:
             node_power[..., i] = p_s
             flags = flags | f
         gamma = _gamma_batch(px, py, self.cfg, self.geom)
-        log_lik = self.n_sub * np.asarray(gamma)[..., None] * node_power
-        log_v = self.log_u + log_lik
+        with np.errstate(over="ignore"):  # an inf likelihood falls back to the prior
+            log_lik = self.n_sub * np.asarray(gamma)[..., None] * node_power
         w, fallback = posterior_weights(self.log_u, log_lik)
         flags = flags | np.where(fallback, FLAG_POSTERIOR_FALLBACK, 0).astype(np.uint8)
         values = np.einsum("...n,...n->...", w, node_values)
-        return PointsResult(values, flags, self.c_nodes, log_v, w)
+        return PointsResult(values, flags, log_lik)
 
     def row(self, px, py) -> PointsResult:
         """A batch of pixels, a block of grid rows for images, with the configured method."""
@@ -350,7 +347,7 @@ def beamform_points(cube: BasebandCube, px, py, cfg: BeamformerConfig,
     be positive. A single-speed question is a config: MVDR at the speed c a
     Bayes config centres its prior on is replace(cfg, method="mvdr"), and
     replace(cfg, c=c, sigma_c=0.0, n_quad=1) puts Bayes's one node at c, so
-    log_v is the log likelihood there plus the constant log sqrt(pi).
+    log_lik is the log likelihood there.
     """
     px = np.asarray(px, dtype=float)
     py = np.asarray(py, dtype=float)

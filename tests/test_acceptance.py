@@ -222,11 +222,11 @@ class TestCriterion7LikelihoodPeak:
         widened = replace(base, sigma_c=1.0)
         mu, sigma = widened.c, widened.sigma_c
         cs = np.arange(mu - 4 * sigma, mu + 4 * sigma + 1e-9, 0.1)
-        # the log likelihood at c, up to a constant: single-node Bayes on a
-        # prior collapsed at c puts its one node exactly there
+        # the log likelihood at c: single-node Bayes on a prior collapsed at c
+        # puts its one node exactly there
         values = [beamform_points(baseband, 0.0, 36.0,
                                   replace(widened, c=float(c), sigma_c=0.0, n_quad=1),
-                                  quiet.geometry).log_v[0]
+                                  quiet.geometry).log_lik[0]
                   for c in cs]
         c_hat = float(cs[int(np.argmax(values))])
         ok = abs(c_hat - c_true) <= 0.5

@@ -41,9 +41,12 @@ def _mvdr(cube, x, y, cfg, c):
 def _log_likelihood(cube, x, y, cfg, c):
     """n_sub * gamma * P_s at speed c: single-node Bayes on a collapsed prior at c."""
     cfg = replace(cfg, method="bayes", c=c, sigma_c=0.0, n_quad=1)
-    log_v = beamform_points(cube, x, y, cfg, GEOM).log_v
-    _, weights = hermgauss(1)
-    return float(log_v[..., 0] - np.log(weights[0]))
+    return float(beamform_points(cube, x, y, cfg, GEOM).log_lik[..., 0])
+
+
+def _weights(result, cfg):
+    """A Bayes result's posterior weights, formed from its log likelihoods as the image is."""
+    return posterior_weights(np.log(cfg.rule()[1]), result.log_lik)[0]
 
 
 def _delayed(cube, t):
@@ -314,20 +317,22 @@ class TestSosPosterior:
         cfg = _make_cfg(sigma_c=0.0)
         post = beamform_points(baseband, 0.0, TARGET_RANGE, cfg, GEOM)
         _, u = hermgauss(8)
-        np.testing.assert_allclose(post.weights, u / u.sum(), rtol=1e-10)
+        np.testing.assert_allclose(_weights(post, cfg), u / u.sum(), rtol=1e-10)
 
     def test_weights_form_simplex(self, baseband):
         cfg = _make_cfg()
         post = beamform_points(baseband, 0.5, np.array([TARGET_RANGE, 30.0, 40.0]), cfg, GEOM)
-        assert post.weights.shape == (3, 8)
-        assert (post.weights >= 0).all()
-        np.testing.assert_allclose(post.weights.sum(axis=-1), 1.0, rtol=1e-10)
+        w = _weights(post, cfg)
+        assert w.shape == (3, 8)
+        assert (w >= 0).all()
+        np.testing.assert_allclose(w.sum(axis=-1), 1.0, rtol=1e-10)
 
     def test_nodes_follow_prior_map(self, baseband):
         cfg = _make_cfg()
         post = beamform_points(baseband, 0.0, TARGET_RANGE, cfg, GEOM)
         nodes, _ = hermgauss(8)
-        np.testing.assert_allclose(post.nodes, np.sqrt(2.0) * nodes * cfg.sigma_c + cfg.c)
+        assert post.log_lik.shape == cfg.speeds().shape
+        np.testing.assert_allclose(cfg.speeds(), np.sqrt(2.0) * nodes * cfg.sigma_c + cfg.c)
 
 
 class TestPixels:
@@ -385,13 +390,14 @@ class TestPixels:
         cfg = _make_cfg()
         result = beamform_points(baseband, 0.1, TARGET_RANGE, cfg, GEOM)
         manual = sum(w * _mvdr(baseband, 0.1, TARGET_RANGE, cfg, float(c))
-                     for w, c in zip(result.weights, result.nodes))
+                     for w, c in zip(_weights(result, cfg), cfg.speeds()))
         assert complex(result.values) == pytest.approx(complex(manual), rel=1e-10)
 
     def test_gamma_scaling_preserves_posterior_argmax(self, baseband):
-        post_a = beamform_points(baseband, 0.0, TARGET_RANGE, _make_cfg(dr_db=96.0), GEOM)
-        post_b = beamform_points(baseband, 0.0, TARGET_RANGE, _make_cfg(dr_db=99.0), GEOM)
-        assert int(np.argmax(post_a.weights)) == int(np.argmax(post_b.weights))
+        cfg_a, cfg_b = _make_cfg(dr_db=96.0), _make_cfg(dr_db=99.0)
+        post_a = beamform_points(baseband, 0.0, TARGET_RANGE, cfg_a, GEOM)
+        post_b = beamform_points(baseband, 0.0, TARGET_RANGE, cfg_b, GEOM)
+        assert int(np.argmax(_weights(post_a, cfg_a))) == int(np.argmax(_weights(post_b, cfg_b)))
 
 
 class TestWeakPosterior:
@@ -413,7 +419,7 @@ class TestWeakPosterior:
         for scale in 10.0 ** -np.arange(0, 31, 2):
             weak = replace(cube, samples=cube.samples * scale)
             bayes = beamform_points(weak, x, y, cfg, GEOM)
-            if np.abs(bayes.weights - u / u.sum()).max() <= 1e-9:
+            if np.abs(_weights(bayes, cfg) - u / u.sum()).max() <= 1e-9:
                 break
         else:
             pytest.fail("no scale brought the posterior within 1e-9 of the prior")
@@ -505,8 +511,8 @@ class TestMvdrNode:
         res = beamform_points(bb, np.array([0.0, 0.5]), 2.0, cfg, GEOM)
         np.testing.assert_array_equal(res.flags, FLAG_SINGULAR)
         np.testing.assert_array_equal(res.values, 0.0)
-        np.testing.assert_array_equal(res.log_v, np.broadcast_to(_Imager(bb, GEOM, cfg).log_u,
-                                                                 res.log_v.shape))
+        assert res.log_lik.shape == (2, cfg.n_quad)
+        np.testing.assert_array_equal(res.log_lik, 0.0)
 
     @pytest.mark.parametrize("row", ["q", "mean_map"])
     def test_non_finite_border_rows_flagged_singular(self, baseband, row):
@@ -639,6 +645,30 @@ class TestBeamformImage:
         noise_scale = np.sqrt(np.mean(np.abs(bb.samples[:, row - 50:row + 50]) ** 2))
         assert np.abs(img.values).max() < 3.0 * noise_scale
 
+    def test_overflowing_likelihood_falls_back_to_the_prior(self):
+        # Capon power near 1e300 and gamma near 1e61 overflow n_sub * gamma * P_s
+        # to inf; tier-1 turns a RuntimeWarning into an error, so the posterior
+        # must flag the fallback and use the prior without one
+        from sosbeam.beamform import FLAG_POSTERIOR_FALLBACK
+        from sosbeam.core import path_lengths
+        rng = np.random.default_rng(0)
+        noise = rng.standard_normal((12, 4096)) + 1j * rng.standard_normal((12, 4096))
+        bb = BasebandCube(samples=noise / np.sqrt(2.0) * 1e150, sample_rate=125e3,
+                          carrier=30e3, decimation=4, time_origin=0.0)
+        cfg = _make_cfg(dr_db=1e-6, snr0_db=300.0)
+        px, py = np.array([0.0, 0.5]), 10.0
+        res = beamform_points(bb, px, py, cfg, GEOM)
+        np.testing.assert_array_equal(res.flags, FLAG_POSTERIOR_FALLBACK)
+        imager = _Imager(bb, GEOM, cfg)
+        speeds, u = cfg.rule()
+        nodes = np.stack([imager.mvdr_node(path_lengths(px, py, GEOM) / c)[0]
+                          for c in speeds], axis=-1)
+        np.testing.assert_allclose(res.values, np.einsum("...n,n->...", nodes, u / u.sum()),
+                                   rtol=1.3e-16, atol=0)
+        img = beamform_image(bb, ScanGrid(-0.5, 0.5, 9.9, 10.1, 3, 2), cfg, GEOM)
+        np.testing.assert_array_equal(img.flags, FLAG_POSTERIOR_FALLBACK)
+        assert img.flag_summary()["posterior_fallback"] == 6
+
 
 class TestBeamformPoints:
     @pytest.mark.parametrize("coord, bad", [
@@ -658,11 +688,10 @@ class TestBeamformPoints:
         for method in ("das", "mvdr"):
             result = beamform_points(baseband, px, py, _make_cfg(method=method), GEOM)
             assert result.values.shape == result.flags.shape == (2, 3)
-            assert result.nodes is result.log_v is result.weights is None
+            assert result.log_lik is None
         result = beamform_points(baseband, px, py, _make_cfg(n_quad=5), GEOM)
         assert result.values.shape == result.flags.shape == (2, 3)
-        assert result.nodes.shape == (5,)
-        assert result.log_v.shape == result.weights.shape == (2, 3, 5)
+        assert result.log_lik.shape == (2, 3, 5)
 
     @given(method=st.sampled_from(METHODS), n_quad=st.integers(1, 12),
            m=st.integers(1, 3), n=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
@@ -679,8 +708,7 @@ class TestBeamformPoints:
                 np.testing.assert_allclose(batch.values[i, j], one.values, rtol=1e-12)
                 assert batch.flags[i, j] == one.flags
                 if method == "bayes":
-                    np.testing.assert_allclose(batch.log_v[i, j], one.log_v, rtol=1e-12)
-                    np.testing.assert_allclose(batch.weights[i, j], one.weights, rtol=1e-12)
+                    np.testing.assert_allclose(batch.log_lik[i, j], one.log_lik, rtol=1e-12)
 
     @given(method=st.sampled_from(METHODS), n_quad=st.integers(1, 12), n_x=st.integers(1, 6),
            n_y=st.integers(1, 4), block=st.integers(1, 12), x_min=st.floats(-2.0, 1.0),
@@ -715,7 +743,7 @@ class TestBeamformPoints:
         cfg = _make_cfg(method=method, subarray_length=16, sigma_c=2.0, n_quad=4)
         whole = beamform_points(cube, px, py, cfg, geom)
         assert 0 < np.count_nonzero(whole.flags & FLAG_OUT_OF_RECORD) < 600
-        fields = ("values", "flags") + (("log_v", "weights") if method == "bayes" else ())
+        fields = ("values", "flags") + (("log_lik",) if method == "bayes" else ())
         for size in (7, 1):
             parts = [beamform_points(cube, px[i:i + size], py[i:i + size], cfg, geom)
                      for i in range(0, 600, size)]
@@ -770,11 +798,11 @@ class TestBeamformPoints:
         px = rng.uniform(-2.0, 2.0, 5)
         py = rng.uniform(TARGET_RANGE - 3.0, TARGET_RANGE + 3.0, 5)
         cfg = _make_cfg(sigma_c=sigma_c, n_quad=n_quad)
-        post = beamform_points(baseband, px, py, cfg, GEOM)
-        assert (post.weights >= 0).all()
-        np.testing.assert_allclose(post.weights.sum(axis=-1), 1.0, rtol=0, atol=1e-10)
+        w = _weights(beamform_points(baseband, px, py, cfg, GEOM), cfg)
+        assert (w >= 0).all()
+        np.testing.assert_allclose(w.sum(axis=-1), 1.0, rtol=0, atol=1e-10)
         nodes, _ = hermgauss(n_quad)
-        np.testing.assert_array_equal(post.nodes, np.sqrt(2.0) * nodes * sigma_c + 1519.0)
+        np.testing.assert_array_equal(cfg.speeds(), np.sqrt(2.0) * nodes * sigma_c + 1519.0)
 
 
 class TestRecordSpan:
