@@ -2,9 +2,10 @@
 # The smoke checks every CI stack runs: in the current directory, `sosbeam all`
 # on a 64 x 24 grid writes identical files at 1 and 2 threads and with the
 # BLAS pinned to one thread (OPENBLAS_NUM_THREADS=1), and `beamform` on its
-# cube agrees with it; then the same in dec8/ at decimation 8. Leaves
-# config.json, threads1/ and bf_* of the default config behind for a caller's
-# further checks. Usage: cd "$(mktemp -d)" && bash smoke.sh
+# cube agrees with it; then the same in dec8/ and dec10/ at decimations 8 and
+# 10, the latter a carrier step beyond pi (interp.sample_rows' turns branch).
+# Leaves config.json, threads1/ and bf_* of the default config behind for a
+# caller's further checks. Usage: cd "$(mktemp -d)" && bash smoke.sh
 set -euo pipefail
 
 smoke() {  # $1: chain.decimation
@@ -35,6 +36,9 @@ smoke() {  # $1: chain.decimation
 # the pixels' bits rest on the BLAS rounding each element of the complex Farrow
 # filter product the same at any width: check it at two tap degrees, the
 # default carrier step (about 1.51 rad per sample, degree 13) and decimation
-# 8's (about 3.02, degree 14)
+# 8's (about 3.02, degree 14); decimation 10's (about 3.77, beyond pi) takes
+# sample_rows' turns branch, which fits the taps a turn lower and turns each
+# value back
 (mkdir dec8 && cd dec8 && smoke 8)
+(mkdir dec10 && cd dec10 && smoke 10)
 smoke 4

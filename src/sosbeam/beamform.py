@@ -244,8 +244,7 @@ class _Imager:
         self.cube = cube
         self.geom = geom
         self.cfg = cfg
-        self.theta = TWO_PI * cube.carrier / cube.sample_rate  # phase theta*n + phi0 at sample n
-        self.phi0 = TWO_PI * cube.carrier * cube.time_origin
+        self.theta = TWO_PI * cube.carrier / cube.sample_rate  # carrier step per cube sample
         if cfg.method == METHOD_DAS:
             self.hann = hann_weights(geom.n_sensors)
         else:
@@ -269,8 +268,7 @@ class _Imager:
         cube = self.cube
         pos = t * cube.sample_rate
         pos -= cube.time_origin * cube.sample_rate + cube.sample_offset
-        values, valid = sample_rows(cube.samples, pos, self.theta, self.phi0,
-                                    cube.sample_offset)
+        values, valid = sample_rows(cube.samples, pos, self.theta)
         flags = np.where(valid.all(axis=-1), 0, FLAG_OUT_OF_RECORD).astype(np.uint8)
         return values, flags
 

@@ -12,13 +12,14 @@ functions share, so the fused chain equals their composition bit-for-bit at
 any thread count. `tvg_range` is the one TVG range law; the Bayesian
 beamformer's likelihood strength reads the chain's gain through it too.
 
-The demodulator uses the identity that mixing to baseband and then low-pass
-filtering equals band-pass filtering at the carrier and then mixing: the
-real record goes through one real FFT, is multiplied by the band-pass
-spectrum, and the decimation is done by folding that spectrum before a
-short inverse FFT, so only the kept samples are ever formed. The matched
-filter is a full linear convolution along each sensor row, done by FFT
-(`_Convolver`: one numpy forward/inverse pair at a 5-smooth length).
+The demodulator keeps the receive band and drops the rest: the real record
+goes through one real FFT, is multiplied by the spectrum of a band-pass
+filter at the carrier, and the decimation is done by folding that spectrum
+before a short inverse FFT, so only the kept samples are ever formed. The
+band is not mixed down: only that filter and the beamformer's interpolation
+taps (interp.farrow_taps) know the carrier. The matched filter is a full
+linear convolution along each sensor row, done by FFT (`_Convolver`: one
+numpy forward/inverse pair at a 5-smooth length).
 
 Given a span (t_first, t_last) of round-trip times, `receive_chain` runs
 only over the raw samples that can reach the baseband samples read in that
@@ -29,11 +30,10 @@ raw samples on both sides, and by the matched-filter replica at the end
 multiple of the decimation, so the kept samples fall on the whole-record
 chain's sampling grid, and the window is clipped to the record. What does
 not depend on the window still comes from the whole record: the quantizer
-full scale (the whole cube), the TVG gain (absolute sample times) and the
-mixing phase (absolute sample indices). The result keeps the whole-record
-chain's time origin and counts its first sample from the record's first
-(BasebandCube.sample_offset), so it equals that chain over the span to
-rounding, read at the same interpolation positions.
+full scale (the whole cube) and the TVG gain (absolute sample times). The
+result keeps the whole-record chain's time origin and counts its first
+sample from the record's first (BasebandCube.sample_offset), so it equals
+that chain over the span to rounding, sample for sample.
 """
 
 from __future__ import annotations
@@ -173,8 +173,8 @@ def _lowpass_taps(fs: float, carrier: float, decim: int) -> np.ndarray:
     """Hamming-windowed sinc low-pass for the demodulator.
 
     Cutoff is the anti-alias bound fs/(2*decim), tightened to the carrier
-    when that is lower so the 2*carrier mixing image always lands in the
-    stop band.
+    when that is lower so the band's negative-frequency image, 2*carrier
+    below it, always lands in the stop band.
     """
     cutoff = min(fs / (2.0 * decim), carrier)
     n = np.arange(LOWPASS_TAPS)
@@ -184,27 +184,26 @@ def _lowpass_taps(fs: float, carrier: float, decim: int) -> np.ndarray:
 
 
 class _Demodulator:
-    """demodulate for real n-sample rows that begin at raw sample `start` of
-    the record; calling it demodulates one row.
+    """demodulate for real n-sample rows; calling it demodulates one row.
 
-    The result is y[n] = e^{-jw0 n} (x * g)[n] at n = shift + m*decim, with
-    g[k] = 2 h[k] e^{jw0 k} the low-pass h moved up to the carrier: the same
-    numbers as mixing with 2 e^{-jw0 n}, filtering with h and keeping every
-    decim-th sample. The filter's 31.5-sample group delay is compensated by a
-    32-sample shift, applied as a circular rotation of g; the residual half
-    raw sample is reported through the time origin. The mixing phase
-    e^{-jw0 n} counts n from the start of the record, so a row cut out of it
-    at a multiple of decim demodulates to the whole record's numbers.
+    The result is y[m] = (x * g)[shift + m*decim] / decim with g[k] =
+    2 h[k] e^{jw0 k} the low-pass h moved up to the carrier: the analytic
+    receive band, with the carrier phase of raw sample shift + m*decim. The
+    filter's 31.5-sample group delay is compensated by shift = 32 samples,
+    applied as a circular shift of g; the residual half raw sample is
+    reported through the time origin. Nothing depends on where the row
+    starts, so a row cut out of the record at a multiple of decim
+    demodulates to the whole record's numbers away from its ends.
 
     x * g is a circular convolution of length N = decim * M (M 5-smooth and
     long enough that nothing wraps). Its every decim-th sample is the length-M
     inverse FFT of the sum of the decim length-M chunks of X G, divided by
-    decim, so the full-rate output is never formed. Mixing phases are reduced
-    modulo fs before scaling, which is exact for integer-Hz carriers. The
-    spectrum of g and the output rotation e^{-jw0 n}/decim are set up once.
+    decim, so the full-rate output is never formed; the 1/decim is folded
+    into g. The carrier phases of g are reduced modulo fs before scaling,
+    which is exact for integer-Hz carriers. The spectrum of g is set up once.
     """
 
-    def __init__(self, n: int, fs: float, carrier: float, decim: int, start: int = 0):
+    def __init__(self, n: int, fs: float, carrier: float, decim: int):
         if decim < 1:
             raise ValueError("decimation must be >= 1")
         if not 0 < carrier < fs / 2:
@@ -215,17 +214,12 @@ class _Demodulator:
         self.decim = decim
         self.m_len = _fft_length(-(-(n + LOWPASS_TAPS) // decim))
         n_fft = decim * self.m_len
-
-        def phase(k):
-            return TWO_PI / fs * np.fmod(carrier * k, fs)
-
         k = np.arange(LOWPASS_TAPS)
         g = np.zeros(n_fft, dtype=complex)
-        g[k - shift] = 2.0 * _lowpass_taps(fs, carrier, decim) * np.exp(1j * phase(k))
+        g[k - shift] = (2.0 / decim * _lowpass_taps(fs, carrier, decim)
+                        * np.exp(1j * TWO_PI / fs * np.fmod(carrier * k, fs)))
         self.g_spectrum = np.fft.fft(g)
         self.n_keep = -(-n // decim)
-        n_mix = start + shift + decim * np.arange(self.n_keep)
-        self.rotation = np.exp(-1j * phase(n_mix)) / decim
         self.time_origin = (shift - (LOWPASS_TAPS - 1) / 2.0) / fs
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -237,18 +231,18 @@ class _Demodulator:
         np.conjugate(spectrum[n_fft - half:0:-1], out=spectrum[half:])
         spectrum *= self.g_spectrum
         folded = spectrum.reshape(self.decim, self.m_len).sum(axis=0)
-        out = np.fft.ifft(folded, out=folded)[:self.n_keep]
-        out *= self.rotation
-        return out
+        return np.fft.ifft(folded, out=folded)[:self.n_keep]
 
 
 def demodulate(cube: RawDataCube, carrier: float, decim: int) -> BasebandCube:
-    """Quadrature demodulation to complex baseband with decimation.
+    """Band-pass filtering to the analytic receive band, with decimation.
 
-    The result is mixing with 2*exp(-j*2*pi*carrier*t), low-pass filtering
-    (linear-phase FIR, group delay compensated) and keeping every decim-th
-    sample, computed in band-pass form (see _Demodulator). A unit carrier
-    tone maps to baseband magnitude 1 in steady state.
+    The result is the record convolved with 2*h*exp(j*2*pi*carrier*t), h a
+    linear-phase low-pass FIR (group delay compensated), keeping every
+    decim-th sample (see _Demodulator). It is not mixed down: sample m
+    carries the carrier phase of raw sample LOWPASS_TAPS // 2 + m*decim, a
+    constant 31.5 raw samples after its time that the matched filter's
+    replica shares. A unit carrier tone maps to magnitude 1 in steady state.
     """
     demod = _Demodulator(cube.n_samples, cube.sample_rate, carrier, decim)
     out = np.empty((cube.n_sensors, demod.n_keep), dtype=complex)
@@ -305,9 +299,11 @@ class _MatchedFilter:
 def matched_filter(cube: BasebandCube, pulse: LfmPulse) -> BasebandCube:
     """Range compression by correlation with the baseband pulse replica.
 
-    The replica is demodulated and decimated exactly like the data. The
-    output time axis is aligned so an echo whose leading edge arrives at
-    delay tau peaks at sample round((tau - time_origin) * sample_rate).
+    The replica is demodulated and decimated exactly like the data, so their
+    common carrier phase offset cancels and output sample m carries the
+    carrier phase of its own time. The output time axis is aligned so an
+    echo whose leading edge arrives at delay tau peaks at sample
+    round((tau - time_origin) * sample_rate).
     """
     mf = _MatchedFilter(pulse, cube.raw_sample_rate, cube.carrier, cube.decimation,
                         cube.n_samples)
@@ -351,10 +347,10 @@ def receive_chain(cube: RawDataCube, pulse: LfmPulse, settings: ChainConfig,
     only the raw samples that the baseband read at those times depends on:
     the span widened by TAPS + 1 baseband and LOWPASS_TAPS raw samples on
     both sides and by the replica at the end, starting at a multiple of the
-    decimation, clipped to the record. The quantizer full scale, the TVG
-    gain and the mixing phase still come from the whole record, so every
-    baseband sample the interpolation stencil reads at a time in the span
-    equals the whole-record one to rounding; sample_offset places the first.
+    decimation, clipped to the record. The quantizer full scale and the TVG
+    gain still come from the whole record, so every baseband sample the
+    interpolation stencil reads at a time in the span equals the
+    whole-record one to rounding; sample_offset places the first.
     """
     x = cube.samples
     fs = cube.sample_rate
@@ -366,7 +362,7 @@ def receive_chain(cube: RawDataCube, pulse: LfmPulse, settings: ChainConfig,
         start, stop = _record_window(span, stop, fs, decim, replica_length(pulse, fs))
     n = stop - start
     gain = _tvg_gain(n, fs, settings.tvg_speed, settings.tvg_variant, pulse.duration, start)
-    demod = _Demodulator(n, fs, carrier, decim, start)
+    demod = _Demodulator(n, fs, carrier, decim)
     mf = _MatchedFilter(pulse, fs, carrier, decim, demod.n_keep)
     out = np.empty((cube.n_sensors, demod.n_keep), dtype=complex)
 

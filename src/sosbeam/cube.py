@@ -48,14 +48,16 @@ class RawDataCube:
 
 @dataclass
 class BasebandCube:
-    """Complex baseband samples after demodulation (and optionally matched filtering).
+    """The analytic receive band after demodulation (and optionally matched
+    filtering), at the decimated rate and not mixed down (chain.demodulate).
 
     sample_rate is the post-decimation rate; sample m of any sensor
     corresponds to time time_origin + (sample_offset + m) / sample_rate. A
     cube that holds only part of a record (receive_chain with a span) keeps
     the whole record's time_origin and counts its first sample from the
-    record's first, so interpolation positions are the whole record's minus
-    an integer, exactly.
+    record's first: its samples are the whole record's at the same index to
+    rounding, and interpolation positions the whole record's minus an
+    integer, exactly.
     """
 
     samples: np.ndarray

@@ -56,8 +56,8 @@ def write_image_pgm(path, img: DbImage, dynamic_range_db: float) -> None:
     0 dB maps to white (255), -dynamic_range_db and below to black. Rows are
     written top-to-bottom in increasing range.
     """
-    if dynamic_range_db <= 0:
-        raise ValueError("dynamic range must be > 0")
+    if not 0 < dynamic_range_db < np.inf:
+        raise ValueError("dynamic range must be finite and > 0")
     clipped = np.clip(img.pixels, -dynamic_range_db, 0.0)
     levels = np.round(255.0 * (clipped + dynamic_range_db) / dynamic_range_db)
     data = levels.astype(np.uint8)

@@ -7,14 +7,14 @@ bit-for-bit.
 
 sample_rows is a Farrow interpolator (Farrow, ISCAS 1988; Laakso et al.,
 IEEE SP Magazine 13(1), 1996) with the carrier folded into its taps: it
-rotates each window sample n it reads by exp(j*(theta*n + phi0)), filters the
-window with the complex polynomial taps of farrow_taps, fitted to
+filters rows that carry the carrier (the receive chain's baseband cube) with
+the complex polynomial taps of farrow_taps, fitted to
 delay_kernel(f)_k * exp(j*theta*(f - m_k)), and reads every position by
-Horner in f, with no exp per position. Its memory is O(positions), plus a
-phasor per sample of their span: it filters the window of stencil starts its
-positions span on every row or, when that holds more entries than the call
-has positions, only their own stencils. Only a call with a position out of
-the record builds the masks for such positions.
+Horner in f, with no exp per position. Its memory is O(positions): it
+filters the window of stencil starts its positions span on every row or,
+when that holds more entries than the call has positions, only their own
+stencils. Only a call with a position out of the record builds the masks
+for such positions.
 
 A position's bits do not depend on the other positions of its call if the
 BLAS rounds each element of the complex filter product the same at any width.
@@ -102,22 +102,22 @@ def _filter(stencils: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return bank.view(float).reshape(len(taps), -1, 2)
 
 
-def sample_rows(rows: np.ndarray, pos: np.ndarray, theta: float = 0.0, phi0: float = 0.0,
-                offset: int = 0):
-    """Band-limited sampling of each row of `rows` at fractional positions,
-    rotated by the carrier phase exp(j*(theta*(offset + pos) + phi0)).
+def sample_rows(rows: np.ndarray, pos: np.ndarray, theta: float = 0.0):
+    """Band-limited sampling of each row of `rows` at fractional positions.
 
-    rows is (n_rows, m), read as complex; pos is (..., n_rows), one position per
-    row. theta is the carrier step 2*pi*f_c/f_s and phi0 the phase of record
-    sample 0; offset is the record index of rows[:, 0], so that part of a
-    record (BasebandCube.sample_offset) is phased as the whole, bit for bit.
-    Returns (values, valid): complex values of pos.shape, zero where the
-    stencil would leave [0, m) (always when m < TAPS), and that boolean mask.
-    In-record positions read the same bits whether the call has others or not.
+    rows is (n_rows, m), read as complex, a band at the carrier step theta =
+    2*pi*f_c/f_s: the samples x[n] * exp(j*theta*n) of a baseband x. The value
+    at position p is x interpolated at p times exp(j*theta*p). pos is
+    (..., n_rows), one position per row. Returns (values, valid): complex
+    values of pos.shape, zero where the stencil would leave [0, m) (always
+    when m < TAPS), and that boolean mask. In-record positions read the same
+    bits whether the call has others or not, and part of a record, its
+    positions counted from its first sample, reads the same bits as the whole.
 
-    A step theta = 2*pi*k + theta', |theta'| <= pi, rotates sample n as theta'
-    does, so the taps are fitted at theta' and, only when k != 0, each value
-    is rotated by the remaining exp(j*2*pi*k*frac) of its position.
+    A step theta = 2*pi*k + theta', |theta'| <= pi, puts the same samples
+    exp(j*theta*n) as theta' at integer n, so the taps are fitted at theta'
+    and, only when k != 0, each value is turned by the remaining
+    exp(j*2*pi*k*frac) of its position.
     """
     n_rows, m = rows.shape
     pos = np.asarray(pos, dtype=float)
@@ -144,13 +144,10 @@ def sample_rows(rows: np.ndarray, pos: np.ndarray, theta: float = 0.0, phi0: flo
     start, first = base - (_HALF - 1), lo - (_HALF - 1)  # stencil starts, the first
     row = np.arange(n_rows)
     span = int(hi - lo) + 1
-    # one carrier phasor per sample the stencils read, named: `x * np.exp(...)` lets
-    # numpy reuse the exp temporary and swap the operands, which changes the bits
-    phasor = np.exp(1j * (theta * (offset + np.arange(first, first + span + TAPS - 1)) + phi0))
     if n_rows * span <= pos.size:
         # every row's stencils from first to the last start, once each, from
-        # the window of samples they read rotated once
-        window = rows[:, first:first + span + TAPS - 1] * phasor
+        # the window of samples they read
+        window = rows[:, first:first + span + TAPS - 1]
         n = n_rows * span
         stencils = np.zeros((TAPS, -(-n // _PAD) * _PAD), complex)
         for t in range(TAPS):
@@ -161,7 +158,7 @@ def sample_rows(rows: np.ndarray, pos: np.ndarray, theta: float = 0.0, phi0: flo
         # repeated to the padded width
         at = np.pad((row * m + start).reshape(-1), (0, -pos.size % _PAD), mode="edge")
         at = at + np.arange(TAPS)[:, None]
-        stencils = rows.reshape(-1).take(at) * phasor.take(at % m - first)
+        stencils = rows.reshape(-1).take(at)
         entry = np.arange(pos.size).reshape(pos.shape)
     bank = _filter(stencils, taps)
     # Horner in frac on (re, im) pairs, one take per coefficient row; frac
@@ -172,9 +169,12 @@ def sample_rows(rows: np.ndarray, pos: np.ndarray, theta: float = 0.0, phi0: flo
     for d in range(len(taps) - 2, -1, -1):
         values *= f
         values += bank[d].take(entry, axis=0, out=term, mode="clip")
-    values = values.view(complex)[..., 0]
     if turns:
-        values *= np.exp(2j * np.pi * turns * frac)
+        # by real products: numpy 2.4.6's complex multiply rounds by array length
+        turn = np.exp(2j * np.pi * turns * frac)
+        re, im = values[..., 0], values[..., 1]
+        values = np.stack([re * turn.real - im * turn.imag, re * turn.imag + im * turn.real], -1)
+    values = values.view(complex)[..., 0]
     if not in_record:
         values[~valid] = 0.0
     return values, valid

@@ -52,10 +52,9 @@ def _weights(result, cfg):
 def _delayed(cube, t):
     """The cube's phase-aligned samples at round-trip times t (..., sensor):
     sample_rows at the times' sample positions, with the carrier step
-    2*pi*f_c/f_s and the carrier phase of the record's sample 0."""
+    2*pi*f_c/f_s."""
     pos = (t - cube.time_origin) * cube.sample_rate - cube.sample_offset
-    return sample_rows(cube.samples, pos, TWO_PI * cube.carrier / cube.sample_rate,
-                       TWO_PI * cube.carrier * cube.time_origin, cube.sample_offset)
+    return sample_rows(cube.samples, pos, TWO_PI * cube.carrier / cube.sample_rate)
 
 
 def _capon_weights(cov):
@@ -663,7 +662,9 @@ class TestBeamformImage:
         speeds, u = cfg.rule()
         nodes = np.stack([imager.mvdr_node(path_lengths(px, py, GEOM) / c)[0]
                           for c in speeds], axis=-1)
-        np.testing.assert_allclose(res.values, np.einsum("...n,n->...", nodes, u / u.sum()),
+        # the prior's weights as the fallback forms them, the softmax of log u
+        prior = posterior_weights(np.log(u), np.zeros_like(u))[0]
+        np.testing.assert_allclose(res.values, np.einsum("...n,n->...", nodes, prior),
                                    rtol=1.3e-16, atol=0)
         img = beamform_image(bb, ScanGrid(-0.5, 0.5, 9.9, 10.1, 3, 2), cfg, GEOM)
         np.testing.assert_array_equal(img.flags, FLAG_POSTERIOR_FALLBACK)

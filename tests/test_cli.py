@@ -566,15 +566,30 @@ class TestAllSpan:
         monkeypatch.undo()
         return basebands, images
 
+    INSIDE = ((29.5, 33.0), (30.0, 32.0), (32.5, 33.0), "inside")
+
     # the 0.1 s record ends near 76 m of range
     @pytest.mark.parametrize("grid, target, artifact, where", [
-        ((29.5, 33.0), (30.0, 32.0), (32.5, 33.0), "inside"),
+        INSIDE,
         ((0.05, 3.0), (0.5, 1.5), (2.0, 3.0), "start"),
         ((70.0, 80.0), (71.0, 74.0), (75.0, 80.0), "end")])
     def test_same_flags_and_images_as_the_whole_record(self, small_config, tmp_path,
                                                        monkeypatch, grid, target,
                                                        artifact, where):
+        self.check_same_as_the_whole_record(small_config, tmp_path, monkeypatch, grid,
+                                            target, artifact, where)
+
+    def test_same_flags_and_images_as_the_whole_record_at_decimation_10(
+            self, small_config, tmp_path, monkeypatch):
+        # a carrier step of about 3.77 rad per sample: beyond pi, sample_rows
+        # fits its taps a turn lower and turns each value back
+        self.check_same_as_the_whole_record(small_config, tmp_path, monkeypatch, *self.INSIDE,
+                                            decimation=10)
+
+    def check_same_as_the_whole_record(self, small_config, tmp_path, monkeypatch, grid,
+                                       target, artifact, where, decimation=4):
         doc = json.loads(small_config.read_text())
+        doc["chain"]["decimation"] = decimation
         doc["grid"].update(y_min_m=grid[0], y_max_m=grid[1])
         doc["metrics"]["target_box"].update(y_min=target[0], y_max=target[1])
         doc["metrics"]["artifact_box"].update(y_min=artifact[0], y_max=artifact[1])

@@ -428,7 +428,10 @@ class TestDelayedSnapshot:
         return matched_filter(demodulate(cube, 30e3, 4), self.PULSE)
 
     def test_constant_cube_gives_phase_rotated_constant(self):
-        bb = BasebandCube(samples=np.full((4, 8192), 2.0 + 0j), sample_rate=125e3,
+        # a constant envelope: the cube carries the carrier, 2 exp(j theta n)
+        theta = 2 * np.pi * 30e3 / 125e3
+        samples = np.tile(2.0 * np.exp(1j * theta * np.arange(8192)), (4, 1))
+        bb = BasebandCube(samples=samples, sample_rate=125e3,
                           carrier=30e3, decimation=4, time_origin=0.0)
         geom = ArrayGeometry.uniform(4, 0.5)
         # round trip ~1.6 ms, well inside the record

@@ -31,16 +31,18 @@ def farrow(frac):
     return horner(farrow_taps(0.0), frac)
 
 
-def rotated_oracle(rows, pos, theta, phi0):
-    """The exact 8-tap delay_kernel convolution at each in-record position,
-    times exp(j*(theta*pos + phi0)); nan elsewhere."""
+def rotated_oracle(rows, pos, theta):
+    """The exact 8-tap convolution of rows carrying the carrier step theta
+    with the carrier-folded kernel delay_kernel(f)_k * exp(j*theta*(f - m_k))
+    at each in-record position; nan elsewhere."""
     out = np.full(pos.shape, np.nan, complex)
     for idx in np.ndindex(pos.shape):
         p = pos[idx]
         base = int(np.floor(p)) if np.isfinite(p) else -TAPS
         if 3 <= base <= rows.shape[1] - 5:
-            kernel = delay_kernel(p - base)
-            out[idx] = rows[idx[-1], base - 3:base + 5] @ kernel * np.exp(1j * (theta * p + phi0))
+            f = p - base
+            kernel = delay_kernel(f) * np.exp(1j * theta * (f - _OFFSETS))
+            out[idx] = rows[idx[-1], base - 3:base + 5] @ kernel
     return out
 
 
@@ -113,9 +115,9 @@ class TestSampleRows:
         assert values.dtype == complex  # real rows are read as complex
         samples = rows[np.arange(3), pos.astype(int)]
         np.testing.assert_array_equal(values, samples)
-        # with a carrier, the rotated samples: the phasor of each window column
-        values, _ = sample_rows(rows, pos, 1.508, 0.25)
-        np.testing.assert_array_equal(values, samples * np.exp(1j * (1.508 * pos + 0.25)))
+        # with a carrier, below and beyond pi, the samples themselves
+        for theta in (1.508, 6.032):
+            np.testing.assert_array_equal(sample_rows(rows, pos, theta)[0], samples)
 
     def test_matches_exact_kernel_convolution(self):
         rows = self.rows()
@@ -131,21 +133,21 @@ class TestSampleRows:
         # 8 taps each within the 1e-9 tap bound: 8e-9 of the rows' largest magnitude
         rng = np.random.default_rng(14)
         rows = rng.standard_normal((4, 300)) + 1j * rng.standard_normal((4, 300))
-        phi0 = rng.uniform(-np.pi, np.pi)
         for pos in (rng.uniform(-2.0, 302.0, (50, 4)),  # the positions' own stencils
                     rng.uniform(100.0, 110.0, (500, 4))):  # the window of starts
-            values, valid = sample_rows(rows, pos, theta, phi0)
-            expected = rotated_oracle(rows, pos, theta, phi0)
+            values, valid = sample_rows(rows, pos, theta)
+            expected = rotated_oracle(rows, pos, theta)
             np.testing.assert_array_equal(valid, np.isfinite(expected))
             assert np.abs(values[valid] - expected[valid]).max() < 8e-9 * np.abs(rows).max()
 
     @pytest.mark.parametrize("theta", STEPS)
     def test_part_of_a_record_is_phased_as_the_whole_bitwise(self, theta):
-        # the record from sample 17 on, its positions counted from there
+        # the record from sample 17 on, its positions counted from there: the
+        # samples carry the carrier, so no record index is needed
         rows = self.rows()
         pos = np.random.default_rng(15).uniform(20.0, 50.0, (30, 3))
-        whole, valid = sample_rows(rows, pos, theta, 0.4)
-        part, part_valid = sample_rows(rows[:, 17:], pos - 17.0, theta, 0.4, offset=17)
+        whole, valid = sample_rows(rows, pos, theta)
+        part, part_valid = sample_rows(rows[:, 17:], pos - 17.0, theta)
         np.testing.assert_array_equal(part_valid, valid)
         np.testing.assert_array_equal(part, whole)
 
@@ -194,16 +196,16 @@ class TestSampleRows:
         # would round unlike the same column of a wider product
         rows = self.rows(complex_)[:1]
         pos = 3.0 + 50.0 * np.random.default_rng(6).random((40, 1))
-        for theta, phi0 in ((0.0, 0.0), (1.508, 0.75)):
-            values, _ = sample_rows(rows, pos, theta, phi0)
+        for theta in (0.0, 1.508):
+            values, _ = sample_rows(rows, pos, theta)
             for p, value in zip(pos, values):
-                np.testing.assert_array_equal(sample_rows(rows, p, theta, phi0)[0], value)
+                np.testing.assert_array_equal(sample_rows(rows, p, theta)[0], value)
 
     @given(complex_=st.booleans(), n_rows=st.integers(1, 4), m=st.integers(40, 200),
            n_pix=st.integers(3, 20), wide=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
-           theta=st.sampled_from(STEPS), phi0=st.floats(-10.0, 10.0), data=st.data())
+           theta=st.sampled_from(STEPS), data=st.data())
     def test_property_any_subset_is_the_full_call_bitwise(self, complex_, n_rows, m, n_pix,
-                                                           wide, seed, theta, phi0, data):
+                                                           wide, seed, theta, data):
         rng = np.random.default_rng(seed)
         rows = rng.standard_normal((n_rows, m))
         if complex_:
@@ -222,7 +224,7 @@ class TestSampleRows:
         pos[bad] = rng.choice([np.nan, np.inf, -np.inf, -4.0, m + 9.0], np.count_nonzero(bad))
         keep = np.array(data.draw(st.lists(st.booleans(), min_size=n_pix, max_size=n_pix)
                                   .filter(any)))
-        values, valid = sample_rows(rows, pos, theta, phi0)
-        sub_values, sub_valid = sample_rows(rows, pos[keep], theta, phi0)
+        values, valid = sample_rows(rows, pos, theta)
+        sub_values, sub_valid = sample_rows(rows, pos[keep], theta)
         np.testing.assert_array_equal(sub_valid, valid[keep])
         np.testing.assert_array_equal(sub_values, values[keep])
