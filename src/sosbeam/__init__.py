@@ -1,7 +1,8 @@
 """Sound-speed-marginalized adaptive beamforming for active sonar imaging.
 
 Simulates multipath point-target returns, runs the receive chain
-(quantization, TVG, quadrature demodulation, matched filtering), and images
+(quantization, TVG, band-pass filtering to the analytic receive band with
+decimation, matched filtering), and images
 with DAS, MVDR, or an MVDR beamformer marginalized over a Gaussian
 sound-speed posterior via Gauss-Hermite quadrature.
 """

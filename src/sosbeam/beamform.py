@@ -40,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import TVG_TWO_WAY, TVG_VARIANTS, tvg_range
-from .core import (TWO_PI, ArrayGeometry, ScanGrid, hann_weights, map_rows, path_lengths,
-                   travel_times)
+from .core import (TWO_PI, ArrayGeometry, ScanGrid, hann_weights, is_integer, map_rows,
+                   path_lengths, travel_times)
 from .covariance import (diagonal_load, sample_covariance, subarray_snapshots,
                          unitary_windows, whiten_border)
 from .cube import BasebandCube
@@ -102,10 +102,11 @@ class BeamformerConfig:
             raise ValueError("c must be finite and > 0")
         if not 0 <= self.sigma_c < np.inf:
             raise ValueError("sigma_c must be finite and >= 0")
-        if self.subarray_length < 1:
-            raise ValueError("subarray_length must be >= 1")
-        if not 1 <= self.n_quad <= MAX_NODES:
-            raise ValueError(f"n_quad must be in [1, {MAX_NODES}]")
+        if not (is_integer(self.subarray_length) and self.subarray_length >= 1):
+            raise ValueError(f"subarray_length must be an integer >= 1, "
+                             f"got {self.subarray_length!r}")
+        if not (is_integer(self.n_quad) and 1 <= self.n_quad <= MAX_NODES):
+            raise ValueError(f"n_quad must be an integer in [1, {MAX_NODES}], got {self.n_quad!r}")
         if not 0 < self.dr_db < np.inf:
             raise ValueError("dr_db must be finite and > 0")
         if not math.isfinite(self.snr0_db):

@@ -1,5 +1,6 @@
-"""Receive signal chain: quantization, time-varying gain, quadrature
-demodulation with decimation, and matched-filter range compression.
+"""Receive signal chain: quantization, time-varying gain, band-pass
+filtering to the analytic receive band with decimation, and matched-filter
+range compression.
 
 Every stage is a pure per-sensor transformation, so the chain runs as one
 pass per sensor row: `receive_chain(cube, pulse, ChainConfig, threads)`
@@ -17,9 +18,10 @@ goes through one real FFT, is multiplied by the spectrum of a band-pass
 filter at the carrier, and the decimation is done by folding that spectrum
 before a short inverse FFT, so only the kept samples are ever formed. The
 band is not mixed down: only that filter and the beamformer's interpolation
-taps (interp.farrow_taps) know the carrier. The matched filter is a full
-linear convolution along each sensor row, done by FFT (`_Convolver`: one
-numpy forward/inverse pair at a 5-smooth length).
+taps (interp.farrow_taps) know the carrier. The matched filter correlates
+each sensor row with the pulse replica, the pulse put through demodulate
+like the data, by FFT (`_MatchedFilter`: one numpy forward/inverse pair at
+a 5-smooth length).
 
 Given a span (t_first, t_last) of round-trip times, `receive_chain` runs
 only over the raw samples that can reach the baseband samples read in that
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LfmPulse, TWO_PI, map_rows
+from .core import LfmPulse, TWO_PI, is_integer, map_rows
 from .cube import BasebandCube, RawDataCube
 from .interp import TAPS
 from .simulate import lfm_pulse_samples
@@ -69,8 +71,8 @@ class _Quantizer:
     """quantize's mid-tread quantizer, its full scale taken from all of x."""
 
     def __init__(self, x: np.ndarray, bits: int):
-        if not 2 <= bits <= 24:
-            raise ValueError("bits must be in [2, 24]")
+        if not (is_integer(bits) and 2 <= bits <= 24):
+            raise ValueError(f"bits must be an integer in [2, 24], got {bits!r}")
         full_scale = float(max(x.max(), -x.min()))
         if not np.isfinite(full_scale):
             raise ValueError("samples must be finite")
@@ -150,25 +152,6 @@ def _fft_length(n: int) -> int:
     return best
 
 
-class _Convolver:
-    """Full linear convolution of n-sample rows with a 1-D kernel.
-
-    Row by row this is np.convolve(row, kernel) to rounding, n + k - 1
-    complex columns, done with one zero-padded FFT pair; the kernel's
-    spectrum is computed once.
-    """
-
-    def __init__(self, kernel: np.ndarray, n: int):
-        self.n_out = n + kernel.size - 1
-        self.n_fft = _fft_length(self.n_out)
-        self.kernel_spectrum = np.fft.fft(kernel, self.n_fft)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        spectrum = np.fft.fft(x, self.n_fft, axis=-1)
-        spectrum *= self.kernel_spectrum
-        return np.fft.ifft(spectrum, axis=-1, out=spectrum)[..., :self.n_out]
-
-
 def _lowpass_taps(fs: float, carrier: float, decim: int) -> np.ndarray:
     """Hamming-windowed sinc low-pass for the demodulator.
 
@@ -204,14 +187,14 @@ class _Demodulator:
     """
 
     def __init__(self, n: int, fs: float, carrier: float, decim: int):
-        if decim < 1:
-            raise ValueError("decimation must be >= 1")
+        if not (is_integer(decim) and decim >= 1):
+            raise ValueError(f"decimation must be an integer >= 1, got {decim!r}")
         if not 0 < carrier < fs / 2:
             raise ValueError("carrier must lie in (0, sample_rate/2)")
         if n < LOWPASS_TAPS:
             raise ValueError(f"record shorter than the {LOWPASS_TAPS}-tap low-pass filter")
         shift = LOWPASS_TAPS // 2
-        self.decim = decim
+        self.decim = decim = int(decim)  # a numpy integer has no bit_length for _fft_length
         self.m_len = _fft_length(-(-(n + LOWPASS_TAPS) // decim))
         n_fft = decim * self.m_len
         k = np.arange(LOWPASS_TAPS)
@@ -258,49 +241,43 @@ def replica_length(pulse: LfmPulse, fs: float) -> int:
     return lfm_pulse_samples(pulse, fs).size + 2 * LOWPASS_TAPS
 
 
-def baseband_replica(pulse: LfmPulse, fs: float, carrier: float,
-                     decim: int) -> BasebandCube:
-    """The transmit pulse pushed through the same demodulation as the data.
-
-    The pulse is zero-padded so the filter transient is fully captured; the
-    replica's sample 0 corresponds to the pulse leading edge at t = 0.
-    """
-    wave = lfm_pulse_samples(pulse, fs)
-    padded = np.zeros(replica_length(pulse, fs))
-    padded[:wave.size] = wave
-    demod = _Demodulator(padded.size, fs, carrier, decim)
-    return BasebandCube(samples=demod(padded)[None, :], sample_rate=fs / decim,
-                        carrier=carrier, decimation=decim, time_origin=demod.time_origin)
-
-
 class _MatchedFilter:
     """matched_filter for n-sample baseband rows; calling it compresses one row.
 
-    The replica is demodulated and decimated exactly like the data and its
-    convolution kernel's spectrum is computed once. Output sample m is lag m
-    of the correlation with the replica, so `time_shift` is subtracted from
-    the input's time origin.
+    The replica r is the pulse, zero-padded to replica_length, put through
+    demodulate like the data; its sample 0 is the pulse leading edge, and
+    `time_shift` is its time origin. Output sample m is lag m of the
+    correlation with r, np.convolve(x, conj(r[::-1]))[lag + m] to rounding,
+    done with one zero-padded FFT pair at a 5-smooth length; the kernel's
+    spectrum is computed once.
     """
 
     def __init__(self, pulse: LfmPulse, fs: float, carrier: float, decim: int, n: int):
-        replica = baseband_replica(pulse, fs, carrier, decim)
+        wave = lfm_pulse_samples(pulse, fs)
+        padded = np.zeros((1, replica_length(pulse, fs)))
+        padded[0, :wave.size] = wave
+        replica = demodulate(RawDataCube(samples=padded, sample_rate=fs), carrier, decim)
         r = replica.samples[0]
         if r.size > n:
             raise ValueError("matched-filter replica is longer than the data record")
-        self.convolve = _Convolver(np.conj(r[::-1]), n)
+        self.n_fft = _fft_length(n + r.size - 1)
+        self.kernel_spectrum = np.fft.fft(np.conj(r[::-1]), self.n_fft)
         self.lag = r.size - 1
         self.n = n
         self.time_shift = replica.time_origin
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.convolve(x)[self.lag:self.lag + self.n]
+        spectrum = np.fft.fft(x, self.n_fft)
+        spectrum *= self.kernel_spectrum
+        return np.fft.ifft(spectrum, out=spectrum)[self.lag:self.lag + self.n]
 
 
 def matched_filter(cube: BasebandCube, pulse: LfmPulse) -> BasebandCube:
     """Range compression by correlation with the baseband pulse replica.
 
-    The replica is demodulated and decimated exactly like the data, so their
-    common carrier phase offset cancels and output sample m carries the
+    The replica is the zero-padded pulse put through demodulate at the
+    cube's carrier and decimation (see _MatchedFilter), so their common
+    carrier phase offset cancels and output sample m carries the
     carrier phase of its own time. The output time axis is aligned so an
     echo whose leading edge arrives at delay tau peaks at sample
     round((tau - time_origin) * sample_rate).
@@ -325,8 +302,9 @@ def _record_window(span, n: int, fs: float, decim: int, replica: int) -> tuple:
     t_first, t_last = map(float, span)
     if not (math.isfinite(t_first) and math.isfinite(t_last) and t_first <= t_last):
         raise ValueError(f"span must be finite with t_first <= t_last, got {span!r}")
-    if decim < 1:
-        raise ValueError("decimation must be >= 1")
+    if not (is_integer(decim) and decim >= 1):
+        raise ValueError(f"decimation must be an integer >= 1, got {decim!r}")
+    decim = int(decim)  # so start and stop are Python ints, as _fft_length needs
     margin = decim * (TAPS + 1) + LOWPASS_TAPS
     stop = min(n, math.ceil(t_last * fs) + margin + replica)
     start = min(math.floor(t_first * fs) - margin, stop - replica)

@@ -309,9 +309,9 @@ def parse_config(doc: dict) -> RunConfig:
 def load_config(path) -> RunConfig:
     """Read and validate a JSON run configuration file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # undecodable, malformed or too deep
         raise ConfigError(str(path), f"invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ConfigError(str(path), "top-level JSON value must be an object")

@@ -16,6 +16,11 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 
+def is_integer(x) -> bool:
+    """True for a Python or numpy integer; bools and floats are not counts."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Linear receive array plus the projector (source) position.

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ArrayGeometry, LfmPulse, TWO_PI, map_rows
+from .core import ArrayGeometry, LfmPulse, TWO_PI, is_integer, map_rows
 from .cube import RawDataCube
 from .interp import TAPS, delay_kernel
 
@@ -128,8 +128,7 @@ class SimConfig:
         if not np.isfinite([self.noise_power_db, self.signal_power_db, self.ref_level_db]).all():
             raise ValueError("noise, signal and reference levels must be finite")
         # a Philox key word: it would truncate a float and overflow past 64 bits
-        if (isinstance(self.rng_seed, bool) or not isinstance(self.rng_seed, (int, np.integer))
-                or not 0 <= self.rng_seed < 2 ** 64):
+        if not (is_integer(self.rng_seed) and 0 <= self.rng_seed < 2 ** 64):
             raise ValueError(f"rng_seed must be an integer in [0, 2**64), got {self.rng_seed!r}")
 
     @property

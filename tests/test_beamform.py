@@ -95,6 +95,17 @@ class TestConfigChecks:
         with pytest.raises(ValueError):
             _make_cfg(**kwargs)
 
+    @pytest.mark.parametrize("key", ["subarray_length", "n_quad"])
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_non_integer_count_rejected(self, key, bad):
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            _make_cfg(**{key: bad})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = _make_cfg(method="mvdr", subarray_length=np.int64(4), n_quad=np.int64(4))
+        assert cfg.n_subarrays(30) == 27
+        assert _make_cfg(n_quad=np.int64(4)).rule()[0].size == 4
+
     def test_n_quad_capped_at_max_nodes(self):
         assert _make_cfg(n_quad=MAX_NODES).n_quad == MAX_NODES
         with pytest.raises(ValueError, match="n_quad"):

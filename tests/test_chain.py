@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import sosbeam
-from sosbeam.chain import (LOWPASS_TAPS, TVG_VARIANTS, ChainConfig, _Convolver,
-                           _fft_length, _lowpass_taps, baseband_replica, demodulate,
+from sosbeam.chain import (LOWPASS_TAPS, TVG_VARIANTS, ChainConfig, _fft_length,
+                           _lowpass_taps, _MatchedFilter, _record_window, demodulate,
                            matched_filter, quantize, receive_chain, replica_length, tvg)
 from sosbeam.core import LfmPulse
 from sosbeam.cube import BasebandCube, RawDataCube
@@ -42,6 +42,13 @@ def direct_demodulation(x, carrier, decim):
     return np.array([np.convolve(row, g)[shift:shift + n][::decim] for row in x])
 
 
+def demodulated_replica(decim):
+    """The matched filter's replica by its definition: the pulse followed by
+    2 * LOWPASS_TAPS zeros, through demodulate like the data."""
+    padded = np.r_[lfm_pulse_samples(PULSE, FS), np.zeros(2 * LOWPASS_TAPS)]
+    return demodulate(raw(padded), 30e3, decim)
+
+
 def assert_close_relative(got, want, rtol):
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= rtol * np.abs(want).max()
@@ -59,6 +66,15 @@ class TestQuantize:
     def test_two_bit_ramp_has_four_levels(self):
         out = quantize(raw(np.linspace(-1, 1, 2001)), 2)
         assert np.unique(out.samples).size == 4
+
+    @pytest.mark.parametrize("bits", [2.5, True])
+    def test_non_integer_bits_rejected(self, bits):
+        with pytest.raises(ValueError, match="bits must be an integer"):
+            quantize(raw(np.linspace(-1, 1, 9)), bits)
+
+    def test_numpy_integer_bits_accepted(self):
+        x = raw(np.linspace(-1, 1, 9))
+        np.testing.assert_array_equal(quantize(x, np.int64(4)).samples, quantize(x, 4).samples)
 
     def test_half_lsb_bound_off_the_positive_rail(self):
         # the top code saturates, so test the bound on inputs that do not
@@ -182,6 +198,17 @@ class TestDemodulate:
         bb = demodulate(raw(np.zeros(1000)), 30e3, 4)
         np.testing.assert_array_equal(bb.samples, np.zeros_like(bb.samples))
 
+    @pytest.mark.parametrize("decim", [2.5, True])
+    def test_non_integer_decimation_rejected(self, decim):
+        with pytest.raises(ValueError, match="decimation must be an integer"):
+            demodulate(raw(np.ones(1000)), 30e3, decim)
+        with pytest.raises(ValueError, match="decimation must be an integer"):
+            receive_chain(raw(np.ones((2, 2000))), PULSE, ChainConfig(decimation=decim))
+
+    def test_numpy_integer_decimation_accepted(self):
+        x = raw(np.random.default_rng(0).standard_normal(1000))
+        assert_same_baseband(demodulate(x, 30e3, np.int64(4)), demodulate(x, 30e3, 4))
+
     def test_offset_tone_lands_at_offset(self):
         # the band is not mixed down: a tone keeps its frequency
         n = 60000
@@ -232,7 +259,7 @@ class TestDemodulate:
 
 class TestMatchedFilter:
     def test_replica_autocorrelation_peak(self):
-        rep = baseband_replica(PULSE, FS, 30e3, 4)
+        rep = demodulated_replica(4)
         data = BasebandCube(samples=rep.samples.copy(), sample_rate=rep.sample_rate,
                             carrier=30e3, decimation=4, time_origin=rep.time_origin)
         mf = matched_filter(data, PULSE)
@@ -254,7 +281,7 @@ class TestMatchedFilter:
         assert abs(k - expected) <= 1
 
     def test_shift_property_on_baseband(self):
-        rep = baseband_replica(PULSE, FS, 30e3, 4)
+        rep = demodulated_replica(4)
         r = rep.samples[0]
         shifted = np.zeros(400, dtype=complex)
         shifted[37:37 + r.size] = r
@@ -266,7 +293,7 @@ class TestMatchedFilter:
     def test_mainlobe_width_matches_fft_oracle(self):
         # oracle: the compressed pulse is the replica's autocorrelation,
         # computable via FFT; widths must agree and sit near fs/bandwidth
-        rep = baseband_replica(PULSE, FS, 30e3, 4)
+        rep = demodulated_replica(4)
         r = rep.samples[0]
         nfft = 1 << 12
         auto = np.fft.ifft(np.abs(np.fft.fft(r, nfft)) ** 2)
@@ -426,21 +453,22 @@ def _five_smooth(m: int) -> bool:
 
 
 class TestFftConvolution:
-    @pytest.mark.parametrize("complex_rows", [False, True])
-    @pytest.mark.parametrize("k", [1, 7, 50, 123])
-    def test_rows_equal_np_convolve(self, complex_rows, k):
-        # kernels shorter than, as long as and longer than the 50-sample rows
-        rng = np.random.default_rng(k)
-        x = rng.standard_normal((3, 50))
-        if complex_rows:
-            x = x + 1j * rng.standard_normal((3, 50))
-        kernel = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        for kern in (kernel.real, kernel):
-            got = _Convolver(kern, x.shape[1])(x)
-            assert got.shape == (3, 50 + k - 1)
-            for row, out in zip(x, got):
-                want = np.convolve(row, kern)
-                assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
+    @pytest.mark.parametrize("length", ["replica", "longer", 400])
+    @pytest.mark.parametrize("decim", [1, 4, 13])
+    def test_rows_equal_np_convolve(self, decim, length):
+        # the matched filter by its definition: the correlation with the
+        # replica r, lag by lag, on rows as long as r, 5 samples longer and 400 long
+        r = demodulated_replica(decim).samples[0]
+        n = {"replica": r.size, "longer": r.size + 5}.get(length, length)
+        rng = np.random.default_rng(decim)
+        x = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        mf = _MatchedFilter(PULSE, FS, 30e3, decim, n)
+        lag = r.size - 1
+        for row in x:
+            got = mf(row)
+            want = np.convolve(row, np.conj(r[::-1]))[lag:lag + n]
+            assert got.shape == (n,)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_fft_length_is_the_smallest_5_smooth_length(self):
         for n in range(1, 5001):
@@ -525,3 +553,13 @@ class TestReceiveChainSpan:
     def test_bad_span_rejected(self, span):
         with pytest.raises(ValueError, match="span"):
             receive_chain(raw(np.ones((2, 2000))), PULSE, ChainConfig(), span=span)
+
+    @pytest.mark.parametrize("decim", [2.5, True])
+    def test_non_integer_decimation_rejected(self, decim):
+        with pytest.raises(ValueError, match="decimation must be an integer"):
+            _record_window((0.001, 0.002), 2000, FS, decim, replica_length(PULSE, FS))
+
+    def test_numpy_integer_decimation_accepted(self):
+        cube = raw(np.random.default_rng(1).standard_normal((2, 4000)))
+        part = receive_chain(cube, PULSE, ChainConfig(decimation=np.int64(4)), span=(0.001, 0.003))
+        assert_same_baseband(part, receive_chain(cube, PULSE, ChainConfig(), span=(0.001, 0.003)))

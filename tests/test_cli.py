@@ -657,9 +657,12 @@ def test_process_exit_codes(small_config, tmp_path):
     doc["pulse"]["duration_s"] = -1.0
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
+    undecodable = tmp_path / "undecodable.json"
+    undecodable.write_bytes(b'\xff\xfe{"a": 1}')
     assert run("simulate", "--config", str(tmp_path / "nope.json"),
                "--out", str(tmp_path / "x.bin")) == 2
     assert run("simulate", "--config", str(bad), "--out", str(tmp_path / "x.bin")) == 1
+    assert run("simulate", "--config", str(undecodable), "--out", str(tmp_path / "x.bin")) == 1
     assert run("beamform", "--config", str(other), "--data", str(cube),
                "--method", "das", "--out", str(tmp_path / "x")) == 3
     assert run("all", "--config", str(small_config), "--out-dir", str(tmp_path / "run"),

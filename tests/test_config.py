@@ -147,6 +147,15 @@ class TestRejection:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("content", [b'\xff\xfe{"a": 1}', b"[" * 100000],
+                             ids=["not_utf8", "too_deep"])
+    def test_undecodable_or_too_deep_file(self, tmp_path, content):
+        path = tmp_path / "broken.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match="invalid JSON") as info:
+            load_config(path)
+        assert info.value.path == str(path)
+
     def test_n_quad_override(self, doc):
         doc["beamformers"]["bayes"].update(loading_factor=0.002, subarray_length=12)
         doc["chain"]["tvg_variant"] = "pi_range"
