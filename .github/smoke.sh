@@ -4,6 +4,8 @@
 # BLAS pinned to one thread (OPENBLAS_NUM_THREADS=1), and `beamform` on its
 # cube agrees with it; then the same in dec8/ and dec10/ at decimations 8 and
 # 10, the latter a carrier step beyond pi (interp.sample_rows' turns branch).
+# Prints the OpenBLAS thread count that `cli.main` leaves, failing if it pins
+# nothing where the symbol exists.
 # Leaves config.json, threads1/ and bf_* of the default config behind for a
 # caller's further checks. Usage: cd "$(mktemp -d)" && bash smoke.sh
 set -euo pipefail
@@ -13,6 +15,9 @@ smoke() {  # $1: chain.decimation
   # 64 x 24 pixels are three 512-pixel row blocks, so two threads image them as several tasks
   python -c "import json, sys; d = json.load(open('config.json')); d['grid'].update(n_x=64, n_y=24); d['chain']['decimation'] = int(sys.argv[1]); json.dump(d, open('config.json', 'w'))" "$1"
   sosbeam all --config config.json --out-dir threads1 --threads 1
+  # what this stack's BLAS does: cli.main pins numpy's bundled OpenBLAS to one
+  # thread where it exports the symbol (prints None where it does not)
+  python -c "from sosbeam import cli; cli.main(['init-config', '--out', 'pin.json']); get = getattr(cli._bundled_openblas(), 'scipy_openblas_get_num_threads64_', None); n = get and get(); print('OpenBLAS threads after cli.main:', n); assert n in (None, 1), n"
   sosbeam all --config config.json --out-dir threads2 --threads 2
   diff -r threads1 threads2
   # nor do the BLAS's own threads move a bit

@@ -12,6 +12,8 @@ call, and each stage's math lives in one row-level helper (`_Quantizer`,
 functions share, so the fused chain equals their composition bit-for-bit at
 any thread count. `tvg_range` is the one TVG range law; the Bayesian
 beamformer's likelihood strength reads the chain's gain through it too.
+Every stage computes in float64, so a float32 raw cube (read_cube's) gives
+the bits of its float64 widening.
 
 The demodulator keeps the receive band and drops the rest: the real record
 goes through one real FFT, is multiplied by the spectrum of a band-pass
@@ -84,7 +86,8 @@ class _Quantizer:
         if self.step == 0.0:
             np.copyto(out, x)
             return out
-        np.divide(x, self.step, out=out)
+        # in float64 for a float32 x too, which NumPy 2 would otherwise divide in float32
+        np.divide(x, self.step, out=out, dtype=float)
         np.round(out, out=out)
         np.clip(out, -(self.top + 1), self.top, out=out)
         out *= self.step
@@ -102,7 +105,7 @@ def quantize(cube: RawDataCube, bits: int) -> RawDataCube:
     non-finite sample raises ValueError.
     """
     x = cube.samples
-    out = _Quantizer(x, bits)(x, np.empty_like(x))
+    out = _Quantizer(x, bits)(x, np.empty(x.shape))
     return RawDataCube(samples=out, sample_rate=cube.sample_rate)
 
 
@@ -206,11 +209,12 @@ class _Demodulator:
         self.time_origin = (shift - (LOWPASS_TAPS - 1) / 2.0) / fs
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        # the full spectrum of the real row: rfft, then its Hermitian mirror
+        # the full spectrum of the real row, in float64 for a float32 row too:
+        # rfft, then its Hermitian mirror
         n_fft = self.g_spectrum.size
         half = n_fft // 2 + 1
         spectrum = np.empty(n_fft, dtype=complex)
-        np.fft.rfft(x, n_fft, out=spectrum[:half])
+        np.fft.rfft(np.asarray(x, dtype=float), n_fft, out=spectrum[:half])
         np.conjugate(spectrum[n_fft - half:0:-1], out=spectrum[half:])
         spectrum *= self.g_spectrum
         folded = spectrum.reshape(self.decim, self.m_len).sum(axis=0)

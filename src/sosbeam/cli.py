@@ -8,6 +8,12 @@ settings, under `<out-dir>/<method>`, and evaluates the images it holds in
 memory. `all` and `beamform` run the receive chain only over the part of the
 record their images read (`beamform.record_span`).
 
+`main` pins numpy's bundled OpenBLAS to one thread before any subcommand
+runs, so `--threads N` bounds the threads that compute: the row pool's BLAS
+calls are small per-pixel and per-sensor products, which BLAS threads of
+their own only slow down. Where numpy bundles no OpenBLAS, or it lacks the
+symbol, nothing is pinned. Importing sosbeam sets nothing.
+
 Exit codes: 0 success, 1 invalid configuration, 2 usage, a file that cannot
 be read or written, or a bad image CSV, 3 data/config mismatch (cube file,
 cube header, image grids, boxes off the images' grid, or a grid past the record).
@@ -16,11 +22,14 @@ cube header, image grids, boxes off the images' grid, or a grid past the record)
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from dataclasses import asdict
 from itertools import combinations
 from pathlib import Path
+
+import numpy as np
 
 from .beamform import METHOD_BAYES, METHODS, beamform_image, record_span
 from .chain import receive_chain
@@ -34,6 +43,28 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
+
+
+_NUMPY_LIBS = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+
+
+def _bundled_openblas(libs: Path = _NUMPY_LIBS):
+    """numpy's bundled OpenBLAS as a ctypes library, or None if libs holds none
+    that loads. numpy has loaded it already, so this is the same instance."""
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            return ctypes.CDLL(str(path))
+        except OSError:
+            pass
+    return None
+
+
+def _pin_blas_threads(libs: Path = _NUMPY_LIBS) -> None:
+    """Set the bundled OpenBLAS to one thread; a quiet no-op without it."""
+    set_threads = getattr(_bundled_openblas(libs), "scipy_openblas_set_num_threads64_", None)
+    if set_threads is not None:
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
 
 
 def _thread_count(text: str) -> int:
@@ -247,6 +278,7 @@ def main(argv=None) -> int:
     """Run one subcommand. A handled failure prints `error: ...` to stderr and
     returns its exit code; only argparse exits by itself (usage errors, 2)."""
     args = build_parser().parse_args(argv)
+    _pin_blas_threads()
     try:
         return args.func(args)
     except ConfigError as exc:

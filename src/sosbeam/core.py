@@ -80,8 +80,9 @@ class ScanGrid:
     n_y: int
 
     def __post_init__(self):
-        if self.n_x < 1 or self.n_y < 1:
-            raise ValueError("pixel counts must be >= 1")
+        for count in (self.n_x, self.n_y):
+            if not (is_integer(count) and count >= 1):
+                raise ValueError(f"pixel counts must be integers >= 1, got {count!r}")
         if not all(map(math.isfinite, (self.x_min, self.x_max, self.y_min, self.y_max))):
             raise ValueError("grid bounds must be finite")
         if not (self.x_max > self.x_min and self.y_max > self.y_min):

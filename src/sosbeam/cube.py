@@ -4,6 +4,11 @@ The binary cube file holds one raw cube, little-endian: a fixed header
 followed by float32 samples, sensor-major. The header's carrier, time-origin
 and decimation fields are 0, 0 and 1. BasebandCube is in-memory only: the
 receive chain makes it from a raw cube and the beamformers read it.
+
+A raw cube holds float64 samples, or float32 ones as given: read_cube
+returns the file's float32 payload without widening it, so a record is held
+once at the file's precision. The receive chain computes in float64 either
+way, so a float32 cube gives the same bits as its float64 widening.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+
+from .core import is_integer
 
 MAGIC = b"SSBC"
 _FORMAT_RAW = 0
@@ -25,13 +32,18 @@ class CubeFormatError(Exception):
 
 @dataclass
 class RawDataCube:
-    """Real time series from the array: samples has shape (n_sensors, n_samples)."""
+    """Real time series from the array: samples has shape (n_sensors, n_samples).
+
+    float32 samples are kept as given (read_cube's payload, say); any other
+    dtype becomes float64. The chain computes in float64 either way.
+    """
 
     samples: np.ndarray
     sample_rate: float  # Hz
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
+        samples = np.asarray(self.samples)
+        self.samples = samples if samples.dtype == np.float32 else np.asarray(samples, dtype=float)
         if self.samples.ndim != 2:
             raise ValueError("raw cube samples must be 2-D (sensors x samples)")
         if not 0 < self.sample_rate < np.inf:
@@ -77,12 +89,12 @@ class BasebandCube:
             raise ValueError("baseband cube samples must be finite")
         if not 0 < self.sample_rate < np.inf:
             raise ValueError("sample_rate must be finite and > 0")
-        if self.decimation < 1:
-            raise ValueError("decimation must be >= 1")
+        if not (is_integer(self.decimation) and self.decimation >= 1):
+            raise ValueError(f"decimation must be an integer >= 1, got {self.decimation!r}")
         if not (math.isfinite(self.carrier) and math.isfinite(self.time_origin)):
             raise ValueError("carrier and time_origin must be finite")
-        if self.sample_offset < 0:
-            raise ValueError("sample_offset must be >= 0")
+        if not (is_integer(self.sample_offset) and self.sample_offset >= 0):
+            raise ValueError(f"sample_offset must be an integer >= 0, got {self.sample_offset!r}")
 
     @property
     def n_sensors(self) -> int:
@@ -105,8 +117,9 @@ def write_cube(path, cube: RawDataCube) -> None:
                           cube.sample_rate, 0.0, 0.0, 1)
     with open(path, "wb") as fh:
         fh.write(header)
-        # through the buffer protocol: no bytes copy of the payload
-        fh.write(cube.samples.astype("<f4", order="C"))
+        # one sensor row at a time, through the buffer protocol: no copy of the record
+        for row in cube.samples:
+            fh.write(np.ascontiguousarray(row, dtype="<f4"))
 
 
 def read_cube(path) -> RawDataCube:
@@ -122,14 +135,14 @@ def read_cube(path) -> RawDataCube:
             raise CubeFormatError(f"{path}: unsupported version {version}")
         if fmt != _FORMAT_RAW:
             raise CubeFormatError(f"{path}: format tag {fmt} is not a raw cube")
-        data = np.frombuffer(fh.read(), dtype="<f4")
-    if data.size != n_sens * n_samples:
-        raise CubeFormatError(
-            f"{path}: payload holds {data.size} samples, header promises {n_sens * n_samples}")
+        data = np.fromfile(fh, dtype="<f4")
+        size = data.nbytes + len(fh.read())  # fromfile leaves a partial last sample
+    if size != 4 * n_sens * n_samples:
+        raise CubeFormatError(f"{path}: payload holds {size} bytes, header promises "
+                              f"{n_sens * n_samples} float32 samples")
     if not np.isfinite(data).all():
         raise CubeFormatError(f"{path}: payload holds non-finite samples")
     try:
-        return RawDataCube(samples=data.reshape(n_sens, n_samples).astype(float),
-                           sample_rate=fs)
+        return RawDataCube(samples=data.reshape(n_sens, n_samples), sample_rate=fs)
     except ValueError as exc:
         raise CubeFormatError(f"{path}: bad header: {exc}") from exc

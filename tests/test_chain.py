@@ -498,6 +498,52 @@ class TestNumpyOnly:
         assert out.stdout.split() == ["[]", "False"]
 
 
+class TestFloat32Cube:
+    """A float32 cube, as read_cube returns it, is computed on in float64: every
+    stage gives the bits of its float64 widening."""
+
+    @staticmethod
+    def cubes(seed):
+        x = np.random.default_rng(seed).standard_normal((3, 6000)).astype(np.float32)
+        narrow, wide = raw(x), raw(x.astype(float))
+        assert narrow.samples.dtype == np.float32 and wide.samples.dtype == np.float64
+        return narrow, wide
+
+    @pytest.mark.parametrize("bits", [8, 16, 24])
+    def test_quantize(self, bits):
+        narrow, wide = self.cubes(bits)
+        got = quantize(narrow, bits).samples
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, quantize(wide, bits).samples)
+
+    @pytest.mark.parametrize("variant", TVG_VARIANTS)
+    def test_tvg(self, variant):
+        narrow, wide = self.cubes(1)
+        got = tvg(narrow, 1519.0, variant, t_min=PULSE.duration).samples
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(
+            got, tvg(wide, 1519.0, variant, t_min=PULSE.duration).samples)
+
+    @pytest.mark.parametrize("decim", [4, 10])
+    def test_demodulate_and_matched_filter(self, decim):
+        narrow, wide = self.cubes(decim)
+        got = demodulate(narrow, PULSE.center_frequency, decim)
+        want = demodulate(wide, PULSE.center_frequency, decim)
+        assert_same_baseband(got, want)
+        assert_same_baseband(matched_filter(got, PULSE), matched_filter(want, PULSE))
+
+    @pytest.mark.parametrize("span", [None, (0.004, 0.006)])
+    @pytest.mark.parametrize("decim", [4, 10])
+    def test_receive_chain(self, decim, span):
+        narrow, wide = self.cubes(decim)
+        settings = chain_settings(16, "two_way", decim)
+        got = receive_chain(narrow, PULSE, settings, threads=2, span=span)
+        want = receive_chain(wide, PULSE, settings, span=span)
+        assert_same_baseband(got, want)
+        assert got.sample_offset == want.sample_offset
+        assert (got.sample_offset > 0) == (span is not None)
+
+
 class TestReceiveChainSpan:
     @staticmethod
     def read_indices(cube, span):

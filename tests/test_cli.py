@@ -636,6 +636,46 @@ class TestAllSpan:
                     == (tmp_path / "run" / name).read_bytes())
 
 
+class TestBlasPin:
+    @pytest.mark.skipif(not hasattr(cli._bundled_openblas(), "scipy_openblas_get_num_threads64_"),
+                        reason="numpy bundles no OpenBLAS with the thread-count symbols")
+    def test_main_pins_the_bundled_openblas_to_one_thread(self, tmp_path):
+        # in a fresh process: importing sosbeam leaves the count, main sets it to 1
+        code = "\n".join([
+            "import ctypes, sys, numpy",
+            "lib = ctypes.CDLL(sys.argv[1])",
+            "count = lib.scipy_openblas_get_num_threads64_",
+            "before = count()",
+            "from sosbeam import cli",
+            "imported = count()",
+            "cli.main(['init-config', '--out', sys.argv[2]])",
+            "print(before, imported, count())"])
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        lib = cli._bundled_openblas()._name
+        done = subprocess.run([sys.executable, "-c", code, lib, str(tmp_path / "c.json")],
+                              env=env, capture_output=True, text=True, timeout=60, check=True)
+        before, imported, after = map(int, done.stdout.split()[-3:])
+        assert imported == before and after == 1
+
+    def test_missing_library_is_a_quiet_no_op(self, tmp_path, capsys):
+        assert cli._bundled_openblas(tmp_path) is None
+        cli._pin_blas_threads(tmp_path)
+        (tmp_path / "libscipy_openblas64_-stub.so").write_bytes(b"not a shared library")
+        assert cli._bundled_openblas(tmp_path) is None
+        cli._pin_blas_threads(tmp_path)
+        assert capsys.readouterr() == ("", "")
+
+    def test_library_without_the_symbol_is_a_quiet_no_op(self, tmp_path, capsys):
+        import _ctypes  # a shared object that loads but exports no OpenBLAS symbol
+        stub = tmp_path / "libscipy_openblas64_-stub.so"
+        stub.symlink_to(_ctypes.__file__)
+        assert cli._bundled_openblas(tmp_path) is not None
+        cli._pin_blas_threads(tmp_path)
+        assert capsys.readouterr() == ("", "")
+
+
 def test_process_exit_codes(small_config, tmp_path):
     """The exit codes a shell sees, through the module entry point."""
     src = str(Path(cli.__file__).resolve().parents[1])

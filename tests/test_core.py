@@ -123,6 +123,18 @@ class TestTypes:
         assert grid.x_values().shape == (5,)
         assert grid.y_values()[0] == 10 and grid.y_values()[-1] == 20
 
+    @pytest.mark.parametrize("count", [2.5, True])
+    @pytest.mark.parametrize("axis", ["n_x", "n_y"])
+    def test_grid_non_integer_count_rejected(self, axis, count):
+        # True would build a one-pixel axis, 2.5 fail later in linspace
+        counts = {"n_x": 3, "n_y": 3, axis: count}
+        with pytest.raises(ValueError, match="integers >= 1"):
+            ScanGrid(x_min=-1.0, x_max=1.0, y_min=30.0, y_max=31.0, **counts)
+
+    def test_grid_numpy_integer_counts_accepted(self):
+        grid = ScanGrid(-1.0, 1.0, 30.0, 31.0, np.int64(3), np.int64(2))
+        assert grid.x_values().shape == (3,) and grid.y_values().shape == (2,)
+
     @pytest.mark.parametrize("kwargs", [
         dict(sensor_x=[0.0, float("nan")]), dict(sensor_x=[0.0, float("inf")]),
         dict(array_depth=float("nan")), dict(source_x=float("nan")),
