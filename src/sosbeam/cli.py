@@ -5,8 +5,8 @@ Each subcommand reads the same JSON run configuration; intermediate artifacts
 or inspected on its own. `all` runs the simulate, beamform and metrics steps
 in one process: it images each configured method once, with that method's
 settings, under `<out-dir>/<method>`, and evaluates the images it holds in
-memory. `all` and `beamform` run the receive chain only over the part of the
-record their images read (`beamform.record_span`).
+memory. `all` and `beamform` chain only the part of the record their images
+read (`beamform.record_span`) and hold the raw record only through the chain.
 
 `main` pins numpy's bundled OpenBLAS to one thread before any subcommand
 runs, so `--threads N` bounds the threads that compute: the row pool's BLAS
@@ -34,7 +34,7 @@ import numpy as np
 from .beamform import METHOD_BAYES, METHODS, beamform_image, record_span
 from .chain import receive_chain
 from .config import ConfigError, RunConfig, default_config_dict, load_config
-from .cube import CubeFormatError, RawDataCube, read_cube, write_cube
+from .cube import BasebandCube, CubeFormatError, RawDataCube, read_cube, write_cube
 from .imaging_io import ImageFormatError, read_image_csv, write_image_csv, write_image_pgm
 from .metrics import DbImage, envelope_db, fwhm_of_image, pmal, rmse_db
 from .simulate import enumerate_paths, synthesize_rx
@@ -155,14 +155,19 @@ def _beamform(baseband, cfg: RunConfig, bf_cfg, prefix, threads: int) -> DbImage
     return db_img
 
 
+def _chain(raw: RawDataCube, cfg: RunConfig, jobs: list, threads: int) -> BasebandCube:
+    """The chain step over the record span of jobs' images. Callers pass raw as
+    an expression, so no name holds the record once the chain returns."""
+    return receive_chain(raw, cfg.pulse, cfg.chain, threads=threads,
+                         span=record_span(cfg.grid, cfg.geometry, jobs))
+
+
 def cmd_beamform(args) -> int:
     if args.n_quad is not None and args.method != METHOD_BAYES:
         raise UsageError(f"--n-quad applies to --method {METHOD_BAYES} only")
     cfg = load_config(_existing(args.config, "config"))
-    raw = _read_raw_cube(cfg, args.data)
-    bf_cfg = cfg.beamformer(args.method, n_quad=args.n_quad)
-    span = record_span(cfg.grid, cfg.geometry, [bf_cfg])
-    baseband = receive_chain(raw, cfg.pulse, cfg.chain, threads=args.threads, span=span)
+    baseband = _chain(_read_raw_cube(cfg, args.data), cfg,  # checked before the method's settings
+                      [bf_cfg := cfg.beamformer(args.method, n_quad=args.n_quad)], args.threads)
     _beamform(baseband, cfg, bf_cfg, args.out, args.threads)
     return EXIT_OK
 
@@ -180,18 +185,20 @@ def _evaluate(cfg: RunConfig, images: dict, out) -> None:
             raise MismatchError(f"metrics.{key}: {exc} of the images") from None
     fwhm_m, pmal_db = {}, {}
     for name, img in images.items():
-        try:
-            fwhm_m[name] = fwhm_of_image(img, cfg.target_box)
-        except ValueError as exc:
-            fwhm_m[name] = None
-            print(f"warning: FWHM undefined for {name}: {exc}", file=sys.stderr)
-        pmal_db[name] = pmal(img, cfg.target_box, cfg.artifact_box)
+        for label, values, metric, boxes in (
+                ("FWHM", fwhm_m, fwhm_of_image, [cfg.target_box]),
+                ("PMAL", pmal_db, pmal, [cfg.target_box, cfg.artifact_box])):
+            try:
+                values[name] = metric(img, *boxes)
+            except ValueError as exc:
+                values[name] = None
+                print(f"warning: {label} undefined for {name}: {exc}", file=sys.stderr)
     report = {"boxes": {"target_box": asdict(cfg.target_box),
                         "artifact_box": asdict(cfg.artifact_box)},
               "fwhm_m": fwhm_m, "pmal_db": pmal_db, "method": sorted(images),
               "rmse_db": {f"{a}/{b}": rmse_db(images[a], images[b])
                           for a, b in combinations(sorted(images), 2)}}
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     Path(out).write_text(text)
     print(text, end="")
 
@@ -215,14 +222,11 @@ def cmd_all(args) -> int:
     jobs = [cfg.beamformer(m) for m in METHODS if m in cfg.beamformers]
     if not jobs:
         raise ConfigError("beamformers", f"'all' needs at least one of {', '.join(METHODS)}")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cube = _simulate(cfg, out_dir / "raw_cube.bin", args.threads)
-    span = record_span(cfg.grid, cfg.geometry, jobs)
-    baseband = receive_chain(cube, cfg.pulse, cfg.chain, threads=args.threads, span=span)
-    images = {bf.method: _beamform(baseband, cfg, bf, out_dir / bf.method, args.threads)
-              for bf in jobs}
-    _evaluate(cfg, images, out_dir / "metrics.json")
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    baseband = _chain(_simulate(cfg, out / "raw_cube.bin", args.threads), cfg, jobs, args.threads)
+    images = {bf.method: _beamform(baseband, cfg, bf, out / bf.method, args.threads) for bf in jobs}
+    _evaluate(cfg, images, out / "metrics.json")
     return EXIT_OK
 
 

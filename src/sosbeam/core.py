@@ -8,7 +8,6 @@ multipath simulator's world; it never enters the round-trip model here.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,6 +129,7 @@ def map_rows(fn, n: int, threads: int = 1) -> list:
     """
     if threads <= 1:
         return [fn(i) for i in range(n)]
+    from concurrent.futures import ThreadPoolExecutor  # here, so a one-thread run never loads it
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, range(n)))
 

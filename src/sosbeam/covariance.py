@@ -9,9 +9,10 @@ The image path runs it in the real domain: with the unitary Q of Huarng &
 Yeh (1991), sample_covariance of unitary_windows is C = Q^H FB(S) Q, real
 symmetric, against the real q = Q^H 1 (sqrt(2) on the first L // 2
 entries, 1 in the middle for odd L, 0 elsewhere). MVDR needs only forms
-b^T C^-1 q, which whiten_border reads from one Cholesky factorization. It is
-also the one acceptance test: a C that holds no data, a factorization that
-fails or border rows that come out non-finite all leave W = 0 and ok False.
+b^T C^-1 q, which whiten_border reads from one Cholesky factorization of C
+bordered by the rows b (the caller writes that lower triangle, whiten_border
+the corner). It is also the one acceptance test: a C that holds no data, a
+factorization that fails or non-finite border rows leave W = 0 and ok False.
 
 The kernels take and return plain ndarrays with any leading batch axes: a
 snapshot stack (..., N) gives subarray windows (..., n_sub, L) and
@@ -85,18 +86,17 @@ def whiten_border(mat: np.ndarray, k: int):
     """Border rows W of the lower Cholesky factor of each symmetric
     [[C, B^T], [B, D]] of a (..., n, n) stack, with C its leading n - k block.
 
-    The caller writes C and the k rows B; this writes B^T and the corner
-    D = finfo(float).max * I in place, which keeps the matrix positive
-    definite while |W|^2 is below it. Row i of W is L^-1 b_i for C = L L^T,
-    so W[i] . W[j] = b_i^T C^-1 b_j. Returns W (..., k, n - k) and ok, the
-    mask of matrices whose border rows are finite; W is 0 elsewhere. A C
-    whose trace is not finite and positive (no data, such as an all-zero
-    snapshot's, or a nan) cannot be positive definite: it is rejected
-    unfactored, swapped for the identity only so the batched factorization
-    runs.
+    The caller writes C and the k rows B, the lower triangle the factorization
+    reads (B^T is never read); this writes only the corner D = finfo(float).max
+    * I in place, which keeps the matrix positive definite while |W|^2 is
+    below it. Row i of W is L^-1 b_i for C = L L^T, so W[i] . W[j] =
+    b_i^T C^-1 b_j. Returns W (..., k, n - k) and ok, the mask of matrices
+    whose border rows are finite; W is 0 elsewhere. A C whose trace is not
+    finite and positive (no data, such as an all-zero snapshot's, or a nan)
+    cannot be positive definite: it is rejected unfactored, swapped for the
+    identity only so the batched factorization runs.
     """
     m = mat.shape[-1] - k
-    mat[..., :m, m:] = np.swapaxes(mat[..., m:, :m], -1, -2)
     mat[..., m:, m:] = np.finfo(float).max * np.eye(k)
     trace = _trace(mat[..., :m, :m])
     empty = ~(np.isfinite(trace) & (trace > 0))

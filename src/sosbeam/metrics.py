@@ -118,6 +118,8 @@ def pmal(img: DbImage, target_box: Box, artifact_box: Box) -> float:
         raise ValueError("target and artifact boxes overlap")
     target_peak = img.pixels[np.ix_(t_rows, t_cols)].max()
     artifact_peak = img.pixels[np.ix_(a_rows, a_cols)].max()
+    if min(target_peak, artifact_peak) == -np.inf:  # a box of zero pixels only
+        raise ValueError(f"{'target' if target_peak == -np.inf else 'artifact'} box is all -inf dB")
     return float(artifact_peak - target_peak)
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -226,6 +227,13 @@ class TestBeamform:
         assert main(["beamform", "--config", str(small_config), "--data",
                      str(tmp_path / "none.bin"), "--method", "das",
                      "--out", str(tmp_path / "x")]) == 2
+
+    def test_cube_checked_before_the_method_settings(self, small_config, tmp_path, capsys):
+        # a missing cube (2) wins over a bad --n-quad (1), as the cube is read first
+        assert main(["beamform", "--config", str(small_config), "--data",
+                     str(tmp_path / "none.bin"), "--method", "bayes", "--n-quad", "0",
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "data file not found" in capsys.readouterr().err
 
 
 class TestMetricsCommand:
@@ -634,6 +642,89 @@ class TestAllSpan:
         for name in ("das.pgm", "das_flags.json"):
             assert ((tmp_path / name).read_bytes()
                     == (tmp_path / "run" / name).read_bytes())
+
+
+class TestRawRecordLifetime:
+    """`all` and `beamform` hold the raw record only through the chain: no
+    reference to it is left once imaging starts."""
+
+    @pytest.fixture
+    def watch(self, monkeypatch):
+        """Wrap the chain and the imager; returns, per image, whether the cube
+        that the chain was given was still alive when imaging started."""
+        refs, alive = [], []
+        real_chain, real_image = cli.receive_chain, cli.beamform_image
+
+        def chain(cube, *args, **kwargs):
+            refs.append(weakref.ref(cube))
+            return real_chain(cube, *args, **kwargs)
+
+        def image(*args, **kwargs):
+            alive.append([ref() is not None for ref in refs])
+            return real_image(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "receive_chain", chain)
+        monkeypatch.setattr(cli, "beamform_image", image)
+        return alive
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_all(self, small_config, tmp_path, watch, threads):
+        assert main(["all", "--config", str(small_config), "--out-dir", str(tmp_path / "run"),
+                     "--threads", threads]) == 0
+        assert watch == [[False]] * 3
+
+    def test_beamform(self, small_config, tmp_path, watch):
+        cube = tmp_path / "cube.bin"
+        assert main(["simulate", "--config", str(small_config), "--out", str(cube)]) == 0
+        assert main(["beamform", "--config", str(small_config), "--data", str(cube),
+                     "--method", "mvdr", "--out", str(tmp_path / "mvdr")]) == 0
+        assert watch == [[False]]
+
+
+def strict_json(text):
+    """json.loads that rejects NaN, Infinity and -Infinity, as JSON itself does."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestUndefinedPmal:
+    """A box whose pixels all lie past the record's end (the 0.1 s record
+    reaches about 76 m) peaks at -inf dB: PMAL is undefined, and the report
+    holds null with a warning, as for an undefined FWHM."""
+
+    @pytest.mark.parametrize("artifact", [(85.0, 90.0), (61.0, 67.0)],
+                             ids=["both_boxes_past_the_record", "target_box_past_the_record"])
+    def test_all_and_metrics_write_null(self, small_config, tmp_path, capsys, artifact):
+        doc = json.loads(small_config.read_text())
+        doc["beamformers"] = {"das": doc["beamformers"]["das"]}
+        doc["grid"].update(y_min_m=60.0, y_max_m=90.0, n_y=16)
+        doc["metrics"]["target_box"].update(y_min=79.0, y_max=84.0)
+        doc["metrics"]["artifact_box"].update(y_min=artifact[0], y_max=artifact[1])
+        cfg = tmp_path / "far.json"
+        cfg.write_text(json.dumps(doc))
+        out_dir = tmp_path / "run"
+        assert main(["all", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
+        report = strict_json((out_dir / "metrics.json").read_text())
+        assert report["pmal_db"] == {"das": None}
+        err = capsys.readouterr().err
+        assert "warning: PMAL undefined for das: target box is all -inf dB\n" in err
+        assert main(["metrics", "--config", str(cfg), str(out_dir / "das.csv"),
+                     "--out", str(tmp_path / "m.json")]) == 0
+        assert strict_json((tmp_path / "m.json").read_text()) == report
+        assert "warning: PMAL undefined for das" in capsys.readouterr().err
+
+
+def test_import_loads_no_thread_pool_or_logging():
+    # map_rows imports the thread pool in its threads > 1 branch only
+    code = ("import sys, sosbeam, sosbeam.config, sosbeam.cli; "
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout == "[]\n"
 
 
 class TestBlasPin:

@@ -312,7 +312,7 @@ class TestWhitenBorder:
 
     @pytest.mark.parametrize("length", [1, 2, 15, 16])
     def test_corner_does_not_change_border_rows(self, length):
-        # whiten_border writes B^T and the corner itself, over whatever the caller left there
+        # whiten_border writes the corner itself, over whatever the caller left there
         rng = np.random.default_rng(200 + length)
         cov = random_spd(rng, length, (20,))
         rows = capon_rows(rng, length, (20,))
@@ -323,8 +323,31 @@ class TestWhitenBorder:
         w_set, ok_set = whiten_border(mat, 3)
         assert ok_nan.all() and ok_set.all()
         np.testing.assert_array_equal(w_nan, w_set)
-        np.testing.assert_array_equal(mat[..., :length, length:], np.swapaxes(rows, -1, -2))
         assert (mat[..., length:, length:] == np.finfo(float).max * np.eye(3)).all()
+
+    @pytest.mark.parametrize("reject", [False, True])
+    def test_reads_the_lower_triangle_only(self, reject):
+        # nan in the whole strict upper triangle of every matrix, C's included,
+        # gives the bits of the symmetric stack: this numpy's cholesky reads the
+        # lower triangle only. With reject, matrix 2 is singular, so the stack
+        # takes the matrix-by-matrix fallback.
+        rng = np.random.default_rng(300 + reject)
+        cov = random_spd(rng, 16, (5,))
+        if reject:
+            u = rng.standard_normal((2, 16))
+            u[:, -1] = 0.0
+            cov[2] = u.T @ u / 2
+        sym = bordered(cov, capon_rows(rng, 16, (5,)))
+        sym[..., :16, 16:] = np.swapaxes(sym[..., 16:, :16], -1, -2)
+        lower = sym.copy()
+        lower[..., np.triu(np.ones((19, 19), dtype=bool), 1)] = np.nan
+        with mock.patch("numpy.linalg.cholesky", wraps=np.linalg.cholesky) as cholesky:
+            w_lower, ok_lower = whiten_border(lower, 3)
+        assert cholesky.call_count == (6 if reject else 1)
+        w_sym, ok_sym = whiten_border(sym, 3)
+        np.testing.assert_array_equal(ok_lower, [True, True, not reject, True, True])
+        np.testing.assert_array_equal(ok_lower, ok_sym)
+        np.testing.assert_array_equal(w_lower, w_sym)
 
     def test_rejected_matrix_falls_back_alone(self):
         # matrix 2 is rejected, each neighbour keeps its one-matrix bits. In turn:

@@ -143,6 +143,20 @@ class TestPmal:
         with pytest.raises(ValueError):
             pmal(img, self.T_BOX, Box(100.0, 101.0, 12.5, 14.0))
 
+    @pytest.mark.parametrize("zeroed, name", [("target", "target"), ("artifact", "artifact"),
+                                              ("both", "target")])
+    def test_box_of_zero_pixels_only_rejected(self, zeroed, name):
+        # a box past the record's end holds only zero pixels, -inf dB, and a
+        # difference with its peak is -inf, +inf or nan, none of which JSON holds
+        pixels = np.full((41, 41), -30.0)
+        pixels[20, 20] = 0.0  # y = 12, between the boxes
+        if zeroed in ("target", "both"):
+            pixels[:16] = -np.inf  # y <= 11.5
+        if zeroed in ("artifact", "both"):
+            pixels[25:] = -np.inf  # y >= 12.5
+        with pytest.raises(ValueError, match=f"^{name} box is all -inf dB$"):
+            pmal(db_image(pixels), self.T_BOX, self.A_BOX)
+
 
 class TestBox:
     @pytest.mark.parametrize("coords", [(2, -2, 10.0, 11.5), (-2, 2, 11.5, 10.0),
