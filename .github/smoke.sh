@@ -5,9 +5,9 @@
 # cube agrees with it; then the same in dec8/ and dec10/ at decimations 8 and
 # 10, the latter a carrier step beyond pi (interp.sample_rows' turns branch).
 # Prints the OpenBLAS thread count that `cli.main` leaves, failing if it pins
-# nothing where the symbol exists.
-# Leaves config.json, threads1/ and bf_* of the default config behind for a
-# caller's further checks. Usage: cd "$(mktemp -d)" && bash smoke.sh
+# nothing where the symbol exists. Last, a grid past the record's end: the
+# chain runs over the grid's span only, and threads and beamform still agree
+# with all. Usage: cd "$(mktemp -d)" && bash smoke.sh
 set -euo pipefail
 
 smoke() {  # $1: chain.decimation
@@ -47,3 +47,13 @@ smoke() {  # $1: chain.decimation
 (mkdir dec8 && cd dec8 && smoke 8)
 (mkdir dec10 && cd dec10 && smoke 10)
 smoke 4
+
+# a grid past the record's end (0.3 s reaches about 228 m) on smoke 4's config
+python -c "import json; d = json.load(open('config.json')); d['grid'].update(y_min_m=200.0, y_max_m=240.0); d['metrics'].update(target_box=dict(x_min=-3.0, x_max=3.0, y_min=205.0, y_max=215.0), artifact_box=dict(x_min=-3.0, x_max=3.0, y_min=220.0, y_max=240.0)); json.dump(d, open('far.json', 'w'))"
+sosbeam all --config far.json --out-dir far1 --threads 1
+sosbeam all --config far.json --out-dir far2 --threads 2
+diff -r far1 far2
+python -c "import json; f = json.load(open('far1/das_flags.json'))['flags']; assert f['out_of_record'] > 0, f"
+sosbeam beamform --config far.json --data far1/raw_cube.bin --method das --out far_das
+cmp far_das.pgm far1/das.pgm
+cmp far_das_flags.json far1/das_flags.json

@@ -20,6 +20,14 @@ path d: the prior's Gaussian average of the carrier phase 2*pi*f_c*d/c.
 The phase-aligned delayed snapshots come from interp.sample_rows, which
 folds the carrier phase into its Farrow taps.
 
+MVDR runs in the real domain: with the unitary Q of Huarng & Yeh (1991),
+the covariance of the windows sqrt(2) Q^H x is the real symmetric
+C = Q^H FB(S) Q of the forward-backward average FB(S), and the steering
+vector is the real q = Q^H 1. _whiten_border is the one acceptance test: a
+C that holds no data, a factorization that fails or non-finite border rows
+leave W = 0, and the pixel-node is flagged singular with value and Capon
+power 0.
+
 Pixels are independent. beamform_points runs one batch of pixels of any
 shape and, for Bayes, also returns each node's log likelihood, the
 evidence of the per-pixel sound-speed posterior; beamform_image runs the
@@ -38,12 +46,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .chain import TVG_TWO_WAY, TVG_VARIANTS, tvg_range
 from .core import (TWO_PI, ArrayGeometry, ScanGrid, hann_weights, is_integer, map_rows,
                    path_lengths, travel_times)
-from .covariance import (diagonal_load, sample_covariance, subarray_snapshots,
-                         unitary_windows, whiten_border)
 from .cube import BasebandCube
 from .interp import sample_rows
 
@@ -235,6 +242,85 @@ def _gamma_batch(px, py, cfg: BeamformerConfig, geom: ArrayGeometry):
         return (n_sub / nl ** 2) * (n_sub * snr) / (1.0 + n_sub * snr)
 
 
+def _subarray_snapshots(x: np.ndarray, length: int) -> np.ndarray:
+    """Overlapping windows of the trailing axis: (..., N) -> (..., N - L + 1, L), a view."""
+    return sliding_window_view(x, length, axis=-1)
+
+
+def _sample_covariance(snaps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Average outer product of the windows: (..., n_sub, L) -> (..., L, L), into out if given."""
+    # cov_ij = sum_l x_li conj(x_lj), batched over the leading axes via BLAS
+    cov = np.matmul(np.swapaxes(snaps, -1, -2), snaps.conj(), out=out)
+    return np.divide(cov, snaps.shape[-2], out=cov)
+
+
+def _unitary_windows(snaps: np.ndarray) -> np.ndarray:
+    """sqrt(2) Q^H x for each window x as two real rows: (..., n_sub, L) complex
+    -> (..., 2 n_sub, L) real, window k's real part in row 2k and its
+    imaginary part in row 2k + 1, a transposed view of complex columns.
+
+    Q^H x = [x1 + J x2, sqrt(2) x_mid, -j (x1 - J x2)] / sqrt(2) for the first
+    and last L // 2 entries x1, x2 (x_mid for odd L only).
+    """
+    k, h = snaps.shape[-1] // 2, (snaps.shape[-1] + 1) // 2
+    cols = np.swapaxes(snaps, -1, -2)
+    rev = cols[..., ::-1, :]
+    out = np.empty(cols.shape, dtype=complex)
+    # x1 + J x2 and, for odd L, 2 x_mid, which the division below makes sqrt(2) x_mid
+    np.add(cols[..., :h, :], rev[..., :h, :], out=out[..., :h, :])
+    np.subtract(cols.imag[..., :k, :], rev.imag[..., :k, :], out=out.real[..., h:, :])
+    np.subtract(rev.real[..., :k, :], cols.real[..., :k, :], out=out.imag[..., h:, :])
+    out.view(float)[..., k:h, :] /= np.sqrt(2.0)
+    return np.swapaxes(out.view(float), -1, -2)
+
+
+def _trace(cov: np.ndarray) -> np.ndarray:
+    return np.einsum("...ii->...", cov).real
+
+
+def _diagonal_load(cov: np.ndarray, eps: float) -> np.ndarray:
+    """Add eps * trace(S) to the diagonal in place and return cov. A zero
+    matrix stays zero, and _whiten_border rejects it."""
+    np.einsum("...ii->...i", cov)[...] += (eps * _trace(cov))[..., None]
+    return cov
+
+
+def _whiten_border(mat: np.ndarray, k: int):
+    """Border rows W of the lower Cholesky factor of each symmetric
+    [[C, B^T], [B, D]] of a (..., n, n) stack, with C its leading n - k block.
+
+    The caller writes C and the k rows B, the lower triangle the factorization
+    reads (B^T is never read); this writes only the corner D = finfo(float).max
+    * I in place, which keeps the matrix positive definite while |W|^2 is
+    below it. Row i of W is L^-1 b_i for C = L L^T, so W[i] . W[j] =
+    b_i^T C^-1 b_j. Returns W (..., k, n - k) and ok, the mask of matrices
+    whose border rows are finite; W is 0 elsewhere. A C whose trace is not
+    finite and positive (no data, such as an all-zero snapshot's, or a nan)
+    cannot be positive definite: it is rejected unfactored, swapped for the
+    identity only so the batched factorization runs.
+    """
+    m = mat.shape[-1] - k
+    mat[..., m:, m:] = np.finfo(float).max * np.eye(k)
+    trace = _trace(mat[..., :m, :m])
+    empty = ~(np.isfinite(trace) & (trace > 0))
+    mat[empty] = np.eye(m + k)
+    try:
+        factor, ok = np.linalg.cholesky(mat), np.ones(mat.shape[:-2], dtype=bool)
+    except np.linalg.LinAlgError:  # matrix by matrix, as the batched call runs each
+        factor, ok = np.zeros_like(mat), np.zeros(mat.shape[:-2], dtype=bool)
+        for idx in np.ndindex(ok.shape):
+            try:
+                factor[idx], ok[idx] = np.linalg.cholesky(mat[idx]), True
+            except np.linalg.LinAlgError:
+                pass
+    w = factor[..., m:, :m]
+    # the corner's pivot i is sqrt(D_ii - |W[i]|^2 - ...), finite only if row i
+    # is: their sum checks all k rows for a fraction of a pass over W
+    ok &= ~empty & np.isfinite(_trace(factor[..., m:, m:]))
+    w[~ok] = 0.0
+    return w, ok
+
+
 class _Imager:
     """Batched pixel engine; one instance per (cube, geometry, config)."""
 
@@ -255,8 +341,8 @@ class _Imager:
             self.q = np.r_[np.full(half, np.sqrt(2.0)), np.ones(odd), np.zeros(half)]
             # the unit snapshots' window means: (re, im) pairs -> unitary rows (m_re, m_im)
             units = np.eye(2 * geom.n_sensors).view(complex)
-            mean = subarray_snapshots(units, cfg.subarray_length).mean(axis=-2, keepdims=True)
-            self.mean_map = unitary_windows(mean).reshape(len(units), -1)
+            mean = _subarray_snapshots(units, cfg.subarray_length).mean(axis=-2, keepdims=True)
+            self.mean_map = _unitary_windows(mean).reshape(len(units), -1)
         if cfg.method == METHOD_BAYES:
             self.c_nodes, weights = cfg.rule()
             self.log_u = np.log(weights)
@@ -291,20 +377,20 @@ class _Imager:
         # m_re, m_im from one real product of two rows or more, as one row rounds apart
         pairs = snap.reshape(-1, snap.shape[-1]).view(float)
         rows = (np.vstack([pairs, pairs]) if len(pairs) == 1 else pairs) @ self.mean_map
-        windows = unitary_windows(subarray_snapshots(snap, n))
+        windows = _unitary_windows(_subarray_snapshots(snap, n))
         del snap, pairs  # a lower peak keeps glibc from trimming the heap and re-faulting it
         mat = np.empty(flags.shape + (n + 3, n + 3))
-        diagonal_load(sample_covariance(windows, out=mat[..., :n, :n]), self.eps)
+        _diagonal_load(_sample_covariance(windows, out=mat[..., :n, :n]), self.eps)
         mat[..., n + 1:, :n] = rows[:flags.size].reshape(flags.shape + (2, n))
         del windows, rows
         mat[..., n, :n] = self.q
-        w, ok = whiten_border(mat, 3)
+        # a rejected matrix's W is 0, so its forms, and its value, are 0
+        w, ok = _whiten_border(mat, 3)
         forms = np.einsum("...ki,...i->k...", w, w[..., 0, :])
-        good = ok & (forms[0] > 0)
-        flags = flags | np.where(good, 0, FLAG_SINGULAR).astype(np.uint8)
-        denom = np.where(good, forms[0], 1.0)
+        flags = flags | np.where(ok, 0, FLAG_SINGULAR).astype(np.uint8)
+        denom = np.where(ok, forms[0], 1.0)
         values = (forms[1] + 1j * forms[2]) / (np.sqrt(2.0) * denom)
-        return np.where(good, values, 0.0), np.where(good, 1.0 / denom, 0.0), flags
+        return values, np.where(ok, 1.0 / denom, 0.0), flags
 
     def bayes(self, px, py) -> PointsResult:
         """Posterior-averaged MVDR over the quadrature nodes, with the log likelihoods."""

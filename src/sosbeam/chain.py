@@ -301,8 +301,9 @@ def _record_window(span, n: int, fs: float, decim: int, replica: int) -> tuple:
     """The raw samples [start, stop) of an n-sample record that receive_chain
     runs over for span = (t_first, t_last): the span, widened as the module
     docstring says, start a multiple of decim, clipped to the record. A span
-    near or past the record's end keeps the last `replica` samples, the
-    shortest window the matched filter takes."""
+    near or past the record's end keeps the last `replica` samples, and one
+    that ends well before its start the first ones: the shortest window the
+    matched filter takes."""
     t_first, t_last = map(float, span)
     if not (math.isfinite(t_first) and math.isfinite(t_last) and t_first <= t_last):
         raise ValueError(f"span must be finite with t_first <= t_last, got {span!r}")
@@ -310,7 +311,7 @@ def _record_window(span, n: int, fs: float, decim: int, replica: int) -> tuple:
         raise ValueError(f"decimation must be an integer >= 1, got {decim!r}")
     decim = int(decim)  # so start and stop are Python ints, as _fft_length needs
     margin = decim * (TAPS + 1) + LOWPASS_TAPS
-    stop = min(n, math.ceil(t_last * fs) + margin + replica)
+    stop = min(n, max(math.ceil(t_last * fs) + margin, 0) + replica)
     start = min(math.floor(t_first * fs) - margin, stop - replica)
     return max(start - start % decim, 0), stop
 

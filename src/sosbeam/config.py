@@ -306,12 +306,22 @@ def parse_config(doc: dict) -> RunConfig:
     return run
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict; a key given twice is a ValueError, not overwritten."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"key {key!r} given twice in one object")
+        doc[key] = value
+    return doc
+
+
 def load_config(path) -> RunConfig:
     """Read and validate a JSON run configuration file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (ValueError, RecursionError) as exc:  # undecodable, malformed or too deep
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:  # undecodable, malformed, too deep or a key twice
         raise ConfigError(str(path), f"invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ConfigError(str(path), "top-level JSON value must be an object")

@@ -1,8 +1,8 @@
 """Reference forms of the MVDR estimator that the image path does not run.
 
-The image path forward-backward averages inside covariance.unitary_windows
+The image path forward-backward averages inside beamform._unitary_windows
 and reads the Capon forms from one bordered Cholesky factorization
-(covariance.whiten_border). The tests check it against these direct forms:
+(beamform._whiten_border). The tests check it against these direct forms:
 the complex forward-backward average and a general linear solve.
 """
 

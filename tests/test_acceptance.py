@@ -13,11 +13,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sosbeam.beamform import beamform_image, beamform_points, focal_range
+from sosbeam.beamform import _diagonal_load, beamform_image, beamform_points, focal_range
 from sosbeam.chain import demodulate, matched_filter, quantize, tvg
 from sosbeam.config import default_config_dict, parse_config
 from sosbeam.core import ScanGrid
-from sosbeam.covariance import diagonal_load
 from sosbeam.cube import read_cube
 from sosbeam.metrics import Box, envelope_db, fwhm_of_image, pmal, rmse_db
 from sosbeam.simulate import Target, depth_averaged_sos, synthesize_rx
@@ -192,7 +191,7 @@ class TestCriterion6Conditioning:
         persym = np.abs(exchange @ np.swapaxes(fb, -1, -2) @ exchange
                         - fb).max(axis=(-2, -1)) / scale
         worst_persym = float(persym.max())
-        dl = diagonal_load(fb.copy(), eps)
+        dl = _diagonal_load(fb.copy(), eps)
         floor = eps * np.einsum("...ii->...", fb).real
         min_eig = np.linalg.eigvalsh(dl).min(axis=-1)
         worst_eig = float(((floor - min_eig) / floor).max())

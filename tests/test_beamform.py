@@ -460,15 +460,15 @@ class TestMvdrNode:
         # domain with the oracle's forward-backward average and Capon solve,
         # for odd and even subarray lengths (the unitary transform
         # has a middle element only for odd ones)
-        from sosbeam.covariance import diagonal_load, sample_covariance, subarray_snapshots
+        from sosbeam.beamform import _diagonal_load, _sample_covariance, _subarray_snapshots
         snap, _ = _delayed(baseband, travel_times(0.2, TARGET_RANGE, 1519.0, GEOM))
         for length in (7, 1, 6, 12):
             cfg = _make_cfg(method="mvdr", subarray_length=length)
             imager = _Imager(baseband, GEOM, cfg)
             value, power, flags = imager.mvdr_node(travel_times(0.2, TARGET_RANGE, 1519.0,
                                                                 GEOM))
-            snaps = subarray_snapshots(snap, cfg.subarray_length)
-            cov = diagonal_load(forward_backward(sample_covariance(snaps)), imager.eps)
+            snaps = _subarray_snapshots(snap, cfg.subarray_length)
+            cov = _diagonal_load(forward_backward(_sample_covariance(snaps)), imager.eps)
             assert flags == 0
             assert power == pytest.approx(_capon_power(cov), rel=1e-12)
             expected = np.vdot(_capon_weights(cov), snaps.mean(axis=0))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import sosbeam
 from sosbeam.chain import (LOWPASS_TAPS, TVG_VARIANTS, ChainConfig, _fft_length,
@@ -557,6 +557,9 @@ class TestReceiveChainSpan:
     @given(n=st.integers(200, 3000), decim=st.integers(1, 6), bits=st.integers(2, 24),
            variant=st.sampled_from(TVG_VARIANTS), first=st.floats(-0.1, 1.2),
            width=st.floats(0.0, 0.6), seed=st.integers(0, 2 ** 32 - 1))
+    # a span that ends well before the record keeps its first replica
+    @example(n=3000, decim=1, bits=16, variant="two_way", first=-0.1, width=0.0, seed=0)
+    @example(n=3000, decim=6, bits=16, variant="two_way", first=-0.1, width=0.0, seed=0)
     def test_property_equals_the_whole_record_in_the_span(self, n, decim, bits, variant,
                                                           first, width, seed):
         cube = raw(np.random.default_rng(seed).standard_normal((2, n)))

@@ -519,6 +519,17 @@ class TestAll:
         assert key.split("_m_s")[0] in err
         assert not out_dir.exists()
 
+    def test_key_given_twice_exit_1_before_any_work(self, small_config, tmp_path, capsys):
+        text = small_config.read_text()
+        cfg = tmp_path / "twice.json"
+        cfg.write_text(text.replace('"n_quad": 8', '"n_quad": 8, "n_quad": 32'))
+        out_dir = tmp_path / "run"
+        assert main(["all", "--config", str(cfg), "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: ")
+        assert "'n_quad' given twice" in err
+        assert not out_dir.exists()
+
     def test_no_beamformer_exit_1_before_any_work(self, small_config, tmp_path, capsys):
         doc = json.loads(small_config.read_text())
         doc["beamformers"] = {}

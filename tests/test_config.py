@@ -156,6 +156,22 @@ class TestRejection:
             load_config(path)
         assert info.value.path == str(path)
 
+    @pytest.mark.parametrize("once, twice", [
+        ('"n_quad": 8', '"n_quad": 8, "n_quad": 32'),
+        ('"decimation": 4', '"decimation": 8, "decimation": 4'),
+        ('"grid": {', '"grid": {"n_x": 3}, "grid": {'),
+    ], ids=["key_in_bayes", "key_in_chain", "section"])
+    def test_key_given_twice_rejected(self, doc, tmp_path, once, twice):
+        # json.load would keep the last value: 32 nodes, decimation 4, the later grid
+        text = json.dumps(doc)
+        assert text.count(once) == 1
+        path = tmp_path / "twice.json"
+        path.write_text(text.replace(once, twice))
+        key = once.split('"')[1]
+        with pytest.raises(ConfigError, match=f"invalid JSON .*'{key}' given twice") as info:
+            load_config(path)
+        assert info.value.path == str(path)
+
     def test_n_quad_override(self, doc):
         doc["beamformers"]["bayes"].update(loading_factor=0.002, subarray_length=12)
         doc["chain"]["tvg_variant"] = "pi_range"

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sosbeam.beamform import FLAG_OUT_OF_RECORD, BeamformerConfig, _Imager
+from sosbeam.beamform import (FLAG_OUT_OF_RECORD, BeamformerConfig, _diagonal_load, _Imager,
+                              _sample_covariance, _subarray_snapshots, _unitary_windows,
+                              _whiten_border)
 from sosbeam.chain import demodulate, matched_filter
 from sosbeam.core import ArrayGeometry, LfmPulse, travel_times
-from sosbeam.covariance import (diagonal_load, sample_covariance, subarray_snapshots,
-                                unitary_windows, whiten_border)
 from sosbeam.cube import BasebandCube
 from sosbeam.simulate import (Environment, SimConfig, Target, synthesize_rx)
 
@@ -29,30 +29,24 @@ def random_hermitian(rng, n, batch=()):
 class TestSubarraySnapshots:
     def test_full_length_single_snapshot(self):
         x = np.arange(4) + 0j
-        s = subarray_snapshots(x, 4)
+        s = _subarray_snapshots(x, 4)
         assert s.shape == (1, 4)
         np.testing.assert_array_equal(s[0], x)
 
     def test_unit_length_scalar_snapshots(self):
         x = np.arange(4) + 0j
-        s = subarray_snapshots(x, 1)
+        s = _subarray_snapshots(x, 1)
         assert s.shape == (4, 1)
         np.testing.assert_array_equal(s.ravel(), x)
 
     def test_contiguous_windows(self):
         x = np.array([1, 2, 3, 4], dtype=complex)
-        s = subarray_snapshots(x, 2)
+        s = _subarray_snapshots(x, 2)
         np.testing.assert_array_equal(s, [[1, 2], [2, 3], [3, 4]])
-
-    def test_length_out_of_range(self):
-        with pytest.raises(ValueError):
-            subarray_snapshots(np.zeros(4, dtype=complex), 5)
-        with pytest.raises(ValueError):
-            subarray_snapshots(np.zeros(4, dtype=complex), 0)
 
     def test_batched_view_not_copy(self):
         x = np.arange(12, dtype=complex).reshape(3, 4)
-        s = subarray_snapshots(x, 3)
+        s = _subarray_snapshots(x, 3)
         assert s.shape == (3, 2, 3)
         assert np.shares_memory(s, x)
         np.testing.assert_array_equal(s[1], [[4, 5, 6], [5, 6, 7]])
@@ -60,18 +54,18 @@ class TestSubarraySnapshots:
 
 class TestSampleCovariance:
     def test_single_snapshot_outer_product(self):
-        s = subarray_snapshots(np.array([1.0, 0.0], dtype=complex), 2)
-        cov = sample_covariance(s)
+        s = _subarray_snapshots(np.array([1.0, 0.0], dtype=complex), 2)
+        cov = _sample_covariance(s)
         np.testing.assert_allclose(cov, [[1, 0], [0, 0]])
 
     def test_orthonormal_pair(self):
-        cov = sample_covariance(np.array([[1, 0], [0, 1]], dtype=complex))
+        cov = _sample_covariance(np.array([[1, 0], [0, 1]], dtype=complex))
         np.testing.assert_allclose(cov, np.eye(2) / 2)
 
     def test_against_double_loop_oracle(self):
         rng = np.random.default_rng(17)
         snaps = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        cov = sample_covariance(snaps)
+        cov = _sample_covariance(snaps)
         oracle = np.zeros((5, 5), dtype=complex)
         for x in snaps:
             for i in range(5):
@@ -83,16 +77,16 @@ class TestSampleCovariance:
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(2)
         snaps = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-        eigs = np.linalg.eigvalsh(sample_covariance(snaps))
+        eigs = np.linalg.eigvalsh(_sample_covariance(snaps))
         assert eigs.min() >= -1e-12
 
     def test_batch_matches_each_matrix(self):
         rng = np.random.default_rng(9)
         snaps = rng.standard_normal((2, 3, 4, 6)) + 1j * rng.standard_normal((2, 3, 4, 6))
-        batched = sample_covariance(snaps)
+        batched = _sample_covariance(snaps)
         assert batched.shape == (2, 3, 6, 6)
         for idx in np.ndindex(2, 3):
-            np.testing.assert_allclose(batched[idx], sample_covariance(snaps[idx]),
+            np.testing.assert_allclose(batched[idx], _sample_covariance(snaps[idx]),
                                        atol=1e-14)
 
 
@@ -139,10 +133,10 @@ class TestUnitaryTransform:
     def test_covariance_is_q_h_fb_q(self, length):
         rng = np.random.default_rng(length)
         x = rng.standard_normal((4, 30)) + 1j * rng.standard_normal((4, 30))
-        snaps = subarray_snapshots(x, length)
+        snaps = _subarray_snapshots(x, length)
         q = unitary_matrix(length)
-        expected = q.conj().T @ forward_backward(sample_covariance(snaps)) @ q
-        cov = sample_covariance(unitary_windows(snaps))
+        expected = q.conj().T @ forward_backward(_sample_covariance(snaps)) @ q
+        cov = _sample_covariance(_unitary_windows(snaps))
         assert cov.dtype == float
         assert cov.shape == (4, length, length)
         np.testing.assert_allclose(cov, expected.real, rtol=0, atol=1e-12)
@@ -154,10 +148,10 @@ class TestUnitaryTransform:
         rng = np.random.default_rng(seed)
         shape = (2, length + n_sub - 1)
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        snaps = subarray_snapshots(x, length)
+        snaps = _subarray_snapshots(x, length)
         q = unitary_matrix(length)
-        expected = q.conj().T @ forward_backward(sample_covariance(snaps)) @ q
-        np.testing.assert_allclose(sample_covariance(unitary_windows(snaps)), expected.real,
+        expected = q.conj().T @ forward_backward(_sample_covariance(snaps)) @ q
+        np.testing.assert_allclose(_sample_covariance(_unitary_windows(snaps)), expected.real,
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(expected.imag, 0.0, atol=1e-12)
 
@@ -167,7 +161,7 @@ class TestUnitaryTransform:
         snaps = rng.standard_normal((3, length)) + 1j * rng.standard_normal((3, length))
         y = np.sqrt(2.0) * snaps @ unitary_matrix(length).conj()
         # window k's real part is row 2k, its imaginary part row 2k + 1
-        np.testing.assert_allclose(unitary_windows(snaps),
+        np.testing.assert_allclose(_unitary_windows(snaps),
                                    np.stack([y.real, y.imag], axis=-2).reshape(6, length),
                                    atol=1e-14)
 
@@ -184,21 +178,21 @@ class TestUnitaryTransform:
 
 class TestDiagonalLoad:
     def test_identity_example(self):
-        dl = diagonal_load(np.eye(2, dtype=complex), 0.1)
+        dl = _diagonal_load(np.eye(2, dtype=complex), 0.1)
         np.testing.assert_allclose(dl, 1.2 * np.eye(2))
 
     def test_loads_in_place(self):
         m = np.eye(3)
-        assert diagonal_load(m, 0.5) is m
+        assert _diagonal_load(m, 0.5) is m
         np.testing.assert_array_equal(m, 2.5 * np.eye(3))
 
     def test_zero_eps_identity_map(self):
         rng = np.random.default_rng(4)
         m = random_hermitian(rng, 6)
-        np.testing.assert_array_equal(diagonal_load(m.copy(), 0.0), m)
+        np.testing.assert_array_equal(_diagonal_load(m.copy(), 0.0), m)
 
     def test_zero_matrix_stays_zero(self):
-        dl = diagonal_load(np.zeros((3, 3), dtype=complex), 0.5)
+        dl = _diagonal_load(np.zeros((3, 3), dtype=complex), 0.5)
         np.testing.assert_array_equal(dl, np.zeros((3, 3)))
 
     def test_preserves_eigenvectors_shifts_eigenvalues(self):
@@ -207,7 +201,7 @@ class TestDiagonalLoad:
             m = random_hermitian(rng, 5)
             eps = float(rng.uniform(0.01, 0.5))
             before_w, before_v = np.linalg.eigh(m)
-            after_w, after_v = np.linalg.eigh(diagonal_load(m.copy(), eps))
+            after_w, after_v = np.linalg.eigh(_diagonal_load(m.copy(), eps))
             shift = eps * np.trace(m).real
             np.testing.assert_allclose(after_w, before_w + shift, rtol=1e-10,
                                        atol=1e-12)
@@ -217,22 +211,13 @@ class TestDiagonalLoad:
 
     def test_per_matrix_trace_in_a_batch(self):
         stack = np.stack([np.eye(2), 3.0 * np.eye(2)]).astype(complex)
-        dl = diagonal_load(stack, 0.5)
+        dl = _diagonal_load(stack, 0.5)
         np.testing.assert_allclose(dl, [2.0 * np.eye(2), 6.0 * np.eye(2)])
-
-    def test_negative_eps_rejected(self):
-        with pytest.raises(ValueError):
-            diagonal_load(np.eye(2, dtype=complex), -0.1)
-
-    def test_non_finite_eps_rejected(self):
-        for eps in (np.nan, np.inf):
-            with pytest.raises(ValueError):
-                diagonal_load(np.eye(2, dtype=complex), eps)
 
 
 def bordered(cov, rows):
-    """The part of [[C, B^T], [B, D]] a caller of whiten_border writes: C (..., n, n)
-    and the border rows B (..., k, n); nan where whiten_border writes B^T and D."""
+    """The part of [[C, B^T], [B, D]] a caller of _whiten_border writes: C (..., n, n)
+    and the border rows B (..., k, n); nan where _whiten_border writes B^T and D."""
     n, k = cov.shape[-1], rows.shape[-2]
     mat = np.full(cov.shape[:-2] + (n + k, n + k), np.nan)
     mat[..., :n, :n] = cov
@@ -253,7 +238,7 @@ def capon_rows(rng, length, batch):
 
 
 class TestReplaceDegenerate:
-    """whiten_border swaps a C whose trace is not finite and positive for the
+    """_whiten_border swaps a C whose trace is not finite and positive for the
     identity before factoring, and returns it rejected with W = 0."""
 
     def test_bad_trace_matrices_become_identity(self):
@@ -261,10 +246,10 @@ class TestReplaceDegenerate:
         cov = np.stack([2.0 * np.eye(3), np.zeros((3, 3)), np.full((3, 3), np.nan)])
         rows = capon_rows(rng, 3, (3,))
         mat = bordered(cov, rows)
-        w, ok = whiten_border(mat, 3)
+        w, ok = _whiten_border(mat, 3)
         np.testing.assert_array_equal(ok, [True, False, False])
         np.testing.assert_array_equal(w[1:], 0.0)
-        # in place, as diagonal_load loads
+        # in place, as _diagonal_load loads
         np.testing.assert_array_equal(mat[1:], np.broadcast_to(np.eye(6), (2, 6, 6)))
         np.testing.assert_allclose(w[0], rows[0] / np.sqrt(2.0), rtol=1e-14)
 
@@ -273,7 +258,7 @@ class TestReplaceDegenerate:
         cov = np.stack([np.eye(2), 2.0 * np.eye(2)])
         rows = capon_rows(rng, 2, (2,))
         mat = bordered(cov, rows)
-        w, ok = whiten_border(mat, 3)
+        w, ok = _whiten_border(mat, 3)
         assert ok.all()
         np.testing.assert_array_equal(mat[..., :2, :2], cov)
         np.testing.assert_allclose(w, rows / np.sqrt([1.0, 2.0])[:, None, None],
@@ -286,7 +271,7 @@ class TestReplaceDegenerate:
         outer[0, :2, :2] = 0.0
         outer[1, :2, :2] = 2.0 * np.eye(2)
         outer[:, 2:5, :2] = capon_rows(rng, 2, (2,))
-        w, ok = whiten_border(outer[:, :5, :5], 3)
+        w, ok = _whiten_border(outer[:, :5, :5], 3)
         np.testing.assert_array_equal(ok, [False, True])
         np.testing.assert_array_equal(w[0], 0.0)
         np.testing.assert_array_equal(outer[0, :5, :5], np.eye(5))
@@ -302,7 +287,7 @@ class TestWhitenBorder:
         rng = np.random.default_rng(100 + length)
         cov = random_spd(rng, length, (50,))
         rows = capon_rows(rng, length, (50,))
-        w, ok = whiten_border(bordered(cov, rows), 3)
+        w, ok = _whiten_border(bordered(cov, rows), 3)
         assert w.shape == (50, 3, length)
         assert ok.all()
         forms = np.einsum("...ki,...i->...k", w, w[..., 0, :])
@@ -312,15 +297,15 @@ class TestWhitenBorder:
 
     @pytest.mark.parametrize("length", [1, 2, 15, 16])
     def test_corner_does_not_change_border_rows(self, length):
-        # whiten_border writes the corner itself, over whatever the caller left there
+        # _whiten_border writes the corner itself, over whatever the caller left there
         rng = np.random.default_rng(200 + length)
         cov = random_spd(rng, length, (20,))
         rows = capon_rows(rng, length, (20,))
         mat = bordered(cov, rows)
-        w_nan, ok_nan = whiten_border(mat.copy(), 3)
+        w_nan, ok_nan = _whiten_border(mat.copy(), 3)
         mat[..., :length, length:] = 7.0
         mat[..., length:, length:] = 1e6 * np.eye(3)
-        w_set, ok_set = whiten_border(mat, 3)
+        w_set, ok_set = _whiten_border(mat, 3)
         assert ok_nan.all() and ok_set.all()
         np.testing.assert_array_equal(w_nan, w_set)
         assert (mat[..., length:, length:] == np.finfo(float).max * np.eye(3)).all()
@@ -342,9 +327,9 @@ class TestWhitenBorder:
         lower = sym.copy()
         lower[..., np.triu(np.ones((19, 19), dtype=bool), 1)] = np.nan
         with mock.patch("numpy.linalg.cholesky", wraps=np.linalg.cholesky) as cholesky:
-            w_lower, ok_lower = whiten_border(lower, 3)
+            w_lower, ok_lower = _whiten_border(lower, 3)
         assert cholesky.call_count == (6 if reject else 1)
-        w_sym, ok_sym = whiten_border(sym, 3)
+        w_sym, ok_sym = _whiten_border(sym, 3)
         np.testing.assert_array_equal(ok_lower, [True, True, not reject, True, True])
         np.testing.assert_array_equal(ok_lower, ok_sym)
         np.testing.assert_array_equal(w_lower, w_sym)
@@ -364,8 +349,8 @@ class TestWhitenBorder:
             cov[2] = rejected
             outer = np.full((7, 19, 19), 7.0)
             outer[1:6] = bordered(cov, capon_rows(rng, 16, (5,)))
-            alone = [whiten_border(m.copy(), 3) for m in outer[1:6]]
-            w, ok = whiten_border(outer[1:6], 3)
+            alone = [_whiten_border(m.copy(), 3) for m in outer[1:6]]
+            w, ok = _whiten_border(outer[1:6], 3)
             np.testing.assert_array_equal(ok, [True, True, False, True, True])
             np.testing.assert_array_equal(w[2], 0.0)
             for i in (0, 1, 3, 4):
@@ -383,7 +368,7 @@ class TestWhitenBorder:
         cov[2] = 0.0
         mat = bordered(cov, capon_rows(rng, 16, (5,)))
         with mock.patch("numpy.linalg.cholesky", wraps=np.linalg.cholesky) as cholesky:
-            _, ok = whiten_border(mat, 3)
+            _, ok = _whiten_border(mat, 3)
         assert cholesky.call_count == 1
         np.testing.assert_array_equal(ok, [True, True, False, True, True])
 
@@ -394,7 +379,7 @@ class TestWhitenBorder:
         rng = np.random.default_rng(8)
         mat = bordered(random_spd(rng, 4, (3,)), capon_rows(rng, 4, (3,)))
         mat[(1,) + entry] = mat[(1,) + entry[::-1]] = np.nan
-        w, ok = whiten_border(mat, 3)
+        w, ok = _whiten_border(mat, 3)
         np.testing.assert_array_equal(ok, [True, False, True])
         np.testing.assert_array_equal(w[1], 0.0)
 
@@ -502,10 +487,10 @@ class TestCoherentDecorrelation:
         x = a1 + 0.9 * np.exp(1j * 2.1) * a2
         rng = np.random.default_rng(8)
         x = x + 1e-3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        snaps = subarray_snapshots(x, length)
-        raw_cov = sample_covariance(snaps)
+        snaps = _subarray_snapshots(x, length)
+        raw_cov = _sample_covariance(snaps)
         eps = 1e-3 / snaps.shape[0]
-        _, denom_raw, good_raw = capon_solve(diagonal_load(raw_cov.copy(), eps))
-        _, denom_fb, good_fb = capon_solve(diagonal_load(forward_backward(raw_cov), eps))
+        _, denom_raw, good_raw = capon_solve(_diagonal_load(raw_cov.copy(), eps))
+        _, denom_fb, good_fb = capon_solve(_diagonal_load(forward_backward(raw_cov), eps))
         assert good_raw and good_fb
         assert 1.0 / denom_fb > 1.0 / denom_raw
